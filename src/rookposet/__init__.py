@@ -2,20 +2,10 @@
 
 from .covers import (
     CoverMove,
-    cross_moves_general,
-    cross_moves_orthogonal,
     moves_general,
     moves_orthogonal,
     predecessors_general,
     predecessors_orthogonal,
-    removal_candidates_general,
-    removal_candidates_orthogonal,
-    slide_right_general,
-    slide_right_orthogonal,
-    slide_up_general,
-    slide_up_orthogonal,
-    split_moves_general,
-    split_moves_orthogonal,
 )
 from .errors import (
     AmbientError,
@@ -26,8 +16,6 @@ from .errors import (
     RookError,
 )
 from .kerov import (
-    check_cover_preservation,
-    check_order_preservation,
     kerov_map,
     rank_general,
     rank_orthogonal,
@@ -49,8 +37,6 @@ from .placements import (
     RookPlacement,
     count_placements,
     enumerate_placements,
-    is_orthogonal,
-    make_root,
     parse_placement,
     placement_from_json,
     render_board,
@@ -87,21 +73,15 @@ __all__ = [
     "bruhat_leq",
     "brute_force_covers",
     "build_poset",
-    "check_cover_preservation",
     "check_graded",
-    "check_order_preservation",
     "count_placements",
-    "cross_moves_general",
-    "cross_moves_orthogonal",
     "enumerate_placements",
     "export_dot",
     "inversion_length",
     "involution_of",
-    "is_orthogonal",
     "iter_maximal_chains",
     "kerov_map",
     "leq_placement",
-    "make_root",
     "minimal_roots",
     "moves_general",
     "moves_orthogonal",
@@ -113,15 +93,7 @@ __all__ = [
     "rank_general",
     "rank_matrix",
     "rank_orthogonal",
-    "removal_candidates_general",
-    "removal_candidates_orthogonal",
     "render_board",
     "root_leq",
-    "slide_right_general",
-    "slide_right_orthogonal",
-    "slide_up_general",
-    "slide_up_orthogonal",
-    "split_moves_general",
-    "split_moves_orthogonal",
     "validate_placement",
 ]

@@ -16,7 +16,7 @@ from .kerov import kerov_map, rank_general, rank_orthogonal
 from .order import involution_of, leq_placement, rank_matrix
 from .placements import DEFAULT_CAP, enumerate_placements, parse_placement, render_board
 from .poset import build_poset, export_dot, poset_to_json
-from .verify import DEFAULT_BOUNDS, run_suite
+from .verify import DEFAULT_BOUNDS, SUITES, run_suite
 
 
 def _matrix_lines(title: str, entries) -> list[str]:
@@ -110,8 +110,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    default = DEFAULT_BOUNDS.get(args.suite)
-    if args.max_n is not None and default is not None and args.max_n > default:
+    default = min(DEFAULT_BOUNDS[key] for key in SUITES[args.suite])
+    if args.max_n is not None and args.max_n > default:
         print(
             f"warning: --max-n {args.max_n} is above the default {default}; "
             f"runtime grows steeply with board size",
@@ -175,11 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unicode", action="store_true")
 
     p = add("verify", cmd_verify, "run an exhaustive self-check suite")
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=["counts", "covers-general", "covers-orthogonal", "kerov", "graded", "bruhat", "all"],
-    )
+    p.add_argument("--suite", required=True, choices=list(SUITES))
     p.add_argument("--max-n", type=int, default=None)
 
     return parser

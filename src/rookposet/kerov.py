@@ -9,9 +9,8 @@ relations, which is what makes the rank functions below well-defined.
 
 from __future__ import annotations
 
-from .covers import predecessors_general, predecessors_orthogonal
-from .errors import AmbientError, ParityError, RookError
-from .order import inversion_length, involution_of, leq_placement
+from .errors import ParityError, RookError
+from .order import inversion_length, involution_of
 from .placements import Root, RookPlacement, validate_placement
 
 
@@ -23,23 +22,6 @@ def kerov_map(placement: RookPlacement) -> RookPlacement:
         [Root(2 * r.row - 2, 2 * r.col - 1) for r in placement.roots],
         2 * placement.n - 2,
     )
-
-
-def check_order_preservation(d1: RookPlacement, d2: RookPlacement) -> bool:
-    """True iff d1 <= d2 and kerov_map(d1) <= kerov_map(d2) agree."""
-    if d1.n != d2.n:
-        raise AmbientError(f"cannot compare boards of sizes {d1.n} and {d2.n}")
-    return leq_placement(d1, d2) == leq_placement(kerov_map(d1), kerov_map(d2))
-
-
-def check_cover_preservation(t: RookPlacement, d: RookPlacement) -> bool:
-    """True iff 't covers-below d' and 'kerov_map(t) covers-below kerov_map(d)'
-    agree, with both sides computed by the move generators."""
-    if t.n != d.n:
-        raise AmbientError(f"cannot compare boards of sizes {t.n} and {d.n}")
-    left = t in predecessors_general(d)
-    right = kerov_map(t) in predecessors_orthogonal(kerov_map(d))
-    return left == right
 
 
 def _exact_half(total: int) -> int:

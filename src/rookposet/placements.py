@@ -41,11 +41,6 @@ class Root:
         return f"{self.row},{self.col}"
 
 
-def make_root(i: int, j: int) -> Root:
-    """Return the root in row i and column j; reject cells on or above the diagonal."""
-    return Root(i, j)
-
-
 def roots_to_text(roots: Iterable[Root]) -> str:
     """Serialize roots as ``i,j;i,j;...`` in the order given."""
     return ";".join(str(r) for r in roots)
@@ -131,10 +126,6 @@ def validate_placement(
     return RookPlacement(n, coerced)
 
 
-def is_orthogonal(placement: RookPlacement) -> bool:
-    return placement.is_orthogonal()
-
-
 def parse_placement(text: str, n: int) -> RookPlacement:
     """Parse the ``i,j;i,j`` exchange format; whitespace is ignored everywhere.
 
@@ -156,6 +147,11 @@ def parse_placement(text: str, n: int) -> RookPlacement:
     return validate_placement(roots, n)
 
 
+def _is_int(value: object) -> bool:
+    # bool is an int subclass, but True is not a board size or an index
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def placement_from_json(data: dict) -> RookPlacement:
     """Inverse of RookPlacement.to_json."""
     try:
@@ -163,8 +159,13 @@ def placement_from_json(data: dict) -> RookPlacement:
         pairs = data["roots"]
     except (TypeError, KeyError):
         raise RookError("placement JSON needs keys 'n' and 'roots'") from None
-    if not isinstance(n, int) or not isinstance(pairs, list):
+    if not _is_int(n) or not isinstance(pairs, list):
         raise RookError("placement JSON: 'n' must be an int and 'roots' a list")
+    for p in pairs:
+        if not (isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_int, p))):
+            raise RookError(
+                f"placement JSON: root {p!r} is not a [row, col] pair of ints"
+            )
     return validate_placement([tuple(p) for p in pairs], n)
 
 

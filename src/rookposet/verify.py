@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .covers import predecessors_general, predecessors_orthogonal
+from .errors import RookError
 from .kerov import kerov_map, rank_general, rank_orthogonal
 from .order import bruhat_leq, involution_of, rank_matrix
 from .placements import (
@@ -27,16 +29,17 @@ from .poset import brute_force_covers, build_poset, check_graded
 GENERAL_COUNTS = (1, 2, 5, 15, 52, 203, 877)
 ORTHOGONAL_COUNTS = (1, 2, 4, 10, 26, 76, 232)
 
+#: Default largest board of each sub-suite, keyed by its result name.
 DEFAULT_BOUNDS = {
     "counts": 7,
     "covers-general": 6,
     "covers-orthogonal": 7,
-    "kerov": 5,
-    "graded": None,  # per-kind defaults below
+    "kerov-order": 5,
+    "kerov-covers": 5,
+    "graded-general": 6,
+    "graded-orthogonal": 7,
     "bruhat": 6,
 }
-GRADED_GENERAL_BOUND = 6
-GRADED_ORTHOGONAL_BOUND = 7
 SUBSET_ORACLE_BOUND = 5
 
 
@@ -62,6 +65,14 @@ class SuiteResult:
         return head
 
 
+def _boards(name: str, low: int, max_n: int) -> range:
+    """Board sizes low..max_n; a bound that leaves none is refused, since
+    a suite that checks nothing would report a vacuous PASS."""
+    if max_n < low:
+        raise RookError(f"{name} checks boards from n={low}; max_n={max_n} checks none")
+    return range(low, max_n + 1)
+
+
 def subset_filter_placements(n: int, kind: Kind = "general") -> set[RookPlacement]:
     """Brute-force oracle: test every subset of the board's roots."""
     all_roots = [Root(i, j) for i in range(2, n + 1) for j in range(1, i)]
@@ -80,7 +91,7 @@ def subset_filter_placements(n: int, kind: Kind = "general") -> set[RookPlacemen
 
 def verify_counts(max_n: int = DEFAULT_BOUNDS["counts"]) -> SuiteResult:
     res = SuiteResult("counts")
-    for n in range(1, max_n + 1):
+    for n in _boards(res.name, 1, max_n):
         for kind, known in (("general", GENERAL_COUNTS), ("orthogonal", ORTHOGONAL_COUNTS)):
             elements = enumerate_placements(n, kind)
             res.checked += len(elements)
@@ -103,7 +114,7 @@ def verify_counts(max_n: int = DEFAULT_BOUNDS["counts"]) -> SuiteResult:
 def _verify_covers(kind: Kind, low: int, max_n: int, name: str) -> SuiteResult:
     res = SuiteResult(name)
     generator = predecessors_general if kind == "general" else predecessors_orthogonal
-    for n in range(low, max_n + 1):
+    for n in _boards(name, low, max_n):
         poset = build_poset(n, kind)
         for d in poset.elements:
             res.checked += 1
@@ -131,10 +142,10 @@ def verify_covers_orthogonal(
     return _verify_covers("orthogonal", 3, max_n, "covers-orthogonal")
 
 
-def verify_kerov_order(max_n: int = DEFAULT_BOUNDS["kerov"]) -> SuiteResult:
+def verify_kerov_order(max_n: int = DEFAULT_BOUNDS["kerov-order"]) -> SuiteResult:
     """The doubling map preserves and reflects order on all pairs."""
     res = SuiteResult("kerov-order")
-    for n in range(3, max_n + 1):
+    for n in _boards(res.name, 3, max_n):
         elements = enumerate_placements(n)
         mats = [rank_matrix(e) for e in elements]
         image_mats = [rank_matrix(kerov_map(e)) for e in elements]
@@ -149,10 +160,10 @@ def verify_kerov_order(max_n: int = DEFAULT_BOUNDS["kerov"]) -> SuiteResult:
     return res
 
 
-def verify_kerov_covers(max_n: int = DEFAULT_BOUNDS["kerov"]) -> SuiteResult:
+def verify_kerov_covers(max_n: int = DEFAULT_BOUNDS["kerov-covers"]) -> SuiteResult:
     """The doubling map preserves and reflects cover relations on all pairs."""
     res = SuiteResult("kerov-covers")
-    for n in range(3, max_n + 1):
+    for n in _boards(res.name, 3, max_n):
         elements = enumerate_placements(n)
         preds = {d: predecessors_general(d) for d in elements}
         image = {d: kerov_map(d) for d in elements}
@@ -170,7 +181,7 @@ def verify_kerov_covers(max_n: int = DEFAULT_BOUNDS["kerov"]) -> SuiteResult:
 
 def _verify_graded(kind: Kind, max_n: int, name: str) -> SuiteResult:
     res = SuiteResult(name)
-    for n in range(2, max_n + 1):
+    for n in _boards(name, 2, max_n):
         poset = build_poset(n, kind)
         res.checked += len(poset)
         report = check_graded(poset)
@@ -181,12 +192,14 @@ def _verify_graded(kind: Kind, max_n: int, name: str) -> SuiteResult:
     return res
 
 
-def verify_graded_general(max_n: int = GRADED_GENERAL_BOUND) -> SuiteResult:
+def verify_graded_general(max_n: int = DEFAULT_BOUNDS["graded-general"]) -> SuiteResult:
     """R(2..max_n) is graded with ranks matching the closed formula."""
     return _verify_graded("general", max_n, "graded-general")
 
 
-def verify_graded_orthogonal(max_n: int = GRADED_ORTHOGONAL_BOUND) -> SuiteResult:
+def verify_graded_orthogonal(
+    max_n: int = DEFAULT_BOUNDS["graded-orthogonal"],
+) -> SuiteResult:
     """I(2..max_n) is graded with ranks matching the closed formula."""
     return _verify_graded("orthogonal", max_n, "graded-orthogonal")
 
@@ -195,7 +208,7 @@ def verify_bruhat(max_n: int = DEFAULT_BOUNDS["bruhat"]) -> SuiteResult:
     """On orthogonal placements, dominance order equals Bruhat order of
     the corresponding involutions."""
     res = SuiteResult("bruhat")
-    for n in range(3, max_n + 1):
+    for n in _boards(res.name, 3, max_n):
         elements = enumerate_placements(n, "orthogonal")
         mats = [rank_matrix(e) for e in elements]
         perms = [involution_of(e) for e in elements]
@@ -210,26 +223,27 @@ def verify_bruhat(max_n: int = DEFAULT_BOUNDS["bruhat"]) -> SuiteResult:
     return res
 
 
+#: Sub-suites of each named suite, keyed by result name; "all" runs every one.
+SUITES: dict[str, dict[str, Callable[[int], SuiteResult]]] = {
+    "counts": {"counts": verify_counts},
+    "covers-general": {"covers-general": verify_covers_general},
+    "covers-orthogonal": {"covers-orthogonal": verify_covers_orthogonal},
+    "kerov": {"kerov-order": verify_kerov_order, "kerov-covers": verify_kerov_covers},
+    "graded": {
+        "graded-general": verify_graded_general,
+        "graded-orthogonal": verify_graded_orthogonal,
+    },
+    "bruhat": {"bruhat": verify_bruhat},
+}
+SUITES["all"] = {key: fn for part in SUITES.values() for key, fn in part.items()}
+
+
 def run_suite(name: str, max_n: int | None = None) -> list[SuiteResult]:
-    """Run one named suite ('all' for every one); None keeps default bounds."""
-    table: dict[str, list] = {
-        "counts": [lambda: verify_counts(max_n or 7)],
-        "covers-general": [lambda: verify_covers_general(max_n or 6)],
-        "covers-orthogonal": [lambda: verify_covers_orthogonal(max_n or 7)],
-        "kerov": [
-            lambda: verify_kerov_order(max_n or 5),
-            lambda: verify_kerov_covers(max_n or 5),
-        ],
-        "graded": [
-            lambda: verify_graded_general(max_n or GRADED_GENERAL_BOUND),
-            lambda: verify_graded_orthogonal(max_n or GRADED_ORTHOGONAL_BOUND),
-        ],
-        "bruhat": [lambda: verify_bruhat(max_n or 6)],
-    }
-    if name == "all":
-        runners = [fn for fns in table.values() for fn in fns]
-    elif name in table:
-        runners = table[name]
-    else:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(table)} or 'all'")
-    return [fn() for fn in runners]
+    """Run one named suite ('all' for every one); None runs each sub-suite
+    up to its DEFAULT_BOUNDS entry."""
+    if name not in SUITES:
+        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    return [
+        fn(DEFAULT_BOUNDS[key] if max_n is None else max_n)
+        for key, fn in SUITES[name].items()
+    ]

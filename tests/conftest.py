@@ -6,9 +6,9 @@ from rookposet import validate_placement
 
 
 @st.composite
-def placements(draw, max_n: int = 8):
+def placements(draw, max_n: int = 8, min_n: int = 1):
     """Random placement: per row, either no rook or one in a free column."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     used_cols: set[int] = set()
     roots = []
     for row in range(2, n + 1):
@@ -21,9 +21,9 @@ def placements(draw, max_n: int = 8):
 
 
 @st.composite
-def orthogonal_placements(draw, max_n: int = 8):
+def orthogonal_placements(draw, max_n: int = 8, min_n: int = 1):
     """Random orthogonal placement: pair up free indices left to right."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     free = list(range(1, n + 1))
     roots = []
     while len(free) >= 2:

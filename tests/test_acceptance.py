@@ -13,18 +13,13 @@ import pytest
 from rookposet import (
     Root,
     build_poset,
-    cross_moves_general,
-    cross_moves_orthogonal,
     involution_of,
     kerov_map,
     leq_placement,
     moves_general,
+    moves_orthogonal,
     parse_placement,
     rank_matrix,
-    slide_right_general,
-    slide_up_general,
-    split_moves_general,
-    split_moves_orthogonal,
 )
 from rookposet.poset import export_dot
 from rookposet.verify import (
@@ -125,22 +120,23 @@ def test_acceptance_09_known_example_fixtures():
 
     # general split on a 6-board placement
     d = parse_placement("4,1;6,2;5,4", 6)
-    (split,) = [m for m in split_moves_general(d) if m.source == (Root(6, 2),)]
+    (split,) = [m for m in moves_general(d)
+                if m.kind == "split_general" and m.source == (Root(6, 2),)]
     assert set(split.target) == {Root(3, 2), Root(6, 3)}
     assert split.result.to_text() == "3,2;4,1;5,4;6,3"
     checked += 1
 
     # orthogonal cross on an 8-board placement
     d = parse_placement("5,1;6,2;8,4", 8)
-    (cross,) = [m for m in cross_moves_orthogonal(d)
-                if m.source == (Root(6, 2), Root(8, 4))]
+    (cross,) = [m for m in moves_orthogonal(d)
+                if m.kind == "cross_orthogonal" and m.source == (Root(6, 2), Root(8, 4))]
     assert set(cross.target) == {Root(4, 2), Root(8, 6)}
     assert cross.result.to_text() == "4,2;5,1;8,6"
     checked += 1
 
     # orthogonal split on an 8-board placement
     d = parse_placement("4,1;8,2;7,6", 8)
-    (split,) = split_moves_orthogonal(d)
+    (split,) = [m for m in moves_orthogonal(d) if m.kind == "split_orthogonal"]
     assert split.source == (Root(8, 2),)
     assert split.result.to_text() == "3,2;4,1;7,6;8,5"
     checked += 1

@@ -119,6 +119,24 @@ def test_verify_warns_above_default_bound(capsys):
     assert "warning" in err
 
 
+def test_verify_warns_above_default_bound_for_graded(capsys):
+    # graded-general defaults to 6, so 7 is above it even though
+    # graded-orthogonal defaults to 7
+    code, out, err = run(capsys, "verify", "--suite", "graded", "--max-n", "7")
+    assert code == 0
+    assert "above the default 6" in err
+    assert "graded-general: PASS (1154 checked)" in out
+
+
+@pytest.mark.parametrize("suite,max_n", [("counts", "0"), ("graded", "1"), ("kerov", "2")])
+def test_verify_bound_below_smallest_board_exits_2(capsys, suite, max_n):
+    # a bound that leaves a suite no board to check is refused, not a PASS
+    code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", max_n)
+    assert code == 2
+    assert out == ""
+    assert f"max_n={max_n} checks none" in err
+
+
 def test_bad_placement_token_exits_2(capsys):
     code, _, err = run(capsys, "rank", "--n", "3", "--kind", "general", "--d", "3;1")
     assert code == 2

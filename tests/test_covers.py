@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 
@@ -9,8 +12,6 @@ from rookposet import (
     Root,
     brute_force_covers,
     build_poset,
-    cross_moves_general,
-    cross_moves_orthogonal,
     enumerate_placements,
     leq_placement,
     moves_general,
@@ -18,12 +19,7 @@ from rookposet import (
     parse_placement,
     predecessors_general,
     predecessors_orthogonal,
-    removal_candidates_general,
-    removal_candidates_orthogonal,
-    slide_right_general,
-    slide_up_general,
-    split_moves_general,
-    split_moves_orthogonal,
+    validate_placement,
 )
 
 BIG = "3,1;6,2;7,3;5,4;8,5"  # a well-trodden 8-board placement
@@ -39,16 +35,55 @@ SIZE_DELTA = {
 }
 
 
+# sha256 of the compact JSON of every move list of general n = 1..7, then
+# orthogonal n = 1..8, in enumeration order; computed on the two separate
+# hand-written move catalogues this engine replaced.
+MOVE_LISTS_SHA256 = "5c9d19df64f2c241dbb6e62f4c3a0bd2e70e587d029993df783f5a2d6e3f7147"
+
+SLIDES_SWAPPED = {"slide_right": "slide_up", "slide_up": "slide_right"}
+
+
 def _by_kind(moves, kind):
     return [m for m in moves if m.kind == kind]
 
 
+def _removable(d):
+    return {m.source[0] for m in _by_kind(moves_general(d), "remove")}
+
+
+def _phi_root(r, n):
+    return Root(n + 1 - r.col, n + 1 - r.row)
+
+
+def _phi(d):
+    """Anti-transpose of a placement: (i, j) -> (n+1-j, n+1-i)."""
+    return validate_placement([_phi_root(r, d.n) for r in d.roots], d.n)
+
+
+def _comparable(moves):
+    return sorted((m.kind, m.source, m.target, m.result.to_text()) for m in moves)
+
+
+def _assert_phi_equivariant(moves_of, d):
+    # phi maps the moves of D onto the moves of phi(D), slide directions swapped
+    mirrored = [
+        (
+            SLIDES_SWAPPED.get(m.kind, m.kind),
+            tuple(sorted(_phi_root(r, d.n) for r in m.source)),
+            tuple(sorted(_phi_root(r, d.n) for r in m.target)),
+            _phi(m.result).to_text(),
+        )
+        for m in moves_of(d)
+    ]
+    assert _comparable(moves_of(_phi(d))) == sorted(mirrored)
+
+
 def test_removal_candidates_known_values():
     d = parse_placement(BIG, 8)
-    assert removal_candidates_general(d) == {Root(5, 4)}
-    assert removal_candidates_general(parse_placement("2,1", 3)) == {Root(2, 1)}
+    assert _removable(d) == {Root(5, 4)}
+    assert _removable(parse_placement("2,1", 3)) == {Root(2, 1)}
     # index 2 is neither a row nor a column, so (3,1) cannot be removed
-    assert removal_candidates_general(parse_placement("3,1", 3)) == frozenset()
+    assert _removable(parse_placement("3,1", 3)) == frozenset()
 
 
 def test_removal_result_known_value():
@@ -60,7 +95,7 @@ def test_removal_result_known_value():
 
 def test_slide_right_known_value():
     d = parse_placement(BIG, 8)
-    (move,) = slide_right_general(d)
+    (move,) = _by_kind(moves_general(d), "slide_right")
     assert move.source == (Root(8, 5),)
     assert move.target == (Root(8, 6),)
     assert move.result.to_text() == "3,1;5,4;6,2;7,3;8,6"
@@ -68,7 +103,7 @@ def test_slide_right_known_value():
 
 def test_slide_up_known_value():
     d = parse_placement(BIG, 8)
-    (move,) = slide_up_general(d)
+    (move,) = _by_kind(moves_general(d), "slide_up")
     assert move.source == (Root(3, 1),)
     assert move.target == (Root(2, 1),)
     assert move.result.to_text() == "2,1;5,4;6,2;7,3;8,5"
@@ -76,7 +111,7 @@ def test_slide_up_known_value():
 
 def test_cross_known_value():
     d = parse_placement(BIG, 8)
-    crosses = cross_moves_general(d)
+    crosses = _by_kind(moves_general(d), "cross_general")
     results = {m.result.to_text() for m in crosses}
     assert "3,1;5,2;6,4;7,3;8,5" in results  # trades (5,4) and (6,2)
     sources = {m.source for m in crosses}
@@ -85,7 +120,8 @@ def test_cross_known_value():
 
 def test_split_known_value():
     d = parse_placement("4,1;6,2;5,4", 6)
-    anchored = [m for m in split_moves_general(d) if m.source == (Root(6, 2),)]
+    splits = _by_kind(moves_general(d), "split_general")
+    anchored = [m for m in splits if m.source == (Root(6, 2),)]
     (move,) = anchored
     assert set(move.target) == {Root(6, 3), Root(3, 2)}
     assert move.result.to_text() == "3,2;4,1;5,4;6,3"
@@ -93,7 +129,8 @@ def test_split_known_value():
 
 def test_orthogonal_cross_known_value():
     d = parse_placement("5,1;6,2;8,4", 8)
-    moves = [m for m in cross_moves_orthogonal(d) if m.source == (Root(6, 2), Root(8, 4))]
+    crosses = _by_kind(moves_orthogonal(d), "cross_orthogonal")
+    moves = [m for m in crosses if m.source == (Root(6, 2), Root(8, 4))]
     (move,) = moves
     assert set(move.target) == {Root(4, 2), Root(8, 6)}
     assert move.result.to_text() == "4,2;5,1;8,6"
@@ -101,7 +138,7 @@ def test_orthogonal_cross_known_value():
 
 def test_orthogonal_split_known_value():
     d = parse_placement("4,1;8,2;7,6", 8)
-    (move,) = split_moves_orthogonal(d)
+    (move,) = _by_kind(moves_orthogonal(d), "split_orthogonal")
     assert move.source == (Root(8, 2),)
     assert set(move.target) == {Root(3, 2), Root(8, 5)}
     assert move.result.to_text() == "3,2;4,1;7,6;8,5"
@@ -156,20 +193,14 @@ def test_orthogonal_moves_stay_orthogonal():
 
 def test_orthogonal_families_reject_general_placements():
     skew = parse_placement("3,2;4,3", 4)
-    for fn in (
-        removal_candidates_orthogonal,
-        predecessors_orthogonal,
-        moves_orthogonal,
-        cross_moves_orthogonal,
-        split_moves_orthogonal,
-    ):
+    for fn in (predecessors_orthogonal, moves_orthogonal):
         with pytest.raises(OrthogonalityError):
             fn(skew)
 
 
 def test_cover_move_json_shape():
     d = parse_placement(BIG, 8)
-    (move,) = slide_right_general(d)
+    (move,) = _by_kind(moves_general(d), "slide_right")
     assert move.to_json() == {
         "kind": "slide_right",
         "source": "8,5",
@@ -191,3 +222,39 @@ def test_every_orthogonal_move_descends(d):
     for m in moves_orthogonal(d):
         assert leq_placement(m.result, d) and m.result != d
         assert m.result.is_orthogonal()
+
+
+def test_move_lists_are_pinned():
+    lists = [
+        [m.to_json() for m in moves_general(d)]
+        for n in range(1, 8)
+        for d in enumerate_placements(n)
+    ]
+    lists += [
+        [m.to_json() for m in moves_orthogonal(d)]
+        for n in range(1, 9)
+        for d in enumerate_placements(n, "orthogonal")
+    ]
+    blob = json.dumps(lists, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == MOVE_LISTS_SHA256
+
+
+def test_moves_are_phi_equivariant_exhaustive():
+    for n in range(1, 7):
+        for d in enumerate_placements(n):
+            _assert_phi_equivariant(moves_general, d)
+    for n in range(1, 8):
+        for d in enumerate_placements(n, "orthogonal"):
+            _assert_phi_equivariant(moves_orthogonal, d)
+
+
+@settings(max_examples=40)
+@given(placements(min_n=9, max_n=14))
+def test_general_moves_are_phi_equivariant(d):
+    _assert_phi_equivariant(moves_general, d)
+
+
+@settings(max_examples=40)
+@given(orthogonal_placements(min_n=9, max_n=14))
+def test_orthogonal_moves_are_phi_equivariant(d):
+    _assert_phi_equivariant(moves_orthogonal, d)

@@ -15,7 +15,6 @@ from rookposet import (
     RookPlacement,
     count_placements,
     enumerate_placements,
-    make_root,
     parse_placement,
     placement_from_json,
     render_board,
@@ -28,14 +27,14 @@ ORTHOGONAL_COUNTS = [1, 2, 4, 10, 26, 76, 232]
 
 
 def test_make_root_accepts_cells_below_diagonal():
-    r = make_root(6, 2)
+    r = Root(6, 2)
     assert (r.row, r.col) == (6, 2)
 
 
 @pytest.mark.parametrize("i,j", [(2, 2), (1, 3), (3, 0), (1, 1)])
 def test_make_root_rejects_bad_cells(i, j):
     with pytest.raises(RookError):
-        make_root(i, j)
+        Root(i, j)
 
 
 def test_roots_are_stored_in_canonical_order():
@@ -162,7 +161,18 @@ def test_json_round_trip():
     assert d.to_json() == {"n": 6, "roots": [[3, 1], [5, 4], [6, 2]]}
 
 
-@pytest.mark.parametrize("data", [{}, {"n": 4}, {"n": "4", "roots": []}, {"n": 4, "roots": 3}])
+@pytest.mark.parametrize(
+    "data",
+    [
+        {},
+        {"n": 4},
+        {"n": "4", "roots": []},
+        {"n": 4, "roots": 3},
+        {"n": 3, "roots": [[2, 1, 5]]},
+        {"n": 3, "roots": [5]},
+        {"n": True, "roots": []},
+    ],
+)
 def test_json_rejects_malformed_payloads(data):
     with pytest.raises(RookError):
         placement_from_json(data)
