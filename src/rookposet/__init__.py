@@ -49,7 +49,6 @@ from .poset import (
     build_poset,
     check_graded,
     export_dot,
-    iter_maximal_chains,
     poset_to_json,
 )
 
@@ -79,7 +78,6 @@ __all__ = [
     "export_dot",
     "inversion_length",
     "involution_of",
-    "iter_maximal_chains",
     "kerov_map",
     "leq_placement",
     "minimal_roots",

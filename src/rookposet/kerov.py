@@ -38,7 +38,10 @@ def rank_orthogonal(placement: RookPlacement) -> int:
 
 def rank_general(placement: RookPlacement) -> int:
     """Rank through the doubling map: half of (inversions of the
-    involution of the image + number of rooks)."""
+    involution of the image + number of rooks).  The empty placement is
+    the minimum, of rank 0, on every board (n = 1 included)."""
+    if not placement.roots:
+        return 0
     image = kerov_map(placement)
     w = involution_of(image)
     return _exact_half(inversion_length(w) + placement.size)

@@ -26,7 +26,6 @@ PUBLIC_NAMES = {
     "export_dot",
     "inversion_length",
     "involution_of",
-    "iter_maximal_chains",
     "kerov_map",
     "leq_placement",
     "minimal_roots",
@@ -47,6 +46,6 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_pinned():
-    assert len(rookposet.__all__) == len(PUBLIC_NAMES) == 40
+    assert len(rookposet.__all__) == len(PUBLIC_NAMES) == 39
     assert set(rookposet.__all__) == PUBLIC_NAMES
     assert all(hasattr(rookposet, name) for name in PUBLIC_NAMES)

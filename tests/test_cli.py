@@ -71,6 +71,15 @@ def test_rank_of_empty_placement(capsys):
     assert out.strip() == "0"
 
 
+def test_rank_on_the_one_cell_board(capsys):
+    code, out, _ = run(capsys, "rank", "--n", "1", "--d", "")
+    assert code == 0
+    assert out.strip() == "0"
+    code, out, _ = run(capsys, "hasse", "--n", "1", "--ranks")
+    assert code == 0
+    assert '0 [label="", rank=0];' in out
+
+
 def test_rank_orthogonal(capsys):
     code, out, _ = run(capsys, "rank", "--n", "4", "--kind", "orthogonal",
                        "--d", "3,2;4,1")

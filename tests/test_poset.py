@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import json
 import re
+import tracemalloc
+from typing import Iterator
 
 import numpy as np
 import pytest
 
+import rookposet.poset as poset_module
 from rookposet import (
     Poset,
     RookError,
@@ -14,11 +17,12 @@ from rookposet import (
     check_graded,
     enumerate_placements,
     export_dot,
-    iter_maximal_chains,
     leq_placement,
     parse_placement,
     placement_from_json,
     poset_to_json,
+    predecessors_general,
+    predecessors_orthogonal,
     rank_general,
     rank_orthogonal,
     validate_placement,
@@ -64,6 +68,14 @@ def test_poset_leq_matches_pairwise_comparison():
     for a in poset.elements:
         for b in poset.elements:
             assert poset.leq_elements(a, b) == leq_placement(a, b)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 5 * 52])
+def test_leq_does_not_depend_on_the_block_size(monkeypatch, block_bytes):
+    # one row per block, and 5-row blocks with a short last one (m = 52)
+    whole = build_poset(5).leq
+    monkeypatch.setattr(poset_module, "_BLOCK_BYTES", block_bytes)
+    assert (build_poset(5).leq == whole).all()
 
 
 def test_hasse_edges_go_strictly_upward():
@@ -129,6 +141,31 @@ def test_top_of_the_orthogonal_poset():
     assert report.max_chain_length == 4
 
 
+def iter_maximal_chains(poset: Poset) -> Iterator[tuple[int, ...]]:
+    """Every maximal chain as a tuple of element indices, bottom to top.
+
+    Exponentially many in general; a second, slower gradedness oracle for
+    small boards.
+    """
+    out_edges = [[] for _ in range(len(poset))]
+    for a, b in poset.hasse:
+        out_edges[a].append(b)
+    minimal = np.flatnonzero(poset.leq.sum(axis=0) == 1).tolist()
+
+    def rec(path: list[int]) -> Iterator[tuple[int, ...]]:
+        succ = out_edges[path[-1]]
+        if not succ:
+            yield tuple(path)
+            return
+        for y in succ:
+            path.append(y)
+            yield from rec(path)
+            path.pop()
+
+    for start in minimal:
+        yield from rec([start])
+
+
 @pytest.mark.parametrize("n,kind", [(3, "general"), (4, "general"),
                                     (3, "orthogonal"), (4, "orthogonal")])
 def test_all_maximal_chains_share_one_length(n, kind):
@@ -171,10 +208,77 @@ def test_check_graded_reports_missing_extremum():
 
 def test_poset_rejects_non_orders():
     labels = enumerate_placements(4)[:2]
-    with pytest.raises(RookError):
-        Poset(4, "general", labels, np.ones((2, 2), dtype=bool))  # not antisymmetric
-    with pytest.raises(RookError):
-        Poset(4, "general", labels, np.zeros((2, 2), dtype=bool))  # not reflexive
+    with pytest.raises(RookError, match="not antisymmetric"):
+        Poset(4, "general", labels, np.ones((2, 2), dtype=bool))
+    with pytest.raises(RookError, match="not reflexive"):
+        Poset(4, "general", labels, np.zeros((2, 2), dtype=bool))
+    with pytest.raises(RookError, match="not antisymmetric"):
+        Poset(4, "general", enumerate_placements(4)[:3], np.ones((3, 3), dtype=bool))
+
+
+def test_poset_rejects_non_transitive_relations():
+    # 0 < 1 and 1 < 2 but not 0 < 2
+    with pytest.raises(RookError, match="not transitive"):
+        _fake_poset([(0, 1), (1, 2)], 3)
+    # the same with the elements listed in another order
+    with pytest.raises(RookError, match="not transitive"):
+        _fake_poset([(2, 0), (0, 1)], 3)
+
+
+def matmul_covers(leq: np.ndarray) -> list[tuple[int, int]]:
+    """The definition: strict pairs with no two-step path between them."""
+    strict = (leq & ~np.eye(len(leq), dtype=bool)).astype(np.int64)
+    two_step = (strict @ strict) > 0
+    return sorted(zip(*map(np.ndarray.tolist, np.nonzero(strict & ~two_step))))
+
+
+HAND_BUILT = [
+    ([(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 3), (4, 3)], 5),
+    ([(0, 2), (1, 2)], 3),
+    ([], 4),
+    ([(3, 0), (3, 1), (3, 2), (0, 2), (1, 2)], 4),
+]
+
+
+@pytest.mark.parametrize("relations,count", HAND_BUILT)
+def test_hasse_matches_the_definition_on_hand_built_posets(relations, count):
+    poset = _fake_poset(relations, count)
+    assert list(poset.hasse) == matmul_covers(poset.leq)
+
+
+@pytest.mark.parametrize("n,kind", [(n, "general") for n in range(1, 7)]
+                         + [(n, "orthogonal") for n in range(1, 8)])
+def test_hasse_matches_the_definition(n, kind):
+    poset = build_poset(n, kind)
+    assert list(poset.hasse) == matmul_covers(poset.leq)
+
+
+@pytest.mark.parametrize("n,kind,edges", [
+    (4, "general", 24), (6, "general", 631), (7, "general", 3501),
+    (5, "orthogonal", 63), (7, "orthogonal", 959), (8, "orthogonal", 3884),
+])
+def test_hasse_edge_counts_are_pinned(n, kind, edges):
+    poset = build_poset(n, kind)
+    predecessors = (
+        predecessors_general if kind == "general" else predecessors_orthogonal
+    )
+    assert len(poset.hasse) == edges
+    assert sum(len(predecessors(d)) for d in poset.elements) == edges
+
+
+def test_build_poset_memory_stays_near_one_leq_matrix():
+    # m = 877, so leq takes 0.77 MB.  The bound lies between the peak of a
+    # dense float32 f @ f reduction (10.0 MB) and of the blocked build
+    # (2.1 MB).
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        poset = build_poset(7, "general")
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(poset) == 877
+    assert peak < 4_000_000
 
 
 def test_export_dot_smallest_diagram():
