@@ -4,7 +4,8 @@ A placement D is compared through its counting matrix: entry (i, j)
 with i > j counts the rooks of D weakly south-west of the cell, i.e.
 those in columns <= j and rows >= i.  D1 <= D2 holds exactly when the
 matrix of D1 is entrywise dominated by the matrix of D2.  On the roots
-themselves, (a, b) <= (c, d) means c >= a and d <= b.
+themselves, (a, b) <= (c, d) means c >= a and d <= b.  dominance_matrix
+compares all pairs of a list of placements at once.
 
 Orthogonal placements are involutions in disguise: involution_of turns
 one into the product of its transpositions, and bruhat_leq compares
@@ -15,6 +16,9 @@ prefix rank tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .errors import AmbientError, OrthogonalityError, RookError
 from .placements import Root, RookPlacement
@@ -59,6 +63,42 @@ def leq_placement(d1: RookPlacement, d2: RookPlacement) -> bool:
     if d1.n != d2.n:
         raise AmbientError(f"cannot compare boards of sizes {d1.n} and {d2.n}")
     return rank_matrix(d1) <= rank_matrix(d2)
+
+
+# Byte budget of the comparison array in dominance_matrix, which sets how
+# many rows of the result one step fills.  The step's block of the result
+# and this array then fit in a 2 MB L2 cache together; 4 MB made general
+# n=9 1.5x slower.
+_BLOCK_BYTES = 1 << 19
+
+
+def dominance_matrix(placements: Sequence[RookPlacement]) -> np.ndarray:
+    """m x m bool array whose entry (a, b) is placements[a] <= placements[b].
+
+    All placements must live on one board.  The result is filled a block
+    of rows at a time, one below-diagonal counting-matrix entry at a
+    time, so no other array grows with m squared.
+    """
+    m = len(placements)
+    # The below-diagonal counting-matrix entries, one row per entry; each
+    # is at most n // 2.
+    entries = np.array(
+        [
+            [v for i, row in enumerate(rank_matrix(p).entries) for v in row[:i]]
+            for p in placements
+        ],
+        dtype=np.int8,
+    ).T.copy()
+    leq = np.ones((m, m), dtype=bool)
+    rows = max(1, _BLOCK_BYTES // m)
+    scratch = np.empty((min(rows, m), m), dtype=bool)
+    for a0 in range(0, m, rows):
+        block = leq[a0 : a0 + rows]
+        tmp = scratch[: len(block)]
+        for e in entries:
+            np.less_equal(e[a0 : a0 + rows, None], e, out=tmp)
+            block &= tmp
+    return leq
 
 
 def root_leq(a: Root, b: Root) -> bool:

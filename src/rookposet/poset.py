@@ -1,8 +1,9 @@
 """Materialized posets of placements: Hasse diagrams, gradedness, export.
 
 build_poset computes the full order relation of R(n) or I(n) from the
-counting matrices alone, so everything here is independent of the move
-generators in covers.py and can serve as an oracle for them.
+counting matrices alone (order.dominance_matrix), so everything here
+is independent of the move generators in covers.py and can serve as
+an oracle for them.
 """
 
 from __future__ import annotations
@@ -13,22 +14,18 @@ import numpy as np
 
 from .errors import RookError
 from .kerov import rank_general, rank_orthogonal
+from .order import dominance_matrix
 from .placements import DEFAULT_CAP, Kind, RookPlacement, enumerate_placements
-from .order import rank_matrix
-
-
-# Byte budget of the comparison array in build_poset, which sets how many
-# rows of `leq` one step fills.  The step's block of `leq` and this array
-# then fit in a 2 MB L2 cache together; 4 MB made general n=9 1.5x slower.
-_BLOCK_BYTES = 1 << 19
 
 
 class Poset:
     """A finite poset of placements with its Hasse diagram.
 
     `leq` is the full boolean order relation over `elements` and must be
-    a partial order; it is the only m x m array kept.  `hasse` lists the
-    cover edges as sorted (lower_index, upper_index) pairs.
+    a partial order; it is the only m x m array kept.  It is a read-only
+    view that shares memory with the argument when that already is a
+    C-contiguous bool array.  `hasse` lists the cover edges as sorted
+    (lower_index, upper_index) pairs.
 
     The covers are the transitive reduction of `leq` (Aho, Garey and
     Ullman, "The transitive reduction of a directed graph", SIAM J.
@@ -86,13 +83,13 @@ class Poset:
         self.n = n
         self.kind: Kind = kind
         self.elements = tuple(elements)
-        self.leq = leq
+        self.leq = leq.view()
+        self.leq.setflags(write=False)
         self.hasse: tuple[tuple[int, int], ...] = tuple(edges)
         self._lower: list[list[int]] = [[] for _ in range(m)]
         for a, c in edges:
             self._lower[c].append(a)
         self._index = {e: k for k, e in enumerate(self.elements)}
-        self.leq.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -111,33 +108,10 @@ class Poset:
 
 
 def build_poset(n: int, kind: Kind = "general", cap: int = DEFAULT_CAP) -> Poset:
-    """Enumerate all placements of the given kind and materialize their order.
-
-    a <= b when every below-diagonal entry of a's counting matrix is at
-    most b's; `leq` is filled a block of rows at a time, one entry at a
-    time, so no array but `leq` grows with m squared.
-    """
+    """Enumerate all placements of the given kind and materialize their
+    dominance order."""
     elements = enumerate_placements(n, kind, cap=cap)
-    m = len(elements)
-    # The below-diagonal counting-matrix entries, one row per entry; each
-    # is at most n // 2.
-    entries = np.array(
-        [
-            [v for i, row in enumerate(rank_matrix(e).entries) for v in row[:i]]
-            for e in elements
-        ],
-        dtype=np.int8,
-    ).T.copy()
-    leq = np.ones((m, m), dtype=bool)
-    rows = max(1, _BLOCK_BYTES // m)
-    scratch = np.empty((min(rows, m), m), dtype=bool)
-    for a0 in range(0, m, rows):
-        block = leq[a0 : a0 + rows]
-        tmp = scratch[: len(block)]
-        for e in entries:
-            np.less_equal(e[a0 : a0 + rows, None], e, out=tmp)
-            block &= tmp
-    return Poset(n, kind, elements, leq)
+    return Poset(n, kind, elements, dominance_matrix(elements))
 
 
 def brute_force_covers(poset: Poset, placement: RookPlacement) -> set[RookPlacement]:
@@ -169,22 +143,19 @@ class GradedReport:
     rank_formula_ok: bool | None
 
 
-def _formula_rank(poset: Poset, e: RookPlacement) -> int:
-    if poset.kind == "orthogonal":
-        return rank_orthogonal(e)
-    return rank_general(e)
-
-
 def check_graded(poset: Poset) -> GradedReport:
-    """Decide gradedness: unique extrema and, for every element, equal
-    longest and shortest Hasse paths from the minimum (which then is its
-    rank).  On success the ranks are cross-checked against the closed
-    formulas; on failure a witness is produced.
+    """Decide gradedness: unique extrema and no Hasse cover a < x that
+    skips a level, i.e. the longest Hasse path from the minimum to x is
+    one longer than the one to a (it then is the rank of x).  These
+    longest paths come from one sweep over a linear extension.  On
+    success the ranks are cross-checked against the closed formulas; on
+    failure a witness is produced.
     """
     m = len(poset)
     # An element is minimal when it is the only one below it, maximal when
     # it is the only one above it.
-    minimal = np.flatnonzero(poset.leq.sum(axis=0) == 1).tolist()
+    down = poset.leq.sum(axis=0)
+    minimal = np.flatnonzero(down == 1).tolist()
     maximal = np.flatnonzero(poset.leq.sum(axis=1) == 1).tolist()
     if len(minimal) != 1 or len(maximal) != 1:
         which = "minimal" if len(minimal) != 1 else "maximal"
@@ -204,49 +175,37 @@ def check_graded(poset: Poset) -> GradedReport:
         )
     bottom, top = minimal[0], maximal[0]
 
-    out_edges: list[list[int]] = [[] for _ in range(m)]
-    indegree = [0] * m
-    for a, b in poset.hasse:
-        out_edges[a].append(b)
-        indegree[b] += 1
-    longest = [-1] * m
-    shortest = [m + 1] * m
-    long_parent = [-1] * m
-    short_parent = [-1] * m
-    longest[bottom] = shortest[bottom] = 0
-    queue = [i for i in range(m) if indegree[i] == 0]
-    order = []
-    while queue:
-        x = queue.pop()
-        order.append(x)
-        for y in out_edges[x]:
-            if longest[x] + 1 > longest[y]:
-                longest[y] = longest[x] + 1
-                long_parent[y] = x
-            if shortest[x] + 1 < shortest[y]:
-                shortest[y] = shortest[x] + 1
-                short_parent[y] = x
-            indegree[y] -= 1
-            if indegree[y] == 0:
-                queue.append(y)
-
-    uneven = [x for x in range(m) if longest[x] != shortest[x]]
-    if uneven:
-        x = uneven[0]
+    # Down-set sizes grow strictly along the order, so sorting by them
+    # visits every lower cover of x before x.
+    order = np.argsort(down, kind="stable").tolist()
+    longest = [0] * m
+    parent = [-1] * m
+    for x in order:
+        for a in poset._lower[x]:
+            if longest[a] + 1 > longest[x]:
+                longest[x], parent[x] = longest[a] + 1, a
+    skip = next(
+        ((a, x) for x in order for a in poset._lower[x] if longest[a] + 1 < longest[x]),
+        None,
+    )
+    if skip is not None:
+        a, x = skip
+        # Extend both chains to the top the same way: the element of
+        # least down-set size strictly above y covers y.
         tail: list[int] = []
         y = x
-        while out_edges[y]:
-            y = out_edges[y][0]
+        while y != top:
+            above = np.flatnonzero(poset.leq[y])
+            above = above[above != y]
+            y = int(above[down[above].argmin()])
             tail.append(y)
 
-        def _chain(parent: list[int]) -> tuple[RookPlacement, ...]:
-            path = [x]
-            while parent[path[-1]] != -1:
-                path.append(parent[path[-1]])
-            path.reverse()
+        def _chain(path: list[int]) -> tuple[RookPlacement, ...]:
+            while parent[path[0]] != -1:
+                path.insert(0, parent[path[0]])
             return tuple(poset.elements[i] for i in path + tail)
 
-        chain_long, chain_short = _chain(long_parent), _chain(short_parent)
+        chain_long, chain_short = _chain([x]), _chain([a, x])
         return GradedReport(
             is_graded=False,
             min_element=poset.elements[bottom],
@@ -262,24 +221,21 @@ def check_graded(poset: Poset) -> GradedReport:
             rank_formula_ok=None,
         )
 
-    rank_of = {poset.elements[i]: longest[i] for i in range(m)}
-    formula_ok = all(
-        rank_of[e] == _formula_rank(poset, e) for e in poset.elements
-    )
     return GradedReport(
         is_graded=True,
         min_element=poset.elements[bottom],
         max_element=poset.elements[top],
-        rank_of=rank_of,
+        rank_of=dict(zip(poset.elements, longest)),
         max_chain_length=longest[top],
         witness=None,
         witness_chains=None,
-        rank_formula_ok=formula_ok,
+        rank_formula_ok=_ranks_by_formula(poset) == longest,
     )
 
 
 def _ranks_by_formula(poset: Poset) -> list[int]:
-    return [_formula_rank(poset, e) for e in poset.elements]
+    rank = rank_orthogonal if poset.kind == "orthogonal" else rank_general
+    return [rank(e) for e in poset.elements]
 
 
 def export_dot(poset: Poset, include_ranks: bool = False) -> str:

@@ -13,6 +13,7 @@ from rookposet import (
     enumerate_placements,
     inversion_length,
     involution_of,
+    kerov_map,
     leq_placement,
     minimal_roots,
     parse_placement,
@@ -20,6 +21,7 @@ from rookposet import (
     root_leq,
     validate_placement,
 )
+from rookposet.order import dominance_matrix
 
 
 def test_rank_matrix_known_values():
@@ -225,3 +227,14 @@ def test_dominance_is_a_partial_order(n, kind):
             for c in range(len(mats)):
                 if leq[a][b] and leq[b][c]:
                     assert leq[a][c]
+
+
+def test_dominance_matrix_matches_pairwise_comparison_off_the_enumeration():
+    # Kerov images of R(5): 52 placements on the board of size 8 that
+    # are not an enumeration of that board
+    images = [kerov_map(d) for d in enumerate_placements(5)]
+    leq = dominance_matrix(images)
+    assert leq.shape == (52, 52) and leq.dtype == bool
+    for a, x in enumerate(images):
+        for b, y in enumerate(images):
+            assert leq[a, b] == leq_placement(x, y)

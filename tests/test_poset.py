@@ -8,7 +8,7 @@ from typing import Iterator
 import numpy as np
 import pytest
 
-import rookposet.poset as poset_module
+import rookposet.order as order_module
 from rookposet import (
     Poset,
     RookError,
@@ -74,7 +74,7 @@ def test_poset_leq_matches_pairwise_comparison():
 def test_leq_does_not_depend_on_the_block_size(monkeypatch, block_bytes):
     # one row per block, and 5-row blocks with a short last one (m = 52)
     whole = build_poset(5).leq
-    monkeypatch.setattr(poset_module, "_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(order_module, "_BLOCK_BYTES", block_bytes)
     assert (build_poset(5).leq == whole).all()
 
 
@@ -195,6 +195,44 @@ def test_check_graded_reports_unequal_chains():
     assert len(c1) != len(c2)
     assert {c1[0], c2[0]} == {report.min_element}
     assert {c1[-1], c2[-1]} == {report.max_element}
+
+
+def test_check_graded_witness_shares_a_tail_above_the_skipping_cover():
+    # 0 < 1 < 2 < 3 < 4 < 5 and 0 < 6 < 3: the cover 6 < 3 skips a level,
+    # and both chains go on through 4 and 5 to the maximum
+    relations = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+    relations += [(0, 6), (6, 3), (6, 4), (6, 5)]
+    poset = _fake_poset(relations, 7)
+    report = check_graded(poset)
+    assert not report.is_graded
+    labels = poset.elements
+    assert report.witness_chains == (
+        tuple(labels[i] for i in (0, 1, 2, 3, 4, 5)),
+        tuple(labels[i] for i in (0, 6, 3, 4, 5)),
+    )
+    assert report.witness == (
+        f"maximal chains of lengths 5 and 4 both end at {labels[5].to_text()!r}"
+    )
+
+
+def test_check_graded_ranks_a_chain_listed_out_of_order():
+    # the chain 0 < 2 < 1: its Hasse ranks 0, 2, 1 are not the formula
+    # ranks 0, 1, 2 of the labels '', '2,1' and '2,1;3,2'
+    report = check_graded(_fake_poset([(0, 1), (0, 2), (2, 1)], 3))
+    assert report.is_graded and report.max_chain_length == 2
+    assert list(report.rank_of.values()) == [0, 2, 1]
+    assert report.rank_formula_ok is False
+
+
+def test_poset_keeps_the_callers_array_writable():
+    labels = enumerate_placements(4)[:2]
+    leq = np.eye(2, dtype=bool)
+    poset = Poset(4, "general", labels, leq)
+    assert np.shares_memory(poset.leq, leq)
+    leq[0, 1] = True
+    assert poset.leq[0, 1]
+    with pytest.raises(ValueError, match="read-only"):
+        poset.leq[0, 1] = False
 
 
 def test_check_graded_reports_missing_extremum():
