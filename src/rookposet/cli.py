@@ -81,7 +81,11 @@ def cmd_hasse(args) -> int:
     else:
         text = export_dot(poset, include_ranks=args.ranks)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise RookError(f"cannot write {args.out}: {exc.strerror}") from exc
+        with fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text, end="" if text.endswith("\n") else "\n")

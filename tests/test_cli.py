@@ -116,6 +116,14 @@ def test_hasse_json_to_file(tmp_path, capsys):
     assert payload["kind"] == "orthogonal"
 
 
+def test_hasse_to_an_unwritable_path_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.dot"
+    code, out, err = run(capsys, "hasse", "--n", "3", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert str(target) in err
+
+
 def test_verify_suite_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "counts", "--max-n", "4")
     assert code == 0
@@ -123,9 +131,36 @@ def test_verify_suite_passes(capsys):
 
 
 def test_verify_warns_above_default_bound(capsys):
-    code, out, err = run(capsys, "verify", "--suite", "bruhat", "--max-n", "7")
+    code, out, err = run(capsys, "verify", "--suite", "counts", "--max-n", "8")
     assert code == 0
     assert "warning" in err
+    # bruhat defaults to 8, so the same bound there is no warning
+    code, out, err = run(capsys, "verify", "--suite", "bruhat", "--max-n", "8")
+    assert code == 0
+    assert err == ""
+
+
+def test_verify_all_at_the_default_bounds(capsys):
+    # R(n) has Bell(n) elements and I(n) the telephone number t(n)
+    bell = dict(enumerate([1, 1, 2, 5, 15, 52, 203, 877, 4140]))
+    tel = dict(enumerate([1, 1, 2, 4, 10, 26, 76, 232, 764]))
+
+    def total(seq, low, high, power=1):
+        return sum(seq[n] ** power for n in range(low, high + 1))
+
+    assert total(bell, 3, 7, 2) == 813292 and total(tel, 3, 8, 2) == 644088
+    code, out, err = run(capsys, "verify", "--suite", "all")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        f"counts: PASS ({total(bell, 1, 7) + total(tel, 1, 7)} checked)",
+        f"covers-general: PASS ({total(bell, 3, 6)} checked)",
+        f"covers-orthogonal: PASS ({total(tel, 3, 7)} checked)",
+        f"kerov-order: PASS ({total(bell, 3, 7, 2)} checked)",
+        f"kerov-covers: PASS ({total(bell, 3, 7, 2)} checked)",
+        f"graded-general: PASS ({total(bell, 2, 6)} checked)",
+        f"graded-orthogonal: PASS ({total(tel, 2, 7)} checked)",
+        f"bruhat: PASS ({total(tel, 3, 8, 2)} checked)",
+    ]
 
 
 def test_verify_warns_above_default_bound_for_graded(capsys):

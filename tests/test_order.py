@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from itertools import permutations as all_perms
 
+import numpy as np
 import pytest
 
 from rookposet import (
@@ -21,7 +22,7 @@ from rookposet import (
     root_leq,
     validate_placement,
 )
-from rookposet.order import dominance_matrix
+from rookposet.order import bruhat_matrix, dominance_matrix
 
 
 def test_rank_matrix_known_values():
@@ -202,13 +203,37 @@ def _bruhat_closure(n: int) -> dict[tuple[int, ...], set[tuple[int, ...]]]:
     return reach
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_bruhat_matches_cover_chain_oracle(n):
     reach = _bruhat_closure(n)
     perms = [tuple(p) for p in all_perms(range(1, n + 1))]
     for u in perms:
         for v in perms:
             assert bruhat_leq(Permutation(u), Permutation(v)) == (v in reach[u])
+
+
+def test_bruhat_matrix_matches_cover_chain_oracle_as_a_whole():
+    reach = _bruhat_closure(4)
+    perms = [tuple(p) for p in all_perms(range(1, 5))]
+    want = np.array([[v in reach[u] for v in perms] for u in perms])
+    leq = bruhat_matrix([Permutation(p) for p in perms])
+    assert leq.shape == (24, 24) and leq.dtype == bool
+    assert np.array_equal(leq, want)
+
+
+def test_bruhat_prefix_counts_do_not_overflow_on_large_boards():
+    # prefix counts of the identity reach 130, past any 8-bit integer
+    ident = Permutation.identity(130)
+    reverse = Permutation(tuple(range(130, 0, -1)))
+    assert bruhat_leq(ident, reverse)
+    assert not bruhat_leq(reverse, ident)
+
+
+def test_bruhat_on_the_empty_permutation():
+    empty = Permutation(())
+    assert bruhat_leq(empty, empty)
+    assert bruhat_matrix([empty, empty]).tolist() == [[True, True], [True, True]]
+    assert bruhat_matrix([]).shape == (0, 0)
 
 
 @pytest.mark.parametrize("kind", ["general", "orthogonal"])
