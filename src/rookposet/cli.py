@@ -45,10 +45,11 @@ def cmd_enumerate(args) -> int:
 def cmd_compare(args) -> int:
     a = parse_placement(args.a, args.n)
     b = parse_placement(args.b, args.n)
-    ma, mb = rank_matrix(a), rank_matrix(b)
-    for line in _matrix_lines("R(a)", ma.entries) + _matrix_lines("R(b)", mb.entries):
-        print(line)
-    le, ge = ma <= mb, mb <= ma
+    if not args.summary:
+        for name, d in (("R(a)", a), ("R(b)", b)):
+            for line in _matrix_lines(name, rank_matrix(d).entries):
+                print(line)
+    le, ge = leq_placement(a, b), leq_placement(b, a)
     if le and ge:
         print("a == b")
     elif le:
@@ -149,6 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
+    p.add_argument("--summary", action="store_true", help="print only the verdict")
 
     p = add("covers", cmd_covers, "cover moves and predecessors of a placement")
     p.add_argument("--n", type=int, required=True)

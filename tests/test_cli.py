@@ -34,6 +34,30 @@ def test_compare_prints_verdict_and_matrices(capsys):
     assert "a <= b" in out
     assert "R(a):" in out and "R(b):" in out
     assert "  1 2 0 0" in out  # third row of the right matrix
+    assert out == (
+        "R(a):\n  0 0 0 0\n  1 0 0 0\n  0 1 0 0\n  0 1 1 0\n"
+        "R(b):\n  0 0 0 0\n  1 0 0 0\n  1 2 0 0\n  0 1 1 0\n"
+        "a <= b\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "a,b,verdict",
+    [
+        ("3000,1", "2999,2", "a >= b"),
+        ("2999,2", "3000,1", "a <= b"),
+        ("2999,2", "2999,2", "a == b"),
+        ("2,1", "3000,2999", "a and b are incomparable"),
+    ],
+)
+def test_compare_summary_prints_only_the_verdict_on_a_large_board(
+    capsys, a, b, verdict
+):
+    code, out, _ = run(
+        capsys, "compare", "--n", "3000", "--a", a, "--b", b, "--summary"
+    )
+    assert code == 0
+    assert out == verdict + "\n"
 
 
 def test_compare_incomparable(capsys):

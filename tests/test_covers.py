@@ -13,12 +13,15 @@ from rookposet import (
     brute_force_covers,
     build_poset,
     enumerate_placements,
+    kerov_map,
     leq_placement,
     moves_general,
     moves_orthogonal,
     parse_placement,
     predecessors_general,
     predecessors_orthogonal,
+    rank_general,
+    rank_orthogonal,
     validate_placement,
 )
 
@@ -222,6 +225,26 @@ def test_every_orthogonal_move_descends(d):
     for m in moves_orthogonal(d):
         assert leq_placement(m.result, d) and m.result != d
         assert m.result.is_orthogonal()
+
+
+@settings(max_examples=60)
+@given(placements(min_n=10, max_n=16))
+def test_general_moves_are_covers_past_the_horizon(d):
+    rank = rank_general(d)
+    image_covers = predecessors_orthogonal(kerov_map(d))
+    for m in moves_general(d):
+        assert leq_placement(m.result, d) and not leq_placement(d, m.result)
+        assert rank_general(m.result) == rank - 1
+        assert kerov_map(m.result) in image_covers
+
+
+@settings(max_examples=60)
+@given(orthogonal_placements(min_n=10, max_n=16))
+def test_orthogonal_moves_are_covers_past_the_horizon(d):
+    rank = rank_orthogonal(d)
+    for m in moves_orthogonal(d):
+        assert leq_placement(m.result, d) and not leq_placement(d, m.result)
+        assert rank_orthogonal(m.result) == rank - 1
 
 
 def test_move_lists_are_pinned():

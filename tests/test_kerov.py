@@ -3,9 +3,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from conftest import placements
+from conftest import orthogonal_placements, placements
 from rookposet import (
     AmbientError,
+    OrthogonalityError,
     ParityError,
     RookError,
     enumerate_placements,
@@ -129,6 +130,27 @@ def test_rank_increases_strictly_along_covers():
         r = rank_orthogonal(d)
         for t in predecessors_orthogonal(d):
             assert rank_orthogonal(t) == r - 1
+
+
+def _rank_by_inversions(d):
+    return (inversion_length(involution_of(d)) + d.size) // 2
+
+
+def test_rank_orthogonal_matches_inversion_count_exhaustive():
+    for n in range(1, 10):
+        for d in enumerate_placements(n, "orthogonal"):
+            assert rank_orthogonal(d) == _rank_by_inversions(d)
+
+
+@settings(max_examples=100)
+@given(orthogonal_placements(max_n=40))
+def test_rank_orthogonal_matches_inversion_count(d):
+    assert rank_orthogonal(d) == _rank_by_inversions(d)
+
+
+def test_rank_orthogonal_rejects_non_orthogonal_placements():
+    with pytest.raises(OrthogonalityError):
+        rank_orthogonal(parse_placement("2,1;3,2", 3))
 
 
 def test_exact_half_raises_on_odd_totals():

@@ -4,7 +4,12 @@ from itertools import permutations as all_perms
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rookposet.kerov
+import rookposet.order
+from conftest import orthogonal_placements, placements
 from rookposet import (
     AmbientError,
     OrthogonalityError,
@@ -18,7 +23,11 @@ from rookposet import (
     leq_placement,
     minimal_roots,
     parse_placement,
+    predecessors_general,
+    predecessors_orthogonal,
+    rank_general,
     rank_matrix,
+    rank_orthogonal,
     root_leq,
     validate_placement,
 )
@@ -61,6 +70,73 @@ def test_leq_placement_known_pair():
     assert leq_placement(d1, d2)
     assert not leq_placement(d2, d1)
     assert leq_placement(d1, d1)
+
+
+def test_leq_placement_reads_cells_below_a_constant_rectangle():
+    # '3,2' counts 1 at (3, 2) and the empty placement 0; that cell is in
+    # the rectangle with corner (2, 2) on the diagonal, so the sparse rule
+    # must move the corner to (max(i, j + 1), j) = (3, 2), not skip it
+    assert leq_placement(parse_placement("3,2", 5), parse_placement("", 5)) is False
+    assert leq_placement(parse_placement("", 5), parse_placement("3,2", 5)) is True
+
+
+@pytest.mark.parametrize("kind,max_n", [("general", 6), ("orthogonal", 7)])
+def test_leq_placement_matches_dense_matrices_exhaustive(kind, max_n):
+    for n in range(1, max_n + 1):
+        elements = enumerate_placements(n, kind)
+        mats = [rank_matrix(d) for d in elements]
+        for a, ma in zip(elements, mats):
+            for b, mb in zip(elements, mats):
+                assert leq_placement(a, b) == (ma <= mb)
+
+
+@st.composite
+def same_board_pairs(draw, max_n: int = 40):
+    """Two placements of one board: the first general or orthogonal, maybe
+    empty; the second empty, independent, a sub-placement of the first
+    (so below it) or a cover below it (so below it but for a few cells)."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    orthogonal = draw(st.booleans())
+    kind = orthogonal_placements if orthogonal else placements
+    empty = parse_placement("", n)
+    a = empty if draw(st.integers(0, 5)) == 0 else draw(kind(min_n=n, max_n=n))
+    how = draw(st.sampled_from(["empty", "independent", "subset", "cover"]))
+    if how == "empty":
+        b = empty
+    elif how == "independent":
+        b = draw(kind(min_n=n, max_n=n))
+    elif how == "subset":
+        kept = draw(st.sets(st.sampled_from(a.roots))) if a.roots else ()
+        b = validate_placement(kept, n)
+    else:
+        below = predecessors_orthogonal if orthogonal else predecessors_general
+        covers = sorted(below(a), key=lambda t: t.roots)
+        b = draw(st.sampled_from(covers)) if covers else empty
+    return a, b
+
+
+@settings(max_examples=60)
+@given(same_board_pairs())
+def test_leq_placement_matches_dense_matrices(pair):
+    a, b = pair
+    assert leq_placement(a, b) == (rank_matrix(a) <= rank_matrix(b))
+    assert leq_placement(b, a) == (rank_matrix(b) <= rank_matrix(a))
+
+
+def test_single_element_kernels_do_not_touch_the_dense_routes(monkeypatch):
+    def dense(*args):
+        raise AssertionError("dense route called")
+
+    monkeypatch.setattr(rookposet.order, "rank_matrix", dense)
+    monkeypatch.setattr(rookposet.order, "inversion_length", dense)
+    # also caught if kerov imports the name again
+    monkeypatch.setattr(rookposet.kerov, "inversion_length", dense, raising=False)
+    # dense routes on this board read 2000^2 / 2 cells per call
+    a = parse_placement("2000,1", 2000)
+    b = parse_placement("1999,3", 2000)
+    assert leq_placement(b, a) and not leq_placement(a, b)
+    assert rank_general(a) == 2 * 1999 - 1
+    assert rank_orthogonal(b) == 1996
 
 
 def test_leq_placement_rejects_mismatched_boards():
