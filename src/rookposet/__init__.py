@@ -27,9 +27,7 @@ from .order import (
     inversion_length,
     involution_of,
     leq_placement,
-    minimal_roots,
     rank_matrix,
-    root_leq,
 )
 from .placements import (
     DEFAULT_CAP,
@@ -80,7 +78,6 @@ __all__ = [
     "involution_of",
     "kerov_map",
     "leq_placement",
-    "minimal_roots",
     "moves_general",
     "moves_orthogonal",
     "parse_placement",
@@ -92,6 +89,5 @@ __all__ = [
     "rank_matrix",
     "rank_orthogonal",
     "render_board",
-    "root_leq",
     "validate_placement",
 ]

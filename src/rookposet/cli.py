@@ -14,7 +14,13 @@ from .covers import moves_general, moves_orthogonal
 from .errors import RookError
 from .kerov import kerov_map, rank_general, rank_orthogonal
 from .order import involution_of, leq_placement, rank_matrix
-from .placements import DEFAULT_CAP, enumerate_placements, parse_placement, render_board
+from .placements import (
+    DEFAULT_CAP,
+    enumerate_placements,
+    parse_placement,
+    render_board,
+    roots_to_text,
+)
 from .poset import build_poset, export_dot, poset_to_json
 from .verify import DEFAULT_BOUNDS, SUITES, run_suite
 
@@ -68,8 +74,8 @@ def cmd_covers(args) -> int:
         print(json.dumps([m.to_json() for m in moves]))
         return 0
     for m in moves:
-        print(f"{m.kind}: {';'.join(str(r) for r in m.source)} -> "
-              f"{';'.join(str(r) for r in m.target) or '-'} gives {m.result.to_text()}")
+        print(f"{m.kind}: {roots_to_text(m.source)} -> "
+              f"{roots_to_text(m.target) or '-'} gives {m.result.to_text()}")
     distinct = {m.result for m in moves}
     print(f"{len(moves)} moves, {len(distinct)} distinct predecessors")
     return 0

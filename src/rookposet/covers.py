@@ -1,33 +1,43 @@
 """Cover moves: the placements lying directly below a given one.
 
-Each move takes a placement D to a placement strictly below it in the
-dominance order, and the union of all families yields exactly the
-lower covers of D (the edges entering D in the Hasse diagram).  The
-families are removal, rightward and upward slides, crossing swaps and
-splits.  The poset of orthogonal placements is not an induced subposet
-of the general one, so its moves differ, but one engine serves both
-kinds.  The kind enters only through:
+Each move replaces source roots S of a placement D by target roots T,
+giving a placement strictly below D in the dominance order; together
+the families (removal, rightward and upward slides, crossing swaps and
+splits) give exactly the lower covers of D.  The orthogonal poset is
+not an induced subposet of the general one, so its moves differ, but
+one engine serves both kinds.  The kind enters only through the rules
+that propose candidates:
 
-* the full indices: those that are both a row and a column of D for
-  general placements, and those that are a row or a column of D for
-  orthogonal ones.  A minimal root (i, j) may be removed when every
-  index strictly between j and i is full; a slide or split only looks
-  at the non-full indices strictly between j and i.
-* the endpoint rules.  A rightward slide of (i, j) targets the first
-  non-full index m in (j, i); for general placements m must be a row
-  but not a column of D, for orthogonal ones neither.  A split of
-  (i, j) into (i, b) and (a, j) needs every index strictly between a
-  and b full; for general placements either a = b is neither a row nor
-  a column, or a < b with a a column only and b a row only; for
-  orthogonal ones a < b and both are neither.
-* the interleaved crossing swap, which only orthogonal placements have.
+* the full indices are those that are both a row and a column of D for
+  general placements, and a row or a column for orthogonal ones.  A
+  root (i, j) may be removed when every index strictly between j and i
+  is full; slides and splits look at the non-full indices between them.
+* a rightward slide of (i, j) goes to (i, m) for the first non-full m
+  above j, an upward slide to (m, j) for the first non-full m below i;
+  for general placements m must be a row only, resp. a column only.
+  Nested roots (i, j) < (a, b) cross to (i, b) and (a, j).  Orthogonal
+  roots interleaved as j < b < i < a cross to (b, j) and (a, i) when
+  every index strictly between b and i is full.  A split of (i, j) into
+  (i, b) and (a, j) needs every index strictly between a and b full;
+  for general placements either a = b is neither a row nor a column, or
+  a < b with a a column only and b a row only; for orthogonal ones
+  a < b and both are neither.
+
+One rule then keeps the covers among the candidates: the move is
+blocked when a root p of D outside S lies below a root of S but below
+no root of T, in the root order (a, b) <= (c, d) iff c >= a and d <= b.
+A target shares a row or a column with a source, so it never equals a
+kept root and the non-strict order is exact.  This is each family's own
+condition: for a removal T is empty, so (i, j) must be minimal; for a
+slide to (i, m), as m is not a column, it is "a < i and j < b < m" for
+the roots (a, b), and its mirror for an upward slide; for a nested swap
+a root below (i, j) is below (i, b), which leaves the roots strictly
+between the pair; for an interleaved swap no root is below both (i, j)
+and (a, i), nor below both (a, b) and (b, j); a split is unchanged.
 
 The anti-transpose phi(i, j) = (n+1-j, n+1-i) is an order automorphism
-of both posets: the rows of phi(D) are the indices n+1-c for the columns
-c of D, and its columns are n+1-r for the rows r.  It maps the moves of
-D onto the moves of phi(D) with the two slide directions exchanged, so
-the upward slide is computed as phi, then the rightward slide, then phi
-again.
+that maps the moves of D onto those of phi(D) with the slide directions
+exchanged; the tests check this, and no code path uses it.
 
 A move never touches the board size.
 """
@@ -35,10 +45,9 @@ A move never touches the board size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Literal
+from typing import Iterator, Literal
 
 from .errors import OrthogonalityError
-from .order import minimal_roots, root_leq
 from .placements import Root, RookPlacement, roots_to_text
 
 MoveKind = Literal[
@@ -50,6 +59,8 @@ MoveKind = Literal[
     "split_general",
     "split_orthogonal",
 ]
+
+Cell = tuple[int, int]  # a root as a bare (row, col) pair
 
 
 @dataclass(frozen=True)
@@ -70,163 +81,81 @@ class CoverMove:
         }
 
 
-def _below(a: Root, b: Root) -> bool:
-    # strict root order
-    return a != b and root_leq(a, b)
-
-
-def _move(
-    kind: MoveKind, d: RookPlacement, source: tuple[Root, ...], target: tuple[Root, ...]
-) -> CoverMove:
-    result = d.replace(remove=source, add=target)
-    return CoverMove(kind, tuple(sorted(source)), tuple(sorted(target)), result)
-
-
-def _slides_right(
-    cells: list[tuple[int, int]],
-    rows: AbstractSet[int],
-    cols: AbstractSet[int],
-    full: AbstractSet[int],
-    orthogonal: bool,
-) -> list[tuple[int, int, int]]:
-    """(i, j, m) for every rightward slide of a root (i, j) to (i, m), in
-    the order of `cells`.
-
-    m is the first non-full index strictly between j and i and must meet
-    the endpoint rule.  A root strictly below (i, j) but not strictly
-    below (i, m) blocks the slide; as m is not a column of D, those are
-    the roots (a, b) with a < i and j < b < m.  Roots are plain
-    (row, col) pairs here so that mirroring them costs no Root objects.
-    """
-    slides = []
-    for i, j in cells:
-        for m in range(j + 1, i):
-            if m not in full:
-                break
-        else:
-            continue
-        if not (orthogonal or (m in rows and m not in cols)):
-            continue
-        if any(a < i and j < b < m for a, b in cells):
-            continue
-        slides.append((i, j, m))
-    return slides
-
-
-def _slides_up(
-    d: RookPlacement, full: frozenset[int], orthogonal: bool
-) -> list[tuple[int, int, int]]:
-    """(i, j, m) for every upward slide of a root (i, j) of D to (m, j),
-    computed as phi of the rightward slides of phi(D).  The mirrored roots
-    keep the order of D's roots, so the slides come out in that order."""
-    n = d.n
-    slides = _slides_right(
-        [(n + 1 - r.col, n + 1 - r.row) for r in d.roots],
-        {n + 1 - k for k in d.cols},
-        {n + 1 - k for k in d.rows},
-        {n + 1 - k for k in full},
-        orthogonal,
-    )
-    return [(n + 1 - j, n + 1 - i, n + 1 - m) for i, j, m in slides]
-
-
-def _crosses_nested(d: RookPlacement) -> list[CoverMove]:
-    """For nested roots (i, j) < (a, b) of D with no root of D strictly
-    between them, trade the pair for (i, b) and (a, j)."""
-    moves = []
-    for low in d.roots:
-        for high in d.roots:
-            if not _below(low, high):
-                continue
-            if any(_below(low, p) and _below(p, high) for p in d.roots):
-                continue
-            target = (Root(low.row, high.col), Root(high.row, low.col))
-            moves.append(_move("cross_general", d, (low, high), target))
-    return moves
-
-
-def _crosses_interleaved(d: RookPlacement, full: frozenset[int]) -> list[CoverMove]:
-    """For roots (i, j) and (a, b) of D interleaved as j < b < i < a,
-    trade the pair for (b, j) and (a, i).
-
-    Requires every index strictly between b and i to be full, and no
-    root of D strictly below (i, j) but not strictly below (b, j), nor
-    strictly below (a, b) but not strictly below (a, i).
-    """
-    moves = []
-    for outer in d.roots:
-        i, j = outer.row, outer.col
-        for inner in d.roots:
-            a, b = inner.row, inner.col
-            if not (j < b < i < a):
-                continue
-            if any(k not in full for k in range(b + 1, i)):
-                continue
-            low, high = Root(b, j), Root(a, i)
-            if any(
-                (_below(p, outer) and not _below(p, low))
-                or (_below(p, inner) and not _below(p, high))
-                for p in d.roots
-            ):
-                continue
-            moves.append(_move("cross_orthogonal", d, (outer, inner), (low, high)))
-    return moves
-
-
-def _splits(d: RookPlacement, full: frozenset[int], orthogonal: bool) -> list[CoverMove]:
-    """Split a root (i, j) into (i, b) and (a, j) for non-full indices
-    j < a <= b < i with every index between them full, when (a, b) meets
-    the endpoint rule and every root of D strictly below (i, j) but not
-    strictly below (a, j) lies strictly below (i, b)."""
+def _candidates(
+    d: RookPlacement, orthogonal: bool
+) -> Iterator[tuple[MoveKind, tuple[Cell, ...], tuple[Cell, ...]]]:
+    """(kind, source, target) for every move the full-index and endpoint
+    rules allow, in family order and then in the order of D's roots;
+    source and target are sorted (row, col) pairs."""
     rows, cols = d.rows, d.cols
-    kind = "split_orthogonal" if orthogonal else "split_general"
-    moves = []
-    for r in d.roots:
-        i, j = r.row, r.col
-        free = [k for k in range(j + 1, i) if k not in full]
+    full = (rows | cols) if orthogonal else (rows & cols)
+    cells = [(r.row, r.col) for r in d.roots]
+    # the non-full indices strictly between the column and the row of each root
+    gaps = {(i, j): [k for k in range(j + 1, i) if k not in full] for i, j in cells}
+    for (i, j), free in gaps.items():
+        if not free:
+            yield "remove", ((i, j),), ()
+    for (i, j), free in gaps.items():
+        if free:
+            m = free[0]
+            if orthogonal or (m in rows and m not in cols):
+                yield "slide_right", ((i, j),), ((i, m),)
+    for (i, j), free in gaps.items():
+        if free:
+            m = free[-1]
+            if orthogonal or (m in cols and m not in rows):
+                yield "slide_up", ((i, j),), ((m, j),)
+    for i, j in cells:
+        for a, b in cells:
+            if i < a and b < j:
+                yield "cross_general", ((i, j), (a, b)), ((i, b), (a, j))
+    if orthogonal:
+        for i, j in cells:
+            for a, b in cells:
+                if j < b < i < a and all(k in full for k in range(b + 1, i)):
+                    yield "cross_orthogonal", ((i, j), (a, b)), ((b, j), (a, i))
+    split = "split_orthogonal" if orthogonal else "split_general"
+    for (i, j), free in gaps.items():
         for x, a in enumerate(free):
-            ends = []
             if not orthogonal and a not in rows and a not in cols:
-                ends.append(a)
+                yield split, ((i, j),), ((a, j), (i, a))
             if x + 1 < len(free):
                 b = free[x + 1]
                 if orthogonal or (
                     a in cols and a not in rows and b in rows and b not in cols
                 ):
-                    ends.append(b)
-            for b in ends:
-                upper, lower = Root(i, b), Root(a, j)
-                if any(
-                    _below(p, r) and not _below(p, lower) and not _below(p, upper)
-                    for p in d.roots
-                ):
-                    continue
-                moves.append(_move(kind, d, (r,), (upper, lower)))
-    return moves
+                    yield split, ((i, j),), ((a, j), (i, b))
+
+
+def _blocked(
+    cells: list[Cell], source: tuple[Cell, ...], target: tuple[Cell, ...]
+) -> bool:
+    """True when a kept root of D lies below a source root but below no
+    target root, so that the move is not a cover."""
+    return any(
+        p not in source
+        and any(p[0] <= s[0] and p[1] >= s[1] for s in source)
+        and not any(p[0] <= t[0] and p[1] >= t[1] for t in target)
+        for p in cells
+    )
 
 
 def _cover_moves(d: RookPlacement, orthogonal: bool) -> list[CoverMove]:
     """Every cover move of D for one kind, in family order."""
-    rows, cols = d.rows, d.cols
-    full = (rows | cols) if orthogonal else (rows & cols)
-    moves = [
-        _move("remove", d, (r,), ())
-        for r in sorted(minimal_roots(d))
-        if all(k in full for k in range(r.col + 1, r.row))
-    ]
-    cells = [(r.row, r.col) for r in d.roots]
-    moves += [
-        _move("slide_right", d, (Root(i, j),), (Root(i, m),))
-        for i, j, m in _slides_right(cells, rows, cols, full, orthogonal)
-    ]
-    moves += [
-        _move("slide_up", d, (Root(i, j),), (Root(m, j),))
-        for i, j, m in _slides_up(d, full, orthogonal)
-    ]
-    moves += _crosses_nested(d)
-    if orthogonal:
-        moves += _crosses_interleaved(d, full)
-    return moves + _splits(d, full, orthogonal)
+    by_cell = {(r.row, r.col): r for r in d.roots}
+    cells = list(by_cell)
+    moves = []
+    for kind, source, target in _candidates(d, orthogonal):
+        if _blocked(cells, source, target):
+            continue
+        # tuple() of a list, not of a generator: CPython builds the latter
+        # at a guessed size and shrinks it, which bypasses its tuple free
+        # lists on allocation but refills them on release, growing memory
+        kept = tuple([r for c, r in by_cell.items() if c not in source])
+        added = tuple([Root(i, j) for i, j in target])
+        result = RookPlacement(d.n, kept + added)
+        moves.append(CoverMove(kind, tuple([by_cell[c] for c in source]), added, result))
+    return moves
 
 
 def moves_general(d: RookPlacement) -> list[CoverMove]:

@@ -3,8 +3,7 @@
 A placement D is compared through its counting matrix: entry (i, j)
 with i > j counts the rooks of D weakly south-west of the cell, i.e.
 those in columns <= j and rows >= i.  D1 <= D2 holds exactly when the
-matrix of D1 is entrywise dominated by the matrix of D2.  On the roots
-themselves, (a, b) <= (c, d) means c >= a and d <= b.  dominance_matrix
+matrix of D1 is entrywise dominated by the matrix of D2.  dominance_matrix
 compares all pairs of a list of placements at once.
 
 leq_placement compares two placements with k rooks between them on O(k^2)
@@ -35,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AmbientError, OrthogonalityError, RookError
-from .placements import Root, RookPlacement
+from .placements import RookPlacement
 
 
 @dataclass(frozen=True)
@@ -137,20 +136,6 @@ def dominance_matrix(placements: Sequence[RookPlacement]) -> np.ndarray:
             np.less_equal(e[a0 : a0 + rows, None], e, out=tmp)
             block &= tmp
     return leq
-
-
-def root_leq(a: Root, b: Root) -> bool:
-    """(a1, a2) <= (b1, b2) iff b1 >= a1 and b2 <= a2."""
-    return b.row >= a.row and b.col <= a.col
-
-
-def minimal_roots(placement: RookPlacement) -> frozenset[Root]:
-    """Roots of the placement with no other root of it below them."""
-    return frozenset(
-        a
-        for a in placement.roots
-        if not any(b != a and root_leq(b, a) for b in placement.roots)
-    )
 
 
 @dataclass(frozen=True)

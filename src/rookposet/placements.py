@@ -24,6 +24,11 @@ Kind = Literal["general", "orthogonal"]
 DEFAULT_CAP = 10**6
 
 
+def _is_int(value: object) -> bool:
+    # bool is an int subclass, but True is not a board size or an index
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, order=True)
 class Root:
     """A board cell (row, col) with row > col >= 1."""
@@ -32,6 +37,8 @@ class Root:
     col: int
 
     def __post_init__(self) -> None:
+        if not (_is_int(self.row) and _is_int(self.col)):
+            raise RookError(f"root ({self.row!r}, {self.col!r}) needs int coordinates")
         if self.col < 1 or self.row <= self.col:
             raise RookError(
                 f"({self.row},{self.col}) is not a root: need row > col >= 1"
@@ -58,8 +65,13 @@ class RookPlacement:
     roots: tuple[Root, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise AmbientError(f"board size must be non-negative, got {self.n}")
+        if not _is_int(self.n) or self.n < 0:
+            raise AmbientError(
+                f"board size must be a non-negative int, got {self.n!r}"
+            )
+        for r in self.roots:
+            if not isinstance(r, Root):
+                raise RookError(f"{r!r} is not a Root")
         ordered = tuple(sorted(self.roots))
         object.__setattr__(self, "roots", ordered)
         seen_rows: dict[int, Root] = {}
@@ -100,16 +112,6 @@ class RookPlacement:
     def to_json(self) -> dict:
         return {"n": self.n, "roots": [[r.row, r.col] for r in self.roots]}
 
-    def replace(self, remove: Iterable[Root] = (), add: Iterable[Root] = ()) -> "RookPlacement":
-        """New placement with some roots removed and others added; revalidates."""
-        roots = set(self.roots)
-        for r in remove:
-            if r not in roots:
-                raise RookError(f"cannot remove ({r}): not in placement")
-            roots.discard(r)
-        roots.update(add)
-        return RookPlacement(self.n, tuple(roots))
-
     def __str__(self) -> str:
         return self.to_text()
 
@@ -145,11 +147,6 @@ def parse_placement(text: str, n: int) -> RookPlacement:
             raise RookError(f"bad root token {token!r}: expected integers") from None
         roots.append(Root(i, j))
     return validate_placement(roots, n)
-
-
-def _is_int(value: object) -> bool:
-    # bool is an int subclass, but True is not a board size or an index
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def placement_from_json(data: dict) -> RookPlacement:
@@ -189,8 +186,8 @@ def count_placements(n: int, kind: Kind = "general") -> int:
     General placements are counted by the Bell numbers, orthogonal ones
     by the involution (telephone) numbers.
     """
-    if n < 0:
-        raise AmbientError(f"board size must be non-negative, got {n}")
+    if not _is_int(n) or n < 0:
+        raise AmbientError(f"board size must be a non-negative int, got {n!r}")
     if kind == "general":
         # Bell triangle.
         row = [1]
@@ -254,9 +251,9 @@ def enumerate_placements(
 
     Raises CapError up front when the count would exceed `cap`.
     """
+    total = count_placements(n, kind)  # rejects an n that is not an int
     if n < 1:
         raise AmbientError(f"board size must be at least 1, got {n}")
-    total = count_placements(n, kind)
     if total > cap:
         raise CapError(f"{total} placements of kind {kind!r} on board {n} exceed cap {cap}")
     it = _iter_general(n) if kind == "general" else _iter_orthogonal(n)

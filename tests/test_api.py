@@ -28,7 +28,6 @@ PUBLIC_NAMES = {
     "involution_of",
     "kerov_map",
     "leq_placement",
-    "minimal_roots",
     "moves_general",
     "moves_orthogonal",
     "parse_placement",
@@ -40,12 +39,11 @@ PUBLIC_NAMES = {
     "rank_matrix",
     "rank_orthogonal",
     "render_board",
-    "root_leq",
     "validate_placement",
 }
 
 
 def test_public_names_are_pinned():
-    assert len(rookposet.__all__) == len(PUBLIC_NAMES) == 39
+    assert len(rookposet.__all__) == len(PUBLIC_NAMES) == 37
     assert set(rookposet.__all__) == PUBLIC_NAMES
     assert all(hasattr(rookposet, name) for name in PUBLIC_NAMES)

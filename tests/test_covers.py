@@ -6,8 +6,10 @@ import json
 import pytest
 from hypothesis import given, settings
 
+import rookposet.covers
 from conftest import orthogonal_placements, placements
 from rookposet import (
+    CoverMove,
     OrthogonalityError,
     Root,
     brute_force_covers,
@@ -178,11 +180,15 @@ def test_orthogonal_predecessors_match_poset_covers(n):
 
 
 def test_moves_are_strict_descents_with_known_size_change():
-    for d in enumerate_placements(4):
-        for m in moves_general(d):
-            assert m.result != d
-            assert leq_placement(m.result, d)
-            assert m.result.size - d.size == SIZE_DELTA[m.kind]
+    boards = [(moves_general, n, "general") for n in range(1, 7)]
+    boards += [(moves_orthogonal, n, "orthogonal") for n in range(1, 8)]
+    for moves_of, n, kind in boards:
+        for d in enumerate_placements(n, kind):
+            for m in moves_of(d):
+                assert m.result != d
+                assert leq_placement(m.result, d)
+                assert m.result.size - d.size == SIZE_DELTA[m.kind]
+                assert not set(m.target) & set(d.roots)
 
 
 def test_orthogonal_moves_stay_orthogonal():
@@ -192,6 +198,15 @@ def test_orthogonal_moves_stay_orthogonal():
         for m in moves_orthogonal(d):  # raises internally on a closure violation
             assert m.result.is_orthogonal()
             assert m.kind in general_kinds
+
+
+def test_orthogonal_closure_violation_raises(monkeypatch):
+    d = parse_placement("2,1", 4)
+    skew = parse_placement("3,2;4,3", 4)
+    bad = CoverMove("slide_up", (Root(2, 1),), (Root(3, 2),), skew)
+    monkeypatch.setattr(rookposet.covers, "_cover_moves", lambda d, orthogonal: [bad])
+    with pytest.raises(OrthogonalityError, match="slide_up .* left the orthogonal family"):
+        moves_orthogonal(d)
 
 
 def test_orthogonal_families_reject_general_placements():

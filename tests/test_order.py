@@ -14,21 +14,18 @@ from rookposet import (
     AmbientError,
     OrthogonalityError,
     Permutation,
-    Root,
     bruhat_leq,
     enumerate_placements,
     inversion_length,
     involution_of,
     kerov_map,
     leq_placement,
-    minimal_roots,
     parse_placement,
     predecessors_general,
     predecessors_orthogonal,
     rank_general,
     rank_matrix,
     rank_orthogonal,
-    root_leq,
     validate_placement,
 )
 from rookposet.order import bruhat_matrix, dominance_matrix
@@ -148,48 +145,6 @@ def test_empty_placement_is_below_everything():
     empty = parse_placement("", 5)
     for d in enumerate_placements(5):
         assert leq_placement(empty, d)
-
-
-@pytest.mark.parametrize(
-    "a,b,expected",
-    [
-        ((5, 4), (6, 2), True),
-        ((6, 2), (5, 4), False),
-        ((3, 1), (3, 1), True),
-        ((3, 1), (8, 1), True),
-        ((8, 5), (3, 1), False),
-    ],
-)
-def test_root_leq(a, b, expected):
-    assert root_leq(Root(*a), Root(*b)) is expected
-
-
-def test_root_leq_is_a_partial_order_on_small_boards():
-    roots = [Root(i, j) for i in range(2, 7) for j in range(1, i)]
-    for a in roots:
-        assert root_leq(a, a)
-        for b in roots:
-            if root_leq(a, b) and root_leq(b, a):
-                assert a == b
-            for c in roots:
-                if root_leq(a, b) and root_leq(b, c):
-                    assert root_leq(a, c)
-
-
-def test_minimal_roots_known_values():
-    d = parse_placement("3,1;6,2;7,3;5,4;8,5", 8)
-    # nothing lies below (8,5): no other root has column >= 5
-    assert minimal_roots(d) == {Root(3, 1), Root(5, 4), Root(8, 5)}
-    assert minimal_roots(parse_placement("2,1", 2)) == {Root(2, 1)}
-    assert minimal_roots(parse_placement("", 4)) == frozenset()
-
-
-def test_minimal_roots_have_nothing_below_them():
-    for d in enumerate_placements(5):
-        mins = minimal_roots(d)
-        for a in d.roots:
-            below = [b for b in d.roots if b != a and root_leq(b, a)]
-            assert (a in mins) == (not below)
 
 
 def test_involution_of_known_values():

@@ -13,6 +13,7 @@ from rookposet import (
     Root,
     RookError,
     RookPlacement,
+    build_poset,
     count_placements,
     enumerate_placements,
     parse_placement,
@@ -35,6 +36,37 @@ def test_make_root_accepts_cells_below_diagonal():
 def test_make_root_rejects_bad_cells(i, j):
     with pytest.raises(RookError):
         Root(i, j)
+
+
+@pytest.mark.parametrize("i,j", [("3", 1), (3, 1.0), (2.5, 1), (2, True), (True, 0)])
+def test_make_root_rejects_coordinates_that_are_not_ints(i, j):
+    with pytest.raises(RookError, match="int coordinates"):
+        Root(i, j)
+
+
+@pytest.mark.parametrize("roots,n", [([(2, True)], 2), ([(2.5, 1)], 3)])
+def test_validate_placement_rejects_coordinates_that_are_not_ints(roots, n):
+    with pytest.raises(RookError):
+        validate_placement(roots, n)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "3", None])
+def test_board_size_that_is_not_an_int_is_rejected(n):
+    with pytest.raises(AmbientError):
+        parse_placement("2,1", n)
+    with pytest.raises(AmbientError):
+        RookPlacement(n, ())
+    with pytest.raises(AmbientError):
+        count_placements(n)
+    with pytest.raises(AmbientError):
+        enumerate_placements(n)
+    with pytest.raises(AmbientError):
+        build_poset(n)
+
+
+def test_placement_roots_must_be_root_objects():
+    with pytest.raises(RookError, match="not a Root"):
+        RookPlacement(3, ((2, 1),))
 
 
 def test_roots_are_stored_in_canonical_order():
