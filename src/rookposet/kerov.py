@@ -13,12 +13,25 @@ costs 2(r - c) - 1 inversions on its own, nested and disjoint pairs add
 nothing, and each crossing pair c1 < c2 < r1 < r2 takes two back.  So a
 rank costs O(k^2), whatever the board size; order.inversion_length of
 order.involution_of is the dense route that the tests compare it with.
+
+ranks_of takes the same count over a whole list of placements at once.
+From the padded (m, k) root arrays (placements.root_arrays) it builds
+the arcs c = col, r = row, or for the general kind those of the Kerov
+image, c = 2 col - 1 and r = 2 row - 2, and counts the crossing pairs
+of every placement in one (m, k, k) comparison.  The padding, row 0 and
+column n + 1, gives arcs that cross nothing, and the per-arc sum skips
+it.  rank_general and rank_orthogonal, one placement at a time, are the
+oracles the tests compare it with.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
+import numpy as np
+
 from .errors import OrthogonalityError, ParityError, RookError
-from .placements import Root, RookPlacement, validate_placement
+from .placements import Kind, Root, RookPlacement, root_arrays, validate_placement
 
 
 def kerov_map(placement: RookPlacement) -> RookPlacement:
@@ -55,3 +68,33 @@ def rank_general(placement: RookPlacement) -> int:
     if not placement.roots:
         return 0
     return rank_orthogonal(kerov_map(placement))
+
+
+def ranks_of(placements: Sequence[RookPlacement], kind: Kind) -> list[int]:
+    """rank_orthogonal (kind "orthogonal") or rank_general (any other kind)
+    of each placement, which must all live on one board, with the errors
+    those raise: OrthogonalityError on the first placement that is not
+    orthogonal, ParityError on an odd total."""
+    rows, cols = root_arrays(placements)
+    if kind == "orthogonal":
+        # padding never meets: row 0 is no column and column n + 1 no row
+        clash = (rows[:, :, None] == cols[:, None, :]).any(axis=(1, 2))
+        if clash.any():
+            bad = placements[int(clash.argmax())]
+            raise OrthogonalityError(f"placement {bad.to_text()!r} is not orthogonal")
+        c, r = cols, rows
+    else:
+        c, r = 2 * cols - 1, 2 * rows - 2
+    real = rows > 0
+    size = real.sum(axis=1)
+    crossings = (
+        (c[:, :, None] < c[:, None, :])
+        & (c[:, None, :] < r[:, :, None])
+        & (r[:, :, None] < r[:, None, :])
+    ).sum(axis=(1, 2))
+    inversions = 2 * np.where(real, r - c, 0).sum(axis=1) - size - 2 * crossings
+    total = inversions + size
+    odd = total % 2 == 1
+    if odd.any():
+        _exact_half(int(total[odd.argmax()]))
+    return (total // 2).tolist()

@@ -4,7 +4,12 @@ A placement D is compared through its counting matrix: entry (i, j)
 with i > j counts the rooks of D weakly south-west of the cell, i.e.
 those in columns <= j and rows >= i.  D1 <= D2 holds exactly when the
 matrix of D1 is entrywise dominated by the matrix of D2.  dominance_matrix
-compares all pairs of a list of placements at once.
+compares all pairs of a list of placements at once.  It reads the counts
+of all m placements from their padded root arrays
+(placements.root_arrays), one cell (i, j) at a time, as the number of
+rooks t with col_t <= j and row_t >= i, in one numpy pass over the
+m x k arrays per cell; rank_matrix, one placement at a time in pure
+Python, is the dense oracle that the tests compare those counts with.
 
 leq_placement compares two placements with k rooks between them on O(k^2)
 cells, not all n(n - 1)/2: like Fulton's essential set (Duke Math. J. 65,
@@ -27,6 +32,7 @@ no code shared with dominance_matrix, so that each one checks the other.
 
 from __future__ import annotations
 
+import mmap
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AmbientError, OrthogonalityError, RookError
-from .placements import RookPlacement
+from .placements import RookPlacement, root_arrays
 
 
 @dataclass(frozen=True)
@@ -109,25 +115,43 @@ def leq_placement(d1: RookPlacement, d2: RookPlacement) -> bool:
 _BLOCK_BYTES = 1 << 19
 
 
+def counting_entries(placements: Sequence[RookPlacement]) -> np.ndarray:
+    """The below-diagonal counting-matrix entries of each placement as an
+    int8 (n(n - 1)/2 x m) array, one row per cell (i, j), i > j, in
+    row-major order.  Each entry is at most n // 2.  All placements must
+    live on one board (AmbientError otherwise)."""
+    n = placements[0].n if placements else 0
+    rows, cols = root_arrays(placements)
+    entries = np.empty((n * (n - 1) // 2, len(placements)), dtype=np.int8)
+    e = 0
+    for i in range(2, n + 1):
+        below = rows >= i
+        for j in range(1, i):
+            np.sum(below & (cols <= j), axis=1, dtype=np.int8, out=entries[e])
+            e += 1
+    return entries
+
+
 def dominance_matrix(placements: Sequence[RookPlacement]) -> np.ndarray:
     """m x m bool array whose entry (a, b) is placements[a] <= placements[b].
 
-    All placements must live on one board.  The result is filled a block
-    of rows at a time, one below-diagonal counting-matrix entry at a
-    time, so no other array grows with m squared.
+    All placements must live on one board (AmbientError otherwise).  The
+    result is filled a block of rows at a time, one below-diagonal
+    counting-matrix entry at a time, so no other array grows with m
+    squared.
     """
     m = len(placements)
-    # The below-diagonal counting-matrix entries, one row per entry; each
-    # is at most n // 2.
-    entries = np.array(
-        [
-            [v for i, row in enumerate(rank_matrix(p).entries) for v in row[:i]]
-            for p in placements
-        ],
-        dtype=np.int8,
-    ).T.copy()
-    leq = np.ones((m, m), dtype=bool)
-    rows = max(1, _BLOCK_BYTES // m)
+    entries = counting_entries(placements)
+    # The result gets an anonymous mapping of its own rather than the C
+    # heap: glibc puts large blocks on the heap once one of that size has
+    # been freed, and a relation then only fits if no small block has
+    # landed in the hole the last one left, so peak RSS of repeated builds
+    # would jump by the size of one relation.  The mapping is unmapped when
+    # the array dies; tracemalloc does not see it.
+    leq = np.frombuffer(mmap.mmap(-1, max(m * m, 1)), dtype=bool, count=m * m)
+    leq = leq.reshape(m, m)
+    leq[...] = True
+    rows = max(1, _BLOCK_BYTES // max(m, 1))
     scratch = np.empty((min(rows, m), m), dtype=bool)
     for a0 in range(0, m, rows):
         block = leq[a0 : a0 + rows]

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator, Literal, Sequence
+
+import numpy as np
 
 from .errors import AmbientError, AttackError, CapError, RookError
 
@@ -27,6 +29,13 @@ DEFAULT_CAP = 10**6
 def _is_int(value: object) -> bool:
     # bool is an int subclass, but True is not a board size or an index
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _as_tuple(roots: object) -> tuple:
+    try:
+        return tuple(roots)
+    except TypeError:
+        raise RookError(f"roots must be an iterable, got {roots!r}") from None
 
 
 @dataclass(frozen=True, order=True)
@@ -69,10 +78,11 @@ class RookPlacement:
             raise AmbientError(
                 f"board size must be a non-negative int, got {self.n!r}"
             )
-        for r in self.roots:
+        roots = _as_tuple(self.roots)
+        for r in roots:
             if not isinstance(r, Root):
                 raise RookError(f"{r!r} is not a Root")
-        ordered = tuple(sorted(self.roots))
+        ordered = tuple(sorted(roots))
         object.__setattr__(self, "roots", ordered)
         seen_rows: dict[int, Root] = {}
         seen_cols: dict[int, Root] = {}
@@ -116,16 +126,26 @@ class RookPlacement:
         return self.to_text()
 
 
+def _as_root(r: object) -> Root:
+    if isinstance(r, Root):
+        return r
+    try:
+        row, col = r
+    except (TypeError, ValueError):
+        raise RookError(f"{r!r} is not a Root or a (row, col) pair") from None
+    return Root(row, col)
+
+
 def validate_placement(
     roots: Iterable[Root | tuple[int, int]], n: int
 ) -> RookPlacement:
     """Build a placement from roots or bare (row, col) pairs.
 
-    Raises AttackError when two rooks share a row or column and
-    AmbientError when a root does not fit on the board of size n.
+    Raises AttackError when two rooks share a row or column,
+    AmbientError when a root does not fit on the board of size n, and
+    RookError when roots is not an iterable of roots or pairs.
     """
-    coerced = tuple(r if isinstance(r, Root) else Root(*r) for r in roots)
-    return RookPlacement(n, coerced)
+    return RookPlacement(n, tuple(map(_as_root, _as_tuple(roots))))
 
 
 def parse_placement(text: str, n: int) -> RookPlacement:
@@ -133,6 +153,8 @@ def parse_placement(text: str, n: int) -> RookPlacement:
 
     The empty string denotes the empty placement.
     """
+    if not isinstance(text, str):
+        raise RookError(f"placement text must be a str, got {text!r}")
     compact = "".join(text.split())
     if not compact:
         return RookPlacement(n, ())
@@ -254,9 +276,35 @@ def enumerate_placements(
     total = count_placements(n, kind)  # rejects an n that is not an int
     if n < 1:
         raise AmbientError(f"board size must be at least 1, got {n}")
+    if not _is_int(cap):
+        raise RookError(f"cap must be an int, got {cap!r}")
     if total > cap:
         raise CapError(f"{total} placements of kind {kind!r} on board {n} exceed cap {cap}")
     it = _iter_general(n) if kind == "general" else _iter_orthogonal(n)
     found = [RookPlacement(n, roots) for roots in it]
     found.sort(key=lambda p: p.roots)
     return tuple(found)
+
+
+def root_arrays(placements: Sequence[RookPlacement]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the rooks of each placement as two (m, k) int
+    arrays, k the most rooks of any one, each row in root order.  A
+    placement with fewer rooks is padded with row 0 and column n + 1,
+    which no cell (i, j) of the board reaches: a count over columns <= j
+    and rows >= i never includes them.  Raises AmbientError unless all
+    placements live on one board.
+    """
+    n = placements[0].n if placements else 0
+    for p in placements:
+        if p.n != n:
+            raise AmbientError(f"placements on boards of sizes {n} and {p.n}")
+    sizes = np.array([p.size for p in placements], dtype=np.intp)
+    filled = np.arange(sizes.max(initial=0)) < sizes[:, None]
+    cells = np.array(
+        [(r.row, r.col) for p in placements for r in p.roots], dtype=np.intp
+    ).reshape(-1, 2)
+    rows = np.zeros(filled.shape, dtype=np.intp)
+    cols = np.full(filled.shape, n + 1, dtype=np.intp)
+    # a boolean mask assigns in row-major order, i.e. placement by placement
+    rows[filled], cols[filled] = cells[:, 0], cells[:, 1]
+    return rows, cols

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RookError
-from .kerov import rank_general, rank_orthogonal
+from .kerov import ranks_of
 from .order import dominance_matrix
 from .placements import DEFAULT_CAP, Kind, RookPlacement, enumerate_placements
 
@@ -229,13 +229,8 @@ def check_graded(poset: Poset) -> GradedReport:
         max_chain_length=longest[top],
         witness=None,
         witness_chains=None,
-        rank_formula_ok=_ranks_by_formula(poset) == longest,
+        rank_formula_ok=ranks_of(poset.elements, poset.kind) == longest,
     )
-
-
-def _ranks_by_formula(poset: Poset) -> list[int]:
-    rank = rank_orthogonal if poset.kind == "orthogonal" else rank_general
-    return [rank(e) for e in poset.elements]
 
 
 def export_dot(poset: Poset, include_ranks: bool = False) -> str:
@@ -246,7 +241,7 @@ def export_dot(poset: Poset, include_ranks: bool = False) -> str:
     into one layer.
     """
     lines = [f'digraph "{poset.kind}_{poset.n}" {{', "  rankdir=BT;"]
-    ranks = _ranks_by_formula(poset) if include_ranks else None
+    ranks = ranks_of(poset.elements, poset.kind) if include_ranks else None
     for i, e in enumerate(poset.elements):
         if ranks is None:
             lines.append(f'  {i} [label="{e.to_text()}"];')
@@ -271,5 +266,5 @@ def poset_to_json(poset: Poset) -> dict:
         "kind": poset.kind,
         "elements": [[[r.row, r.col] for r in e.roots] for e in poset.elements],
         "hasse": [list(edge) for edge in poset.hasse],
-        "ranks": _ranks_by_formula(poset),
+        "ranks": ranks_of(poset.elements, poset.kind),
     }

@@ -21,7 +21,7 @@ from rookposet import (
     rank_orthogonal,
     validate_placement,
 )
-from rookposet.kerov import _exact_half
+from rookposet.kerov import _exact_half, ranks_of
 
 
 def test_kerov_image_known_value():
@@ -170,3 +170,29 @@ def test_kerov_shape_property(d):
     assert image.is_orthogonal()
     assert leq_placement(kerov_map(d), kerov_map(d))
     assert rank_general(d) == rank_orthogonal(image)
+
+
+@pytest.mark.parametrize(
+    "n,kind", [(n, "general") for n in range(1, 9)] + [(n, "orthogonal") for n in range(1, 10)]
+)
+def test_ranks_of_matches_the_single_ranks_exhaustive(n, kind):
+    rank = rank_orthogonal if kind == "orthogonal" else rank_general
+    elements = enumerate_placements(n, kind)
+    assert ranks_of(elements, kind) == [rank(d) for d in elements]
+
+
+def test_ranks_of_raises_like_rank_orthogonal_on_the_first_bad_placement():
+    items = [parse_placement(t, 4) for t in ("", "4,1", "2,1;3,2", "3,2;4,3")]
+    with pytest.raises(OrthogonalityError) as single:
+        rank_orthogonal(items[2])
+    with pytest.raises(OrthogonalityError) as batch:
+        ranks_of(items, "orthogonal")
+    assert str(batch.value) == str(single.value) == "placement '2,1;3,2' is not orthogonal"
+    # the general rank takes any placement
+    assert ranks_of(items, "general") == [rank_general(d) for d in items]
+
+
+def test_ranks_of_rejects_placements_on_two_boards():
+    with pytest.raises(AmbientError):
+        ranks_of([parse_placement("", 3), parse_placement("", 4)], "general")
+    assert ranks_of([], "orthogonal") == []

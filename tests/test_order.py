@@ -4,7 +4,7 @@ from itertools import permutations as all_perms
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rookposet.kerov
@@ -28,7 +28,8 @@ from rookposet import (
     rank_orthogonal,
     validate_placement,
 )
-from rookposet.order import bruhat_matrix, dominance_matrix
+from rookposet.kerov import ranks_of
+from rookposet.order import bruhat_matrix, counting_entries, dominance_matrix
 
 
 def test_rank_matrix_known_values():
@@ -294,3 +295,58 @@ def test_dominance_matrix_matches_pairwise_comparison_off_the_enumeration():
     for a, x in enumerate(images):
         for b, y in enumerate(images):
             assert leq[a, b] == leq_placement(x, y)
+
+
+def test_dominance_matrix_rejects_placements_on_two_boards():
+    with pytest.raises(AmbientError, match="sizes 3 and 4"):
+        dominance_matrix([parse_placement("2,1", 3), parse_placement("2,1", 4)])
+
+
+def test_dominance_matrix_of_no_placements_is_empty():
+    leq = dominance_matrix([])
+    assert leq.shape == (0, 0) and leq.dtype == bool
+
+
+def _dense_entries(d):
+    # rank_matrix's below-diagonal entries in row-major order
+    return [v for i, row in enumerate(rank_matrix(d).entries) for v in row[:i]]
+
+
+@pytest.mark.parametrize(
+    "n,kind", [(n, "general") for n in range(1, 9)] + [(n, "orthogonal") for n in range(1, 10)]
+)
+def test_counting_entries_match_rank_matrix_exhaustive(n, kind):
+    elements = enumerate_placements(n, kind)
+    entries = counting_entries(elements)
+    assert entries.shape == (n * (n - 1) // 2, len(elements))
+    assert entries.dtype == np.int8
+    assert entries.T.tolist() == [_dense_entries(d) for d in elements]
+
+
+def test_counting_entries_match_rank_matrix_off_the_enumeration():
+    # Kerov images of R(6): 203 placements on the board of size 10, in the
+    # order of R(6), which is not the enumeration order of that board
+    images = [kerov_map(d) for d in enumerate_placements(6)]
+    assert counting_entries(images).T.tolist() == [_dense_entries(d) for d in images]
+
+
+@st.composite
+def placement_lists(draw, max_n: int = 40):
+    """A kind and a non-empty list of placements of that kind on one board."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    kind = draw(st.sampled_from(["general", "orthogonal"]))
+    strategy = placements if kind == "general" else orthogonal_placements
+    return kind, draw(st.lists(strategy(min_n=n, max_n=n), min_size=1, max_size=6))
+
+
+@settings(max_examples=60)
+@given(placement_lists())
+@example(("general", [parse_placement("", 1)]))
+@example(("orthogonal", [parse_placement("", 1)]))
+@example(("general", [parse_placement("", 40)]))
+@example(("orthogonal", [parse_placement("", 7), parse_placement("", 7)]))
+def test_batch_kernels_match_the_single_element_routes(case):
+    kind, items = case
+    assert counting_entries(items).T.tolist() == [_dense_entries(d) for d in items]
+    rank = rank_orthogonal if kind == "orthogonal" else rank_general
+    assert ranks_of(items, kind) == [rank(d) for d in items]

@@ -69,6 +69,31 @@ def test_placement_roots_must_be_root_objects():
         RookPlacement(3, ((2, 1),))
 
 
+def test_placement_roots_must_be_iterable():
+    with pytest.raises(RookError, match="iterable"):
+        RookPlacement(3, None)
+
+
+def test_validate_placement_needs_iterable_roots():
+    with pytest.raises(RookError, match="iterable"):
+        validate_placement(None, 3)
+
+
+def test_validate_placement_rejects_triples():
+    with pytest.raises(RookError, match=r"\(2, 1, 0\) is not a Root or a \(row, col\) pair"):
+        validate_placement([(2, 1, 0)], 3)
+
+
+def test_parse_placement_needs_a_string():
+    with pytest.raises(RookError, match="must be a str"):
+        parse_placement(None, 3)
+
+
+def test_enumeration_cap_must_be_an_int():
+    with pytest.raises(RookError, match="cap must be an int"):
+        enumerate_placements(3, cap="x")
+
+
 def test_roots_are_stored_in_canonical_order():
     d = validate_placement([(8, 5), (3, 1), (5, 4), (7, 3), (6, 2)], 8)
     assert [(r.row, r.col) for r in d.roots] == [(3, 1), (5, 4), (6, 2), (7, 3), (8, 5)]

@@ -8,8 +8,11 @@ from typing import Iterator
 import numpy as np
 import pytest
 
+import rookposet.kerov
 import rookposet.order as order_module
+import rookposet.poset
 from rookposet import (
+    OrthogonalityError,
     Poset,
     RookError,
     brute_force_covers,
@@ -235,6 +238,15 @@ def test_poset_keeps_the_callers_array_writable():
         poset.leq[0, 1] = False
 
 
+def test_check_graded_rejects_a_non_orthogonal_element_like_rank_orthogonal():
+    # a chain '' < '2,1;3,2' labelled as orthogonal, though its top is not
+    labels = (parse_placement("", 3), parse_placement("2,1;3,2", 3))
+    poset = Poset(3, "orthogonal", labels, np.array([[True, True], [False, True]]))
+    with pytest.raises(OrthogonalityError) as err:
+        check_graded(poset)
+    assert str(err.value) == "placement '2,1;3,2' is not orthogonal"
+
+
 def test_check_graded_reports_missing_extremum():
     # two minimal elements: 0 and 1, both below 2
     relations = [(0, 2), (1, 2)]
@@ -305,9 +317,10 @@ def test_hasse_edge_counts_are_pinned(n, kind, edges):
 
 
 def test_build_poset_memory_stays_near_one_leq_matrix():
-    # m = 877, so leq takes 0.77 MB.  The bound lies between the peak of a
+    # m = 877, so leq takes 0.77 MB, in an anonymous mapping that
+    # tracemalloc does not see.  The bound lies between the peak of a
     # dense float32 f @ f reduction (10.0 MB) and of the blocked build
-    # (2.1 MB).
+    # (0.9 MB).
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -317,6 +330,24 @@ def test_build_poset_memory_stays_near_one_leq_matrix():
         tracemalloc.stop()
     assert len(poset) == 877
     assert peak < 4_000_000
+
+
+@pytest.mark.parametrize("n,kind", [(5, "general"), (6, "orthogonal")])
+def test_materialized_poset_does_not_touch_the_per_element_routes(monkeypatch, n, kind):
+    def per_element(*args):
+        raise AssertionError("per-element route called")
+
+    monkeypatch.setattr(order_module, "rank_matrix", per_element)
+    for name in ("kerov_map", "rank_general", "rank_orthogonal"):
+        monkeypatch.setattr(rookposet.kerov, name, per_element)
+    # also caught if poset imports these names again
+    for name in ("rank_matrix", "kerov_map", "rank_general", "rank_orthogonal"):
+        monkeypatch.setattr(rookposet.poset, name, per_element, raising=False)
+    poset = build_poset(n, kind)
+    report = check_graded(poset)
+    assert report.is_graded and report.rank_formula_ok
+    assert "rank=" in export_dot(poset, include_ranks=True)
+    assert poset_to_json(poset)["ranks"] == list(report.rank_of.values())
 
 
 def test_export_dot_smallest_diagram():
