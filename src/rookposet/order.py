@@ -115,6 +115,22 @@ def leq_placement(d1: RookPlacement, d2: RookPlacement) -> bool:
 _BLOCK_BYTES = 1 << 19
 
 
+def _mapped(rows: int, cols: int, dtype: type) -> np.ndarray:
+    """A zero-filled rows x cols array in an anonymous mapping of its own.
+
+    Large arrays that are built again and again go there rather than on
+    the C heap: freeing one makes glibc raise its mmap threshold, so the
+    next of that size lands on the heap.  It then only fits if no small
+    block has landed in the hole the last one left, and the heap keeps up
+    to twice the threshold free at its top, so peak and resting RSS of
+    repeated builds would grow.  The mapping is unmapped when the array
+    dies; tracemalloc does not see it.
+    """
+    size = rows * cols * np.dtype(dtype).itemsize
+    flat = np.frombuffer(mmap.mmap(-1, max(size, 1)), dtype=dtype, count=rows * cols)
+    return flat.reshape(rows, cols)
+
+
 def counting_entries(placements: Sequence[RookPlacement]) -> np.ndarray:
     """The below-diagonal counting-matrix entries of each placement as an
     int8 (n(n - 1)/2 x m) array, one row per cell (i, j), i > j, in
@@ -142,14 +158,7 @@ def dominance_matrix(placements: Sequence[RookPlacement]) -> np.ndarray:
     """
     m = len(placements)
     entries = counting_entries(placements)
-    # The result gets an anonymous mapping of its own rather than the C
-    # heap: glibc puts large blocks on the heap once one of that size has
-    # been freed, and a relation then only fits if no small block has
-    # landed in the hole the last one left, so peak RSS of repeated builds
-    # would jump by the size of one relation.  The mapping is unmapped when
-    # the array dies; tracemalloc does not see it.
-    leq = np.frombuffer(mmap.mmap(-1, max(m * m, 1)), dtype=bool, count=m * m)
-    leq = leq.reshape(m, m)
+    leq = _mapped(m, m, bool)
     leq[...] = True
     rows = max(1, _BLOCK_BYTES // max(m, 1))
     scratch = np.empty((min(rows, m), m), dtype=bool)

@@ -12,10 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import order as order_module
 from .errors import RookError
 from .kerov import ranks_of
 from .order import dominance_matrix
 from .placements import DEFAULT_CAP, Kind, RookPlacement, enumerate_placements
+
+
+# Lowest set bit of each byte value, for bit order "little" (0 for 0,
+# which the scan never looks up).
+_LOW_BIT = np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
+).argmax(axis=1)
 
 
 class Poset:
@@ -30,13 +38,18 @@ class Poset:
     The covers are the transitive reduction of `leq` (Aho, Garey and
     Ullman, "The transitive reduction of a directed graph", SIAM J.
     Comput. 1, 1972): the upper covers of a are the minimal elements of
-    its strict up-set.  They are found by scanning that up-set in a
-    linear extension (down-set sizes, i.e. column counts of `leq`),
-    taking the lowest element left as a cover and clearing the cover's
-    up-set, until nothing is left.  Each chosen cover a < c is checked
-    for c not <= a and up(c) a subset of up(a); with reflexivity these
-    checks prove `leq` antisymmetric and transitive, so any relation
-    that is not a partial order raises RookError.
+    its strict up-set.  They are found in a linear extension, the order
+    of the down-set sizes (column counts of `leq`).  A transient copy of
+    `leq`, with its columns put in that order and packed eight to a byte
+    (about m^2/8 bytes, in an anonymous mapping like the relation of
+    order.dominance_matrix), is scanned a block of rows at a time.  In each
+    step every row of the block that is not yet empty takes its lowest
+    set bit as a cover and clears that cover's packed up-set from
+    itself, so a block takes as many steps as its most upper covers.
+    Each chosen cover a < c is checked for c not <= a and up(c) a subset
+    of up(a); with reflexivity these checks prove `leq` antisymmetric and
+    transitive, so any relation that is not a partial order raises
+    RookError, naming the first offending a in index order.
     """
 
     def __init__(
@@ -52,44 +65,24 @@ class Poset:
             raise RookError(f"leq must be {m}x{m}, got {leq.shape}")
         if not leq.diagonal().all():
             raise RookError("order relation is not reflexive")
-        order = np.argsort(leq.sum(axis=0), kind="stable")
-        edges: list[tuple[int, int]] = []
-        for a in range(m):
-            up = leq[a]
-            above = order[np.flatnonzero(up[order])]
-            above = above[above != a]
-            covers = []
-            while len(above):
-                c = int(above[0])
-                covers.append(c)
-                above = above[~leq[c][above]]
-            if not covers:
-                continue
-            back = leq[covers, a]
-            if back.any():
-                raise RookError(
-                    f"order relation is not antisymmetric: elements {a} and "
-                    f"{covers[back.argmax()]} are each <= the other"
-                )
-            escaped = leq[covers] > up
-            if escaped.any():
-                k, x = np.unravel_index(int(escaped.argmax()), escaped.shape)
-                raise RookError(
-                    f"order relation is not transitive: elements {a} <= "
-                    f"{covers[k]} <= {x} but not {a} <= {x}"
-                )
-            covers.sort()
-            edges += [(a, c) for c in covers]
+        down = leq.sum(axis=0, dtype=np.int32)
+        lower, upper = _cover_scan(leq, np.argsort(down, kind="stable"))
         self.n = n
         self.kind: Kind = kind
         self.elements = tuple(elements)
         self.leq = leq.view()
         self.leq.setflags(write=False)
-        self.hasse: tuple[tuple[int, int], ...] = tuple(edges)
-        self._lower: list[list[int]] = [[] for _ in range(m)]
-        for a, c in edges:
-            self._lower[c].append(a)
-        self._index = {e: k for k, e in enumerate(self.elements)}
+        self.hasse: tuple[tuple[int, int], ...] = tuple(
+            zip(lower.tolist(), upper.tolist())
+        )
+        # Down-set sizes, and the lower covers of x as the slice
+        # _below[_below_at[x]:_below_at[x + 1]], in index order.
+        self._down = down
+        self._down.setflags(write=False)
+        by_upper = np.argsort(upper, kind="stable")
+        self._below = lower[by_upper]
+        self._below_at = np.searchsorted(upper[by_upper], np.arange(m + 1))
+        self._index = dict(zip(self.elements, range(m)))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -107,6 +100,101 @@ class Poset:
         return bool(self.leq[self.index_of(a), self.index_of(b)])
 
 
+def _packed_rows(leq: np.ndarray, extension: np.ndarray) -> np.ndarray:
+    """`leq` with its columns in the order `extension`, packed eight to a
+    byte (bit order "little") and padded to whole 64-bit words, filled a
+    block of rows at a time."""
+    m = len(leq)
+    packed = order_module._mapped(m, 8 * -(-m // 64), np.uint8)
+    rows = max(1, order_module._BLOCK_BYTES // max(m, 1))
+    block = np.empty((min(rows, m), m), dtype=bool)
+    for a0 in range(0, m, rows):
+        part = block[: min(rows, m - a0)]
+        np.take(leq[a0 : a0 + rows], extension, axis=1, out=part, mode="clip")
+        packed[a0 : a0 + rows, : -(-m // 8)] = np.packbits(
+            part, axis=1, bitorder="little"
+        )
+    return packed
+
+
+def _cover_scan(
+    leq: np.ndarray, extension: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cover edges of `leq` as sorted (lower, upper) index arrays, by
+    the packed block scan of the Poset docstring in the linear extension
+    `extension`.  Raises RookError if `leq` is not antisymmetric or not
+    transitive."""
+    m = len(leq)
+    packed = _packed_rows(leq, extension)
+    width = packed.shape[1]
+    pos = np.empty(m, dtype=np.intp)
+    pos[extension] = np.arange(m)
+    steps: list[tuple[np.ndarray, ...]] = []
+    # left, outside, up and escape share the byte budget of one block
+    rows = max(1, order_module._BLOCK_BYTES // max(4 * width, 1))
+    up = np.empty((min(rows, m), width), dtype=np.uint8)
+    escape = np.empty_like(up)
+    for a0 in range(0, m, rows):
+        ids = np.arange(a0, min(a0 + rows, m))
+        outside = ~packed[a0 : a0 + rows]
+        # the strict up-sets still to scan: clear each row's own bit
+        left = packed[a0 : a0 + rows].copy()
+        bit = np.left_shift(1, pos[ids] & 7).astype(np.uint8)
+        left[ids - a0, pos[ids] >> 3] ^= bit
+        first = len(steps)
+        while True:
+            live = left.view(np.uint64).any(axis=1)
+            if not live.all():
+                ids, left, outside = ids[live], left[live], outside[live]
+            k = len(ids)
+            if not k:
+                break
+            # lowest set bit: first nonzero word, byte in it, bit in that
+            word = (left.view(np.uint64) != 0).argmax(axis=1)
+            eight = left.reshape(k, -1, 8)[np.arange(k), word]
+            byte = (eight != 0).argmax(axis=1)
+            low = _LOW_BIT[eight[np.arange(k), byte]]
+            covers = extension[64 * word + 8 * byte + low]
+            np.take(packed, covers, axis=0, out=up[:k], mode="clip")
+            np.bitwise_and(up[:k], outside, out=escape[:k])
+            back = leq[covers, ids]
+            escaped = escape[:k].view(np.uint64).any(axis=1)
+            steps.append((ids, covers, back, escaped))
+            np.invert(up[:k], out=up[:k])
+            np.bitwise_and(left, up[:k], out=left)
+        _raise_first_offence(leq, steps[first:])
+    lower = np.concatenate([s[0] for s in steps] or [np.empty(0, dtype=np.intp)])
+    upper = np.concatenate([s[1] for s in steps] or [np.empty(0, dtype=np.intp)])
+    edges = np.lexsort((upper, lower))
+    return lower[edges], upper[edges]
+
+
+def _raise_first_offence(
+    leq: np.ndarray, steps: list[tuple[np.ndarray, ...]]
+) -> None:
+    """Given the steps of one block as (rows, covers, c <= a, up(c) not in
+    up(a)) arrays, raise the RookError of its smallest offending row a:
+    for its first cover c <= a if there is one, else for its first cover
+    c with some x >= c but not x >= a, the smallest such x."""
+    if not any(back.any() or escaped.any() for _, _, back, escaped in steps):
+        return
+    ids, covers, back, escaped = (np.concatenate(s) for s in zip(*steps))
+    a = int(ids[back | escaped].min())
+    mine = ids == a
+    if back[mine].any():
+        c = int(covers[mine][back[mine].argmax()])
+        raise RookError(
+            f"order relation is not antisymmetric: elements {a} and "
+            f"{c} are each <= the other"
+        )
+    c = int(covers[mine][escaped[mine].argmax()])
+    x = int((leq[c] > leq[a]).argmax())
+    raise RookError(
+        f"order relation is not transitive: elements {a} <= "
+        f"{c} <= {x} but not {a} <= {x}"
+    )
+
+
 def build_poset(n: int, kind: Kind = "general", cap: int = DEFAULT_CAP) -> Poset:
     """Enumerate all placements of the given kind and materialize their
     dominance order."""
@@ -117,7 +205,8 @@ def build_poset(n: int, kind: Kind = "general", cap: int = DEFAULT_CAP) -> Poset
 def brute_force_covers(poset: Poset, placement: RookPlacement) -> set[RookPlacement]:
     """Lower covers of an element, read off the materialized relation only."""
     idx = poset.index_of(placement)
-    return {poset.elements[t] for t in poset._lower[idx]}
+    at = poset._below_at
+    return {poset.elements[t] for t in poset._below[at[idx] : at[idx + 1]].tolist()}
 
 
 @dataclass
@@ -152,11 +241,13 @@ def check_graded(poset: Poset) -> GradedReport:
     failure a witness is produced.
     """
     m = len(poset)
-    # An element is minimal when it is the only one below it, maximal when
-    # it is the only one above it.
-    down = poset.leq.sum(axis=0)
-    minimal = np.flatnonzero(down == 1).tolist()
-    maximal = np.flatnonzero(poset.leq.sum(axis=1) == 1).tolist()
+    # Poset has proved leq a partial order, so an element is minimal when
+    # it has no lower cover and maximal when it has no upper cover.
+    below, at = poset._below, poset._below_at
+    minimal = np.flatnonzero(at[1:] == at[:-1]).tolist()
+    covered = np.zeros(m, dtype=bool)
+    covered[below] = True
+    maximal = np.flatnonzero(~covered).tolist()
     if len(minimal) != 1 or len(maximal) != 1:
         which = "minimal" if len(minimal) != 1 else "maximal"
         offenders = minimal if len(minimal) != 1 else maximal
@@ -177,15 +268,22 @@ def check_graded(poset: Poset) -> GradedReport:
 
     # Down-set sizes grow strictly along the order, so sorting by them
     # visits every lower cover of x before x.
+    down = poset._down
     order = np.argsort(down, kind="stable").tolist()
+    below, at = below.tolist(), at.tolist()
     longest = [0] * m
     parent = [-1] * m
     for x in order:
-        for a in poset._lower[x]:
+        for a in below[at[x] : at[x + 1]]:
             if longest[a] + 1 > longest[x]:
                 longest[x], parent[x] = longest[a] + 1, a
     skip = next(
-        ((a, x) for x in order for a in poset._lower[x] if longest[a] + 1 < longest[x]),
+        (
+            (a, x)
+            for x in order
+            for a in below[at[x] : at[x + 1]]
+            if longest[a] + 1 < longest[x]
+        ),
         None,
     )
     if skip is not None:
@@ -248,7 +346,7 @@ def export_dot(poset: Poset, include_ranks: bool = False) -> str:
         else:
             lines.append(f'  {i} [label="{e.to_text()}", rank={ranks[i]}];')
     if ranks is not None:
-        for level in range(max(ranks) + 1):
+        for level in range(max(ranks, default=-1) + 1):
             same = [str(i) for i, r in enumerate(ranks) if r == level]
             if same:
                 lines.append("  { rank=same; " + "; ".join(same) + "; }")

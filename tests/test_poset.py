@@ -7,6 +7,8 @@ from typing import Iterator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rookposet.kerov
 import rookposet.order as order_module
@@ -179,13 +181,17 @@ def test_all_maximal_chains_share_one_length(n, kind):
     assert lengths == {report.max_chain_length}
 
 
-def _fake_poset(relations, count):
-    # handcrafted order over distinct real placements, used as labels only
-    labels = enumerate_placements(4)[:count]
+def _fake_leq(relations, count):
     leq = np.eye(count, dtype=bool)
     for a, b in relations:
         leq[a, b] = True
-    return Poset(4, "general", labels, leq)
+    return leq
+
+
+def _fake_poset(relations, count):
+    # handcrafted order over distinct real placements, used as labels only
+    labels = enumerate_placements(4)[:count]
+    return Poset(4, "general", labels, _fake_leq(relations, count))
 
 
 def test_check_graded_reports_unequal_chains():
@@ -256,6 +262,16 @@ def test_check_graded_reports_missing_extremum():
     assert report.witness_chains is None
 
 
+def test_check_graded_lists_every_maximal_element():
+    # 0 below both 1 and 2, which are maximal
+    poset = _fake_poset([(0, 1), (0, 2)], 3)
+    report = check_graded(poset)
+    assert not report.is_graded
+    assert report.min_element == poset.elements[0] and report.max_element is None
+    tops = [poset.elements[i].to_text() for i in (1, 2)]
+    assert report.witness == f"expected exactly one maximal element, found {tops}"
+
+
 def test_poset_rejects_non_orders():
     labels = enumerate_placements(4)[:2]
     with pytest.raises(RookError, match="not antisymmetric"):
@@ -264,6 +280,28 @@ def test_poset_rejects_non_orders():
         Poset(4, "general", labels, np.zeros((2, 2), dtype=bool))
     with pytest.raises(RookError, match="not antisymmetric"):
         Poset(4, "general", enumerate_placements(4)[:3], np.ones((3, 3), dtype=bool))
+
+
+@pytest.mark.parametrize("relations,count,message", [
+    # 0 and 1 are each <= the other, and 0 <= 2 <= 3 but not 0 <= 3: the
+    # antisymmetry of row 0 is reported before its transitivity
+    ([(0, 1), (1, 0), (0, 2), (2, 3)], 4,
+     "order relation is not antisymmetric: elements 0 and 1 are each <= the other"),
+    # covers 1 and 2 of row 0 are both <= 0; the first one chosen is named
+    ([(0, 1), (1, 0), (0, 2), (2, 0)], 3,
+     "order relation is not antisymmetric: elements 0 and 1 are each <= the other"),
+    # covers 1 and 2 of row 0 both escape its up-set; again the first
+    ([(0, 1), (0, 2), (1, 3), (2, 4)], 5,
+     "order relation is not transitive: elements 0 <= 1 <= 3 but not 0 <= 3"),
+])
+def test_poset_names_the_first_offence(relations, count, message):
+    leq = _fake_leq(relations, count)
+    with pytest.raises(RookError) as err:
+        per_row_covers(leq)
+    assert str(err.value) == message
+    with pytest.raises(RookError) as err:
+        Poset(4, "general", enumerate_placements(4)[:count], leq)
+    assert str(err.value) == message
 
 
 def test_poset_rejects_non_transitive_relations():
@@ -296,6 +334,115 @@ def test_hasse_matches_the_definition_on_hand_built_posets(relations, count):
     assert list(poset.hasse) == matmul_covers(poset.leq)
 
 
+def per_row_covers(leq: np.ndarray) -> list[tuple[int, int]]:
+    """The cover scan as one Python loop over the rows of leq, with the
+    RookError messages of Poset: the reference for its packed block scan."""
+    m = len(leq)
+    if not leq.diagonal().all():
+        raise RookError("order relation is not reflexive")
+    order = np.argsort(leq.sum(axis=0), kind="stable")
+    edges = []
+    for a in range(m):
+        up = leq[a]
+        above = order[np.flatnonzero(up[order])]
+        above = above[above != a]
+        covers = []
+        while len(above):
+            c = int(above[0])
+            covers.append(c)
+            above = above[~leq[c][above]]
+        if not covers:
+            continue
+        back = leq[covers, a]
+        if back.any():
+            raise RookError(
+                f"order relation is not antisymmetric: elements {a} and "
+                f"{covers[back.argmax()]} are each <= the other"
+            )
+        escaped = leq[covers] > up
+        if escaped.any():
+            k, x = np.unravel_index(int(escaped.argmax()), escaped.shape)
+            raise RookError(
+                f"order relation is not transitive: elements {a} <= "
+                f"{covers[k]} <= {x} but not {a} <= {x}"
+            )
+        edges += [(a, c) for c in sorted(covers)]
+    return edges
+
+
+def test_poset_of_no_element_and_of_one():
+    empty = Poset(3, "general", (), np.zeros((0, 0), dtype=bool))
+    assert len(empty) == 0 and empty.hasse == ()
+    report = check_graded(empty)
+    assert not report.is_graded and report.rank_of == {}
+    assert report.witness == "expected exactly one minimal element, found []"
+    labels = enumerate_placements(3)[:1]
+    one = Poset(3, "general", labels, np.ones((1, 1), dtype=bool))
+    assert one.hasse == () and brute_force_covers(one, labels[0]) == set()
+    report = check_graded(one)
+    assert report.is_graded and report.rank_formula_ok
+    assert report.min_element == report.max_element == labels[0]
+    assert report.rank_of == {labels[0]: 0} and report.max_chain_length == 0
+
+
+# Budgets of 1, 3, 6 and 13 scan rows (m <= 64 packs to 8 bytes a row, and
+# four block arrays share the budget): for m = 52 and m = 26, 3 and 6 rows
+# leave a short last block and 13 rows none.
+@pytest.mark.parametrize("block_bytes", [1, 96, 200, 416])
+@pytest.mark.parametrize("n,kind", [(5, "general"), (6, "orthogonal")])
+def test_hasse_does_not_depend_on_the_block_size(monkeypatch, n, kind, block_bytes):
+    whole = build_poset(n, kind)
+    monkeypatch.setattr(order_module, "_BLOCK_BYTES", block_bytes)
+    poset = Poset(n, kind, whole.elements, whole.leq)
+    assert poset.hasse == whole.hasse
+    assert list(poset.hasse) == matmul_covers(poset.leq)
+    assert check_graded(poset) == check_graded(whole)
+
+
+@st.composite
+def relations(draw):
+    """The transitive closure of a random DAG on up to 70 elements (more
+    than one 64-bit word a row), as is or with one strict pair dropped,
+    reversed, or joined by its reverse."""
+    change = draw(st.sampled_from(["none", "drop", "reverse", "both"]))
+    m = draw(st.one_of(st.integers(0, 20), st.integers(56, 70)))
+    rank = np.array(draw(st.permutations(range(m))), dtype=int)
+    pairs = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+                          max_size=3 * m)) if m else []
+    leq = np.eye(m, dtype=bool)
+    for a, b in pairs:
+        if rank[a] < rank[b]:
+            leq[a, b] = True
+    for _ in range(m.bit_length()):
+        leq = leq | (leq.astype(np.int64) @ leq.astype(np.int64) > 0)
+    strict = np.argwhere(leq & ~np.eye(m, dtype=bool))
+    if change != "none" and len(strict):
+        a, b = strict[draw(st.integers(0, len(strict) - 1))]
+        leq[a, b] = change == "both"
+        leq[b, a] = change != "drop"
+    return leq
+
+
+@settings(max_examples=200)
+@given(relations(), st.sampled_from([1, 96, 416, None]))
+def test_block_scan_matches_the_per_row_loop(leq, block_bytes):
+    labels = enumerate_placements(6)[: len(leq)]
+    try:
+        want, message = per_row_covers(leq), None
+    except RookError as err:
+        want, message = None, str(err)
+    with pytest.MonkeyPatch.context() as mp:
+        if block_bytes is not None:
+            mp.setattr(order_module, "_BLOCK_BYTES", block_bytes)
+        if message is None:
+            poset = Poset(6, "general", labels, leq)
+            assert list(poset.hasse) == want == matmul_covers(leq)
+        else:
+            with pytest.raises(RookError) as err:
+                Poset(6, "general", labels, leq)
+            assert str(err.value) == message
+
+
 @pytest.mark.parametrize("n,kind", [(n, "general") for n in range(1, 7)]
                          + [(n, "orthogonal") for n in range(1, 8)])
 def test_hasse_matches_the_definition(n, kind):
@@ -317,10 +464,11 @@ def test_hasse_edge_counts_are_pinned(n, kind, edges):
 
 
 def test_build_poset_memory_stays_near_one_leq_matrix():
-    # m = 877, so leq takes 0.77 MB, in an anonymous mapping that
-    # tracemalloc does not see.  The bound lies between the peak of a
+    # m = 877, so leq takes 0.77 MB and the packed copy of the cover
+    # scan 0.1 MB, in anonymous mappings that tracemalloc does not see.
+    # The bound lies between the peak of a
     # dense float32 f @ f reduction (10.0 MB) and of the blocked build
-    # (0.9 MB).
+    # (1.0 MB).
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -348,6 +496,13 @@ def test_materialized_poset_does_not_touch_the_per_element_routes(monkeypatch, n
     assert report.is_graded and report.rank_formula_ok
     assert "rank=" in export_dot(poset, include_ranks=True)
     assert poset_to_json(poset)["ranks"] == list(report.rank_of.values())
+
+
+def test_export_dot_of_no_element_with_ranks():
+    empty = Poset(3, "general", (), np.zeros((0, 0), dtype=bool))
+    text = export_dot(empty, include_ranks=True)
+    assert text == 'digraph "general_3" {\n  rankdir=BT;\n}\n'
+    assert parse_dot(text) == ({}, [])
 
 
 def test_export_dot_smallest_diagram():
@@ -392,3 +547,18 @@ def test_poset_json_dump():
     for element, rank in zip(blob["elements"], blob["ranks"]):
         placement = placement_from_json({"n": 4, "roots": element})
         assert rank == report.rank_of[placement]
+
+
+@pytest.mark.slow
+def test_general_nine_is_graded_with_formula_ranks():
+    poset = build_poset(9)
+    assert len(poset) == 21147 and len(poset.hasse) == 126487
+    report = check_graded(poset)
+    assert report.is_graded and report.rank_formula_ok
+
+
+@pytest.mark.slow
+def test_orthogonal_ten_hasse_edges_are_the_move_covers():
+    poset = build_poset(10, "orthogonal")
+    assert len(poset.hasse) == 67486
+    assert sum(len(predecessors_orthogonal(d)) for d in poset.elements) == 67486
