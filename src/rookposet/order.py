@@ -3,13 +3,13 @@
 A placement D is compared through its counting matrix: entry (i, j)
 with i > j counts the rooks of D weakly south-west of the cell, i.e.
 those in columns <= j and rows >= i.  D1 <= D2 holds exactly when the
-matrix of D1 is entrywise dominated by the matrix of D2.  dominance_matrix
-compares all pairs of a list of placements at once.  It reads the counts
-of all m placements from their padded root arrays
-(placements.root_arrays), one cell (i, j) at a time, as the number of
-rooks t with col_t <= j and row_t >= i, in one numpy pass over the
-m x k arrays per cell; rank_matrix, one placement at a time in pure
-Python, is the dense oracle that the tests compare those counts with.
+matrix of D1 is entrywise dominated by the matrix of D2.
+counting_entries reads the counts of all m placements from their padded
+root arrays (placements.root_arrays), one cell (i, j) at a time, as the
+number of rooks t with col_t <= j and row_t >= i; rank_matrix, one
+placement at a time in pure Python, is the dense oracle for them.
+packed_dominance turns them into the relation as packed bit rows, the
+one form that the materialized poset keeps and dominance_matrix unpacks.
 
 leq_placement compares two placements with k rooks between them on O(k^2)
 cells, not all n(n - 1)/2: like Fulton's essential set (Duke Math. J. 65,
@@ -108,10 +108,8 @@ def leq_placement(d1: RookPlacement, d2: RookPlacement) -> bool:
     return True
 
 
-# Byte budget of the comparison array in dominance_matrix, which sets how
-# many rows of the result one step fills.  The step's block of the result
-# and this array then fit in a 2 MB L2 cache together; 4 MB made general
-# n=9 1.5x slower.
+# Byte budget of the row blocks that one step of packed_dominance or of
+# the cover scan in poset.Poset works on: they then fit in a 2 MB L2 cache.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -148,27 +146,60 @@ def counting_entries(placements: Sequence[RookPlacement]) -> np.ndarray:
     return entries
 
 
-def dominance_matrix(placements: Sequence[RookPlacement]) -> np.ndarray:
-    """m x m bool array whose entry (a, b) is placements[a] <= placements[b].
+def pack_rows(rows: np.ndarray) -> np.ndarray:
+    """Bool (k x m) rows as k rows of ceil(m / 64) uint64 words: bit b is
+    bit b % 64 of word b // 64, and the bits past m are zero."""
+    k, m = rows.shape
+    words = np.zeros((k, -(-m // 64)), dtype=np.uint64)
+    words.view(np.uint8)[:, : -(-m // 8)] = np.packbits(rows, axis=1, bitorder="little")
+    return words
 
-    All placements must live on one board (AmbientError otherwise).  The
-    result is filled a block of rows at a time, one below-diagonal
-    counting-matrix entry at a time, so no other array grows with m
-    squared.
+
+def unpack_rows(words: np.ndarray, m: int) -> np.ndarray:
+    """The first m bits of each row of pack_rows's words, as uint8 0/1."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=m, bitorder="little")
+
+
+def packed_dominance(
+    placements: Sequence[RookPlacement],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The dominance order of the placements as (bits, columns): row a of
+    `bits` packs (pack_rows) {b : placements[a] <= placements[b]}, with bit
+    k for placements[columns[k]].  All placements must live on one board
+    (AmbientError otherwise).  `columns` sorts them stably by the sum of
+    their counting entries E, a linear extension: t < d makes each entry
+    of t at most that of d and one smaller.  As in a range-encoded bitmap
+    index (Chan and Ioannidis, SIGMOD 1999), the set {b : E[e, b] >= v}
+    is packed once per cell e and value v, and row a is the AND over the
+    cells of the set at v = E[e, a], filled a block of rows at a time in
+    an anonymous mapping of m^2 / 8 bytes.
     """
     m = len(placements)
     entries = counting_entries(placements)
-    leq = _mapped(m, m, bool)
-    leq[...] = True
-    rows = max(1, _BLOCK_BYTES // max(m, 1))
-    scratch = np.empty((min(rows, m), m), dtype=bool)
+    columns = np.argsort(entries.sum(axis=0), kind="stable")
+    # an all-zero cell first: its v = 0 set (no pad bits) seeds each row
+    entries = np.vstack([np.zeros((1, m), dtype=np.int8), entries])
+    values = np.arange(entries.max(initial=0) + 1)[:, None]
+    sets = np.stack([pack_rows(e[columns] >= values) for e in entries])
+    width = sets.shape[2]
+    bits = _mapped(m, width, np.uint64)
+    rows = max(1, _BLOCK_BYTES // max(16 * width, 1))
+    scratch = np.empty((min(rows, m), width), dtype=np.uint64)
     for a0 in range(0, m, rows):
-        block = leq[a0 : a0 + rows]
+        block = bits[a0 : a0 + rows]
         tmp = scratch[: len(block)]
-        for e in entries:
-            np.less_equal(e[a0 : a0 + rows, None], e, out=tmp)
+        block[...] = sets[0, 0]
+        for cell, at in zip(sets[1:], entries[1:, a0 : a0 + rows]):
+            np.take(cell, at, axis=0, out=tmp, mode="clip")
             block &= tmp
-    return leq
+    return bits, columns
+
+
+def dominance_matrix(placements: Sequence[RookPlacement]) -> np.ndarray:
+    """m x m bool array whose entry (a, b) is placements[a] <= placements[b]:
+    packed_dominance unpacked, with its columns back in index order."""
+    bits, columns = packed_dominance(placements)
+    return unpack_rows(bits, len(columns))[:, np.argsort(columns)].view(bool)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Materialized posets of placements: Hasse diagrams, gradedness, export.
 
 build_poset computes the full order relation of R(n) or I(n) from the
-counting matrices alone (order.dominance_matrix), so everything here
+counting matrices alone (order.packed_dominance), so everything here
 is independent of the move generators in covers.py and can serve as
 an oracle for them.
 """
@@ -15,41 +15,32 @@ import numpy as np
 from . import order as order_module
 from .errors import RookError
 from .kerov import ranks_of
-from .order import dominance_matrix
+from .order import pack_rows, packed_dominance, unpack_rows
 from .placements import DEFAULT_CAP, Kind, RookPlacement, enumerate_placements
-
-
-# Lowest set bit of each byte value, for bit order "little" (0 for 0,
-# which the scan never looks up).
-_LOW_BIT = np.unpackbits(
-    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
-).argmax(axis=1)
 
 
 class Poset:
     """A finite poset of placements with its Hasse diagram.
 
-    `leq` is the full boolean order relation over `elements` and must be
-    a partial order; it is the only m x m array kept.  It is a read-only
-    view that shares memory with the argument when that already is a
-    C-contiguous bool array.  `hasse` lists the cover edges as sorted
-    (lower_index, upper_index) pairs.
+    `leq` is the order relation over `elements`, a partial order, given
+    as an m x m bool array or as the (bits, columns) pair of
+    order.packed_dominance, whose columns must be a linear extension
+    (RookError otherwise).  A bool array is packed once into such a pair,
+    with its columns in down-set-size order, and not kept: the pair is the
+    only form of the relation held.  `hasse` lists the cover edges as
+    sorted (lower_index, upper_index) pairs.
 
-    The covers are the transitive reduction of `leq` (Aho, Garey and
-    Ullman, "The transitive reduction of a directed graph", SIAM J.
-    Comput. 1, 1972): the upper covers of a are the minimal elements of
-    its strict up-set.  They are found in a linear extension, the order
-    of the down-set sizes (column counts of `leq`).  A transient copy of
-    `leq`, with its columns put in that order and packed eight to a byte
-    (about m^2/8 bytes, in an anonymous mapping like the relation of
-    order.dominance_matrix), is scanned a block of rows at a time.  In each
-    step every row of the block that is not yet empty takes its lowest
-    set bit as a cover and clears that cover's packed up-set from
-    itself, so a block takes as many steps as its most upper covers.
-    Each chosen cover a < c is checked for c not <= a and up(c) a subset
-    of up(a); with reflexivity these checks prove `leq` antisymmetric and
-    transitive, so any relation that is not a partial order raises
-    RookError, naming the first offending a in index order.
+    The covers are the transitive reduction (Aho, Garey and Ullman, "The
+    transitive reduction of a directed graph", SIAM J. Comput. 1, 1972):
+    the upper covers of a are the minimal elements of its strict up-set,
+    and in a linear extension the first element left of it is one.  The
+    packed rows are scanned a block at a time; in each step every row
+    not yet empty takes its lowest set bit as a cover c and clears c's
+    row from itself, so a block takes as many steps as its most upper
+    covers.  Each cover a < c is checked for c not <= a and up(c) a
+    subset of up(a); with reflexivity these checks prove `leq`
+    antisymmetric and transitive, so a relation that is not a partial
+    order raises RookError, naming the first offending a in index order.
     """
 
     def __init__(
@@ -57,28 +48,29 @@ class Poset:
         n: int,
         kind: Kind,
         elements: tuple[RookPlacement, ...],
-        leq: np.ndarray,
+        leq: np.ndarray | tuple[np.ndarray, np.ndarray],
     ) -> None:
         m = len(elements)
-        leq = np.ascontiguousarray(np.asarray(leq, dtype=bool))
-        if leq.shape != (m, m):
-            raise RookError(f"leq must be {m}x{m}, got {leq.shape}")
-        if not leq.diagonal().all():
-            raise RookError("order relation is not reflexive")
-        down = leq.sum(axis=0, dtype=np.int32)
-        lower, upper = _cover_scan(leq, np.argsort(down, kind="stable"))
+        if isinstance(leq, tuple):
+            bits, columns = leq
+        else:
+            leq = np.asarray(leq, dtype=bool)
+            if leq.shape != (m, m):
+                raise RookError(f"leq must be {m}x{m}, got {leq.shape}")
+            columns = np.argsort(leq.sum(axis=0), kind="stable")
+            bits = pack_rows(leq[:, columns])
+        if bits.shape != (m, -(-m // 64)) or columns.shape != (m,):
+            raise RookError(f"packed leq must cover {m} elements")
+        pos = np.argsort(columns)  # bit pos[x] of a row stands for element x
+        lower, upper = _cover_scan(bits, columns, pos)
+        if (pos[lower] > pos[upper]).any():
+            raise RookError("columns are not a linear extension of the order relation")
         self.n = n
         self.kind: Kind = kind
         self.elements = tuple(elements)
-        self.leq = leq.view()
-        self.leq.setflags(write=False)
-        self.hasse: tuple[tuple[int, int], ...] = tuple(
-            zip(lower.tolist(), upper.tolist())
-        )
-        # Down-set sizes, and the lower covers of x as the slice
-        # _below[_below_at[x]:_below_at[x + 1]], in index order.
-        self._down = down
-        self._down.setflags(write=False)
+        self._bits, self._columns, self._pos = bits, columns, pos
+        self.hasse: tuple[tuple[int, int], ...] = tuple(zip(lower.tolist(), upper.tolist()))
+        # lower covers of x: _below[_below_at[x] : _below_at[x + 1]], by index
         by_upper = np.argsort(upper, kind="stable")
         self._below = lower[by_upper]
         self._below_at = np.searchsorted(upper[by_upper], np.arange(m + 1))
@@ -97,72 +89,51 @@ class Poset:
             ) from None
 
     def leq_elements(self, a: RookPlacement, b: RookPlacement) -> bool:
-        return bool(self.leq[self.index_of(a), self.index_of(b)])
-
-
-def _packed_rows(leq: np.ndarray, extension: np.ndarray) -> np.ndarray:
-    """`leq` with its columns in the order `extension`, packed eight to a
-    byte (bit order "little") and padded to whole 64-bit words, filled a
-    block of rows at a time."""
-    m = len(leq)
-    packed = order_module._mapped(m, 8 * -(-m // 64), np.uint8)
-    rows = max(1, order_module._BLOCK_BYTES // max(m, 1))
-    block = np.empty((min(rows, m), m), dtype=bool)
-    for a0 in range(0, m, rows):
-        part = block[: min(rows, m - a0)]
-        np.take(leq[a0 : a0 + rows], extension, axis=1, out=part, mode="clip")
-        packed[a0 : a0 + rows, : -(-m // 8)] = np.packbits(
-            part, axis=1, bitorder="little"
-        )
-    return packed
+        p = int(self._pos[self.index_of(b)])
+        return bool(int(self._bits[self.index_of(a), p >> 6]) >> (p & 63) & 1)
 
 
 def _cover_scan(
-    leq: np.ndarray, extension: np.ndarray
+    bits: np.ndarray, columns: np.ndarray, pos: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The cover edges of `leq` as sorted (lower, upper) index arrays, by
-    the packed block scan of the Poset docstring in the linear extension
-    `extension`.  Raises RookError if `leq` is not antisymmetric or not
-    transitive."""
-    m = len(leq)
-    packed = _packed_rows(leq, extension)
-    width = packed.shape[1]
-    pos = np.empty(m, dtype=np.intp)
-    pos[extension] = np.arange(m)
+    """The cover edges as sorted (lower, upper) index arrays, by the block
+    scan of the Poset docstring; RookError if the relation is no order."""
+    m, width = bits.shape
+    own = np.left_shift(np.uint64(1), (pos & 63).astype(np.uint64))
+    if not (bits[np.arange(m), pos >> 6] & own).all():
+        raise RookError("order relation is not reflexive")
     steps: list[tuple[np.ndarray, ...]] = []
     # left, outside, up and escape share the byte budget of one block
-    rows = max(1, order_module._BLOCK_BYTES // max(4 * width, 1))
-    up = np.empty((min(rows, m), width), dtype=np.uint8)
+    rows = max(1, order_module._BLOCK_BYTES // max(32 * width, 1))
+    up = np.empty((min(rows, m), width), dtype=np.uint64)
     escape = np.empty_like(up)
     for a0 in range(0, m, rows):
         ids = np.arange(a0, min(a0 + rows, m))
-        outside = ~packed[a0 : a0 + rows]
+        outside = ~bits[a0 : a0 + rows]
         # the strict up-sets still to scan: clear each row's own bit
-        left = packed[a0 : a0 + rows].copy()
-        bit = np.left_shift(1, pos[ids] & 7).astype(np.uint8)
-        left[ids - a0, pos[ids] >> 3] ^= bit
+        left = bits[a0 : a0 + rows].copy()
+        left[ids - a0, pos[ids] >> 6] ^= own[ids]
         first = len(steps)
         while True:
-            live = left.view(np.uint64).any(axis=1)
+            live = left.any(axis=1)
             if not live.all():
                 ids, left, outside = ids[live], left[live], outside[live]
             k = len(ids)
             if not k:
                 break
-            # lowest set bit: first nonzero word, byte in it, bit in that
-            word = (left.view(np.uint64) != 0).argmax(axis=1)
-            eight = left.reshape(k, -1, 8)[np.arange(k), word]
-            byte = (eight != 0).argmax(axis=1)
-            low = _LOW_BIT[eight[np.arange(k), byte]]
-            covers = extension[64 * word + 8 * byte + low]
-            np.take(packed, covers, axis=0, out=up[:k], mode="clip")
+            # lowest set bit: first nonzero word, then frexp of its lowest bit
+            word = (left != 0).argmax(axis=1)
+            w = left[np.arange(k), word]
+            low = np.frexp((w & (~w + 1)).astype(np.float64))[1] - 1
+            covers = columns[64 * word + low]
+            np.take(bits, covers, axis=0, out=up[:k], mode="clip")
             np.bitwise_and(up[:k], outside, out=escape[:k])
-            back = leq[covers, ids]
-            escaped = escape[:k].view(np.uint64).any(axis=1)
+            back = (bits[covers, pos[ids] >> 6] & own[ids]) != 0
+            escaped = escape[:k].any(axis=1)
             steps.append((ids, covers, back, escaped))
             np.invert(up[:k], out=up[:k])
             np.bitwise_and(left, up[:k], out=left)
-        _raise_first_offence(leq, steps[first:])
+        _raise_first_offence(bits, columns, steps[first:])
     lower = np.concatenate([s[0] for s in steps] or [np.empty(0, dtype=np.intp)])
     upper = np.concatenate([s[1] for s in steps] or [np.empty(0, dtype=np.intp)])
     edges = np.lexsort((upper, lower))
@@ -170,7 +141,7 @@ def _cover_scan(
 
 
 def _raise_first_offence(
-    leq: np.ndarray, steps: list[tuple[np.ndarray, ...]]
+    bits: np.ndarray, columns: np.ndarray, steps: list[tuple[np.ndarray, ...]]
 ) -> None:
     """Given the steps of one block as (rows, covers, c <= a, up(c) not in
     up(a)) arrays, raise the RookError of its smallest offending row a:
@@ -188,7 +159,7 @@ def _raise_first_offence(
             f"{c} are each <= the other"
         )
     c = int(covers[mine][escaped[mine].argmax()])
-    x = int((leq[c] > leq[a]).argmax())
+    x = int(columns[np.flatnonzero(unpack_rows(bits[c] & ~bits[a], len(columns)))].min())
     raise RookError(
         f"order relation is not transitive: elements {a} <= "
         f"{c} <= {x} but not {a} <= {x}"
@@ -199,7 +170,7 @@ def build_poset(n: int, kind: Kind = "general", cap: int = DEFAULT_CAP) -> Poset
     """Enumerate all placements of the given kind and materialize their
     dominance order."""
     elements = enumerate_placements(n, kind, cap=cap)
-    return Poset(n, kind, elements, dominance_matrix(elements))
+    return Poset(n, kind, elements, packed_dominance(elements))
 
 
 def brute_force_covers(poset: Poset, placement: RookPlacement) -> set[RookPlacement]:
@@ -266,10 +237,9 @@ def check_graded(poset: Poset) -> GradedReport:
         )
     bottom, top = minimal[0], maximal[0]
 
-    # Down-set sizes grow strictly along the order, so sorting by them
-    # visits every lower cover of x before x.
-    down = poset._down
-    order = np.argsort(down, kind="stable").tolist()
+    # The scan's column order is a linear extension: it visits every
+    # lower cover of x before x.
+    order = poset._columns.tolist()
     below, at = below.tolist(), at.tolist()
     longest = [0] * m
     parent = [-1] * m
@@ -288,14 +258,13 @@ def check_graded(poset: Poset) -> GradedReport:
     )
     if skip is not None:
         a, x = skip
-        # Extend both chains to the top the same way: the element of
-        # least down-set size strictly above y covers y.
+        # Extend both chains to the top the same way: the first element
+        # strictly above y in that order, its next set bit, covers y.
         tail: list[int] = []
         y = x
         while y != top:
-            above = np.flatnonzero(poset.leq[y])
-            above = above[above != y]
-            y = int(above[down[above].argmin()])
+            p = poset._pos[y] + 1
+            y = int(order[p + unpack_rows(poset._bits[y], m)[p:].argmax()])
             tail.append(y)
 
         def _chain(path: list[int]) -> tuple[RookPlacement, ...]:
@@ -340,16 +309,15 @@ def export_dot(poset: Poset, include_ranks: bool = False) -> str:
     """
     lines = [f'digraph "{poset.kind}_{poset.n}" {{', "  rankdir=BT;"]
     ranks = ranks_of(poset.elements, poset.kind) if include_ranks else None
+    same: dict[int, list[str]] = {}
     for i, e in enumerate(poset.elements):
         if ranks is None:
             lines.append(f'  {i} [label="{e.to_text()}"];')
         else:
             lines.append(f'  {i} [label="{e.to_text()}", rank={ranks[i]}];')
-    if ranks is not None:
-        for level in range(max(ranks, default=-1) + 1):
-            same = [str(i) for i, r in enumerate(ranks) if r == level]
-            if same:
-                lines.append("  { rank=same; " + "; ".join(same) + "; }")
+            same.setdefault(ranks[i], []).append(str(i))
+    for level in sorted(same):
+        lines.append("  { rank=same; " + "; ".join(same[level]) + "; }")
     for a, b in poset.hasse:
         lines.append(f"  {a} -> {b};")
     lines.append("}")

@@ -29,7 +29,13 @@ from rookposet import (
     validate_placement,
 )
 from rookposet.kerov import ranks_of
-from rookposet.order import bruhat_matrix, counting_entries, dominance_matrix
+from rookposet.order import (
+    bruhat_matrix,
+    counting_entries,
+    dominance_matrix,
+    packed_dominance,
+    unpack_rows,
+)
 
 
 def test_rank_matrix_known_values():
@@ -305,6 +311,60 @@ def test_dominance_matrix_rejects_placements_on_two_boards():
 def test_dominance_matrix_of_no_placements_is_empty():
     leq = dominance_matrix([])
     assert leq.shape == (0, 0) and leq.dtype == bool
+
+
+def _pairwise(items):
+    return np.array([[leq_placement(x, y) for y in items] for x in items], dtype=bool)
+
+
+@pytest.mark.parametrize(
+    "n,kind", [(n, "general") for n in range(1, 7)] + [(n, "orthogonal") for n in range(1, 8)]
+)
+def test_dominance_matrix_matches_leq_placement_exhaustive(n, kind):
+    elements = enumerate_placements(n, kind)
+    assert (dominance_matrix(elements) == _pairwise(elements)).all()
+
+
+def _assert_packed_pair_is_sound(items):
+    """packed_dominance's pair: a permutation of the columns in which every
+    strict relation goes forward, and zero bits past the last column."""
+    bits, columns = packed_dominance(items)
+    m = len(items)
+    assert bits.dtype == np.uint64 and bits.shape == (m, -(-m // 64))
+    assert sorted(columns.tolist()) == list(range(m))
+    assert not unpack_rows(bits, 64 * bits.shape[1])[:, m:].any()
+    leq = dominance_matrix(items)
+    pos = np.argsort(columns)
+    assert (pos[:, None] < pos)[leq & ~leq.T].all()
+
+
+@pytest.mark.parametrize("n,m", [(0, 0), (1, 1), (5, 52), (7, 877), (8, 4140)])
+def test_packed_dominance_leaves_the_pad_bits_zero(n, m):
+    items = enumerate_placements(n) if n else []
+    assert len(items) == m
+    _assert_packed_pair_is_sound(items)
+
+
+@st.composite
+def placements_on_one_board(draw):
+    """A possibly empty list of placements of one kind on one board of size
+    up to 12, with some of them repeated."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    kind = draw(st.sampled_from(["general", "orthogonal"]))
+    strategy = placements if kind == "general" else orthogonal_placements
+    items = draw(st.lists(strategy(min_n=n, max_n=n), max_size=12))
+    if items:
+        items += draw(st.lists(st.sampled_from(items), max_size=3))
+    return draw(st.permutations(items))
+
+
+@settings(max_examples=80)
+@given(placements_on_one_board())
+@example([])
+@example([parse_placement("2,1", 12)] * 2)
+def test_dominance_matrix_matches_leq_placement_on_random_lists(items):
+    assert (dominance_matrix(items) == _pairwise(items)).all()
+    _assert_packed_pair_is_sound(items)
 
 
 def _dense_entries(d):

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from typing import Iterator
 
@@ -32,6 +35,7 @@ from rookposet import (
     rank_orthogonal,
     validate_placement,
 )
+from rookposet.order import dominance_matrix, pack_rows, packed_dominance
 
 NODE_RE = re.compile(r'^  (\d+) \[label="([0-9,;]*)"(?:, rank=(\d+))?\];$')
 EDGE_RE = re.compile(r"^  (\d+) -> (\d+);$")
@@ -75,12 +79,22 @@ def test_poset_leq_matches_pairwise_comparison():
             assert poset.leq_elements(a, b) == leq_placement(a, b)
 
 
+def test_leq_elements_reads_rows_of_several_words():
+    poset = build_poset(6)
+    leq = dominance_matrix(poset.elements)
+    got = [[poset.leq_elements(a, b) for b in poset.elements] for a in poset.elements]
+    assert (np.array(got) == leq).all()
+
+
 @pytest.mark.parametrize("block_bytes", [1, 5 * 52])
 def test_leq_does_not_depend_on_the_block_size(monkeypatch, block_bytes):
-    # one row per block, and 5-row blocks with a short last one (m = 52)
-    whole = build_poset(5).leq
+    # one row per block, and 16-row blocks with a short last one (m = 52
+    # packs to one word a row, and the fill's block and gather share the
+    # budget)
+    elements = build_poset(5).elements
+    whole = dominance_matrix(elements)
     monkeypatch.setattr(order_module, "_BLOCK_BYTES", block_bytes)
-    assert (build_poset(5).leq == whole).all()
+    assert (dominance_matrix(elements) == whole).all()
 
 
 def test_hasse_edges_go_strictly_upward():
@@ -99,7 +113,7 @@ def test_hasse_transitive_closure_recovers_the_order():
         adj[a, b] = True
     for _ in range(m):
         reach = reach | (reach.astype(np.int64) @ adj.astype(np.int64) > 0)
-    assert (reach == poset.leq).all()
+    assert (reach == dominance_matrix(poset.elements)).all()
 
 
 def test_brute_force_covers_known_values():
@@ -155,7 +169,7 @@ def iter_maximal_chains(poset: Poset) -> Iterator[tuple[int, ...]]:
     out_edges = [[] for _ in range(len(poset))]
     for a, b in poset.hasse:
         out_edges[a].append(b)
-    minimal = np.flatnonzero(poset.leq.sum(axis=0) == 1).tolist()
+    minimal = np.flatnonzero(dominance_matrix(poset.elements).sum(axis=0) == 1).tolist()
 
     def rec(path: list[int]) -> Iterator[tuple[int, ...]]:
         succ = out_edges[path[-1]]
@@ -234,14 +248,19 @@ def test_check_graded_ranks_a_chain_listed_out_of_order():
 
 
 def test_poset_keeps_the_callers_array_writable():
+    # and keeps no reference to it: a later write changes nothing
     labels = enumerate_placements(4)[:2]
     leq = np.eye(2, dtype=bool)
     poset = Poset(4, "general", labels, leq)
-    assert np.shares_memory(poset.leq, leq)
+    assert not any(
+        isinstance(v, np.ndarray) and np.shares_memory(v, leq)
+        for v in vars(poset).values()
+    )
     leq[0, 1] = True
-    assert poset.leq[0, 1]
-    with pytest.raises(ValueError, match="read-only"):
-        poset.leq[0, 1] = False
+    assert not poset.leq_elements(labels[0], labels[1])
+    assert poset.hasse == () and check_graded(poset).witness == (
+        f"expected exactly one minimal element, found {[e.to_text() for e in labels]}"
+    )
 
 
 def test_check_graded_rejects_a_non_orthogonal_element_like_rank_orthogonal():
@@ -304,6 +323,40 @@ def test_poset_names_the_first_offence(relations, count, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("a", [0, 17, 51])
+def test_packed_pair_without_a_diagonal_bit_is_not_reflexive(a):
+    elements = enumerate_placements(5)
+    bits, columns = packed_dominance(elements)
+    p = int(np.argsort(columns)[a])
+    bits[a, p >> 6] ^= np.uint64(1 << (p & 63))
+    with pytest.raises(RookError) as err:
+        Poset(5, "general", elements, (bits, columns))
+    assert str(err.value) == "order relation is not reflexive"
+
+
+def test_packed_pair_of_a_repeated_placement_is_not_antisymmetric():
+    elements = enumerate_placements(4)
+    twice = elements + elements[7:8]
+    with pytest.raises(RookError, match="not antisymmetric: elements 7 and 15"):
+        Poset(4, "general", twice, packed_dominance(twice))
+
+
+def test_packed_pair_must_list_its_columns_in_a_linear_extension():
+    # the reverse of the enumeration order, which starts at the minimum
+    elements = enumerate_placements(4)
+    columns = np.arange(len(elements))[::-1].copy()
+    bits = pack_rows(dominance_matrix(elements)[:, columns])
+    with pytest.raises(RookError) as err:
+        Poset(4, "general", elements, (bits, columns))
+    assert str(err.value) == "columns are not a linear extension of the order relation"
+
+
+def test_packed_pair_must_fit_the_elements():
+    elements = enumerate_placements(4)
+    with pytest.raises(RookError, match="packed leq must cover 14 elements"):
+        Poset(4, "general", elements[:14], packed_dominance(elements))
+
+
 def test_poset_rejects_non_transitive_relations():
     # 0 < 1 and 1 < 2 but not 0 < 2
     with pytest.raises(RookError, match="not transitive"):
@@ -331,7 +384,7 @@ HAND_BUILT = [
 @pytest.mark.parametrize("relations,count", HAND_BUILT)
 def test_hasse_matches_the_definition_on_hand_built_posets(relations, count):
     poset = _fake_poset(relations, count)
-    assert list(poset.hasse) == matmul_covers(poset.leq)
+    assert list(poset.hasse) == matmul_covers(_fake_leq(relations, count))
 
 
 def per_row_covers(leq: np.ndarray) -> list[tuple[int, int]]:
@@ -385,18 +438,22 @@ def test_poset_of_no_element_and_of_one():
     assert report.rank_of == {labels[0]: 0} and report.max_chain_length == 0
 
 
-# Budgets of 1, 3, 6 and 13 scan rows (m <= 64 packs to 8 bytes a row, and
-# four block arrays share the budget): for m = 52 and m = 26, 3 and 6 rows
-# leave a short last block and 13 rows none.
+# Budgets of 1, 3, 6 and 13 scan rows for m = 52, which packs to one 8-byte
+# word a row (four block arrays share the budget), and of 1, 1, 3 and 6 for
+# m = 76, which packs to two: 3 and 6 rows leave a short last block, and 13
+# rows none.  The fill's blocks hold twice as many rows.
 @pytest.mark.parametrize("block_bytes", [1, 96, 200, 416])
 @pytest.mark.parametrize("n,kind", [(5, "general"), (6, "orthogonal")])
 def test_hasse_does_not_depend_on_the_block_size(monkeypatch, n, kind, block_bytes):
     whole = build_poset(n, kind)
+    leq = dominance_matrix(whole.elements)
     monkeypatch.setattr(order_module, "_BLOCK_BYTES", block_bytes)
-    poset = Poset(n, kind, whole.elements, whole.leq)
+    poset = Poset(n, kind, whole.elements, leq)
     assert poset.hasse == whole.hasse
-    assert list(poset.hasse) == matmul_covers(poset.leq)
+    assert list(poset.hasse) == matmul_covers(leq)
     assert check_graded(poset) == check_graded(whole)
+    packed = Poset(n, kind, whole.elements, packed_dominance(whole.elements))
+    assert packed.hasse == whole.hasse
 
 
 @st.composite
@@ -443,11 +500,33 @@ def test_block_scan_matches_the_per_row_loop(leq, block_bytes):
             assert str(err.value) == message
 
 
+def _as_pair(leq):
+    columns = np.argsort(leq.sum(axis=0), kind="stable")
+    return pack_rows(leq[:, columns]), columns
+
+
+@settings(max_examples=100)
+@given(relations())
+def test_a_relation_given_as_a_pair_acts_as_its_bool_form(leq):
+    labels = enumerate_placements(6)[: len(leq)]
+    try:
+        want, message = Poset(6, "general", labels, leq), None
+    except RookError as err:
+        want, message = None, str(err)
+    if message is None:
+        got = Poset(6, "general", labels, _as_pair(leq))
+        assert got.hasse == want.hasse and check_graded(got) == check_graded(want)
+    else:
+        with pytest.raises(RookError) as err:
+            Poset(6, "general", labels, _as_pair(leq))
+        assert str(err.value) == message
+
+
 @pytest.mark.parametrize("n,kind", [(n, "general") for n in range(1, 7)]
                          + [(n, "orthogonal") for n in range(1, 8)])
 def test_hasse_matches_the_definition(n, kind):
     poset = build_poset(n, kind)
-    assert list(poset.hasse) == matmul_covers(poset.leq)
+    assert list(poset.hasse) == matmul_covers(dominance_matrix(poset.elements))
 
 
 @pytest.mark.parametrize("n,kind,edges", [
@@ -464,11 +543,10 @@ def test_hasse_edge_counts_are_pinned(n, kind, edges):
 
 
 def test_build_poset_memory_stays_near_one_leq_matrix():
-    # m = 877, so leq takes 0.77 MB and the packed copy of the cover
-    # scan 0.1 MB, in anonymous mappings that tracemalloc does not see.
-    # The bound lies between the peak of a
-    # dense float32 f @ f reduction (10.0 MB) and of the blocked build
-    # (1.0 MB).
+    # m = 877, so the packed relation takes 0.1 MB, in an anonymous
+    # mapping that tracemalloc does not see; a bool leq matrix would take
+    # 0.77 MB.  The bound lies between the peak of a dense float32 f @ f
+    # reduction (10.0 MB) and of the blocked build (0.9 MB).
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -562,3 +640,34 @@ def test_orthogonal_ten_hasse_edges_are_the_move_covers():
     poset = build_poset(10, "orthogonal")
     assert len(poset.hasse) == 67486
     assert sum(len(predecessors_orthogonal(d)) for d in poset.elements) == 67486
+
+
+@pytest.mark.slow
+def test_general_nine_builds_in_a_quarter_gigabyte():
+    # a fresh process, so that the peak is this build's alone; ru_maxrss
+    # is in KiB on Linux
+    code = (
+        "import resource; from rookposet import build_poset; build_poset(9); "
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    src = os.path.dirname(os.path.dirname(rookposet.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert int(out.stdout) < 256 * 1024
+
+
+@pytest.mark.slow
+def test_general_ten_is_graded_with_formula_ranks():
+    poset = build_poset(10)
+    assert len(poset) == 115975 and len(poset.hasse) == 820582
+    report = check_graded(poset)
+    assert report.is_graded and report.rank_formula_ok
+
+
+@pytest.mark.slow
+def test_orthogonal_eleven_hasse_edges_are_the_move_covers():
+    poset = build_poset(11, "orthogonal")
+    assert len(poset.hasse) == 291946
+    assert sum(len(predecessors_orthogonal(d)) for d in poset.elements) == 291946

@@ -84,3 +84,10 @@ def test_kerov_covers_refuses_a_map_that_is_not_injective(monkeypatch):
         "kerov-covers: FAIL (250 checked)\n"
         "  n=3: the doubling map is not injective on R(3)"
     )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("suite", ["covers-general", "graded"])
+def test_suites_pass_on_boards_of_nine(suite):
+    results = verify_module.run_suite(suite, 9)
+    assert results and all(res.ok and res.checked for res in results)
