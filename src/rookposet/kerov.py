@@ -71,10 +71,10 @@ def rank_general(placement: RookPlacement) -> int:
 
 
 def ranks_of(placements: Sequence[RookPlacement], kind: Kind) -> list[int]:
-    """rank_orthogonal (kind "orthogonal") or rank_general (any other kind)
+    """rank_orthogonal (kind "orthogonal") or rank_general (kind "general")
     of each placement, which must all live on one board, with the errors
     those raise: OrthogonalityError on the first placement that is not
-    orthogonal, ParityError on an odd total."""
+    orthogonal, ParityError on an odd total; RookError on another kind."""
     rows, cols = root_arrays(placements)
     if kind == "orthogonal":
         # padding never meets: row 0 is no column and column n + 1 no row
@@ -83,8 +83,10 @@ def ranks_of(placements: Sequence[RookPlacement], kind: Kind) -> list[int]:
             bad = placements[int(clash.argmax())]
             raise OrthogonalityError(f"placement {bad.to_text()!r} is not orthogonal")
         c, r = cols, rows
-    else:
+    elif kind == "general":
         c, r = 2 * cols - 1, 2 * rows - 2
+    else:
+        raise RookError(f"unknown kind {kind!r}")
     real = rows > 0
     size = real.sum(axis=1)
     crossings = (

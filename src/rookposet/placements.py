@@ -227,51 +227,32 @@ def count_placements(n: int, kind: Kind = "general") -> int:
     raise RookError(f"unknown kind {kind!r}")
 
 
-def _iter_general(n: int) -> Iterator[tuple[Root, ...]]:
-    acc: list[Root] = []
-    used = [False] * (n + 1)
+def _search(n: int, orthogonal: bool) -> Iterator[tuple[Root, ...]]:
+    # Depth-first over the next root (Knuth, TAOCP 4A, 7.2.2).  A rook
+    # closes its column and, when orthogonal, its row: rows only grow past
+    # every column, so no other clash can occur.  A placement comes before
+    # its extensions, and those follow their next root: sorted order.
+    closed = [False] * (n + 1)
 
-    def rec(row: int) -> Iterator[tuple[Root, ...]]:
-        if row > n:
-            yield tuple(acc)
-            return
-        yield from rec(row + 1)
-        for col in range(1, row):
-            if not used[col]:
-                used[col] = True
-                acc.append(Root(row, col))
-                yield from rec(row + 1)
-                acc.pop()
-                used[col] = False
+    def rec(roots: tuple[Root, ...], last: int) -> Iterator[tuple[Root, ...]]:
+        yield roots
+        for row in range(last + 1, n + 1):
+            for col in range(1, row):
+                if not closed[col]:
+                    closed[col], closed[row] = True, orthogonal
+                    yield from rec(roots + (Root(row, col),), row)
+                    closed[col] = closed[row] = False
 
-    return rec(2)
-
-
-def _iter_orthogonal(n: int) -> Iterator[tuple[Root, ...]]:
-    # Pair up indices: the smallest free index is either skipped or made
-    # the column of a rook whose row is a larger free index.
-    acc: list[Root] = []
-
-    def rec(free: tuple[int, ...]) -> Iterator[tuple[Root, ...]]:
-        if len(free) < 2:
-            yield tuple(acc)
-            return
-        k, rest = free[0], free[1:]
-        yield from rec(rest)
-        for pos, m in enumerate(rest):
-            acc.append(Root(m, k))
-            yield from rec(rest[:pos] + rest[pos + 1 :])
-            acc.pop()
-
-    return rec(tuple(range(1, n + 1)))
+    return rec((), 1)
 
 
 def enumerate_placements(
     n: int, kind: Kind = "general", cap: int = DEFAULT_CAP
 ) -> tuple[RookPlacement, ...]:
-    """All placements on the size-n board, sorted by their root sequences.
-
-    Raises CapError up front when the count would exceed `cap`.
+    """All placements on the size-n board, sorted by their root sequences:
+    the search extends each placement by its next root in (row, col)
+    order, so it yields them in that order.  Raises CapError up front
+    when the count would exceed `cap`.
     """
     total = count_placements(n, kind)  # rejects an n that is not an int
     if n < 1:
@@ -280,10 +261,7 @@ def enumerate_placements(
         raise RookError(f"cap must be an int, got {cap!r}")
     if total > cap:
         raise CapError(f"{total} placements of kind {kind!r} on board {n} exceed cap {cap}")
-    it = _iter_general(n) if kind == "general" else _iter_orthogonal(n)
-    found = [RookPlacement(n, roots) for roots in it]
-    found.sort(key=lambda p: p.roots)
-    return tuple(found)
+    return tuple(RookPlacement(n, roots) for roots in _search(n, kind == "orthogonal"))
 
 
 def root_arrays(placements: Sequence[RookPlacement]) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,8 @@ an oracle for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +25,8 @@ class Poset:
 
     `leq` is the order relation over `elements`, a partial order, given
     as an m x m bool array or as the (bits, columns) pair of
-    order.packed_dominance, whose columns must be a linear extension
+    order.packed_dominance: uint64 bits of shape (m, ceil(m / 64)) and
+    int columns, a permutation of range(m) in a linear extension
     (RookError otherwise).  A bool array is packed once into such a pair,
     with its columns in down-set-size order, and not kept: the pair is the
     only form of the relation held.  `hasse` lists the cover edges as
@@ -50,17 +52,23 @@ class Poset:
         elements: tuple[RookPlacement, ...],
         leq: np.ndarray | tuple[np.ndarray, np.ndarray],
     ) -> None:
+        if kind not in ("general", "orthogonal"):
+            raise RookError(f"unknown kind {kind!r}")
         m = len(elements)
         if isinstance(leq, tuple):
-            bits, columns = leq
+            if len(leq) != 2:
+                raise RookError(f"packed leq must be a (bits, columns) pair, not {len(leq)}")
+            bits, columns = map(np.asarray, leq)
         else:
             leq = np.asarray(leq, dtype=bool)
             if leq.shape != (m, m):
                 raise RookError(f"leq must be {m}x{m}, got {leq.shape}")
             columns = np.argsort(leq.sum(axis=0), kind="stable")
             bits = pack_rows(leq[:, columns])
-        if bits.shape != (m, -(-m // 64)) or columns.shape != (m,):
-            raise RookError(f"packed leq must cover {m} elements")
+        if bits.dtype != np.uint64 or bits.shape != (m, -(-m // 64)):
+            raise RookError(f"packed leq must cover {m} elements in uint64 words")
+        if columns.dtype.kind not in "iu" or not np.array_equal(np.sort(columns), np.arange(m)):
+            raise RookError(f"packed leq columns must be ints, a permutation of range({m})")
         pos = np.argsort(columns)  # bit pos[x] of a row stands for element x
         lower, upper = _cover_scan(bits, columns, pos)
         if (pos[lower] > pos[upper]).any():
@@ -192,15 +200,15 @@ class GradedReport:
     """
 
     is_graded: bool
-    min_element: RookPlacement | None
-    max_element: RookPlacement | None
-    rank_of: dict[RookPlacement, int]
-    max_chain_length: int | None
-    witness: str | None
+    min_element: RookPlacement | None = None
+    max_element: RookPlacement | None = None
+    rank_of: dict[RookPlacement, int] = field(default_factory=dict)
+    max_chain_length: int | None = None
+    witness: str | None = None
     witness_chains: (
         tuple[tuple[RookPlacement, ...], tuple[RookPlacement, ...]] | None
-    )
-    rank_formula_ok: bool | None
+    ) = None
+    rank_formula_ok: bool | None = None
 
 
 def check_graded(poset: Poset) -> GradedReport:
@@ -226,14 +234,10 @@ def check_graded(poset: Poset) -> GradedReport:
             is_graded=False,
             min_element=poset.elements[minimal[0]] if len(minimal) == 1 else None,
             max_element=poset.elements[maximal[0]] if len(maximal) == 1 else None,
-            rank_of={},
-            max_chain_length=None,
             witness=(
                 f"expected exactly one {which} element, found "
                 f"{[poset.elements[i].to_text() for i in offenders]}"
             ),
-            witness_chains=None,
-            rank_formula_ok=None,
         )
     bottom, top = minimal[0], maximal[0]
 
@@ -258,34 +262,28 @@ def check_graded(poset: Poset) -> GradedReport:
     )
     if skip is not None:
         a, x = skip
-        # Extend both chains to the top the same way: the first element
-        # strictly above y in that order, its next set bit, covers y.
-        tail: list[int] = []
-        y = x
-        while y != top:
-            p = poset._pos[y] + 1
-            y = int(order[p + unpack_rows(poset._bits[y], m)[p:].argmax()])
-            tail.append(y)
+        # Both chains go on from x to the top the same way, through the
+        # first upper cover of each element: hasse is sorted by lower index.
+        tail = [x]
+        while tail[-1] != top:
+            tail.append(poset.hasse[bisect_left(poset.hasse, (tail[-1],))][1])
 
         def _chain(path: list[int]) -> tuple[RookPlacement, ...]:
             while parent[path[0]] != -1:
                 path.insert(0, parent[path[0]])
             return tuple(poset.elements[i] for i in path + tail)
 
-        chain_long, chain_short = _chain([x]), _chain([a, x])
+        chain_long, chain_short = _chain([parent[x]]), _chain([a])
         return GradedReport(
             is_graded=False,
             min_element=poset.elements[bottom],
             max_element=poset.elements[top],
-            rank_of={},
-            max_chain_length=None,
             witness=(
                 f"maximal chains of lengths {len(chain_long) - 1} and "
                 f"{len(chain_short) - 1} both end at "
                 f"{poset.elements[top].to_text()!r}"
             ),
             witness_chains=(chain_long, chain_short),
-            rank_formula_ok=None,
         )
 
     return GradedReport(
@@ -294,8 +292,6 @@ def check_graded(poset: Poset) -> GradedReport:
         max_element=poset.elements[top],
         rank_of=dict(zip(poset.elements, longest)),
         max_chain_length=longest[top],
-        witness=None,
-        witness_chains=None,
         rank_formula_ok=ranks_of(poset.elements, poset.kind) == longest,
     )
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -144,20 +145,46 @@ def test_enumeration_matches_subset_filter_oracle(n, kind):
     assert set(enumerate_placements(n, kind)) == subset_filter_placements(n, kind)
 
 
-@pytest.mark.parametrize("kind", ["general", "orthogonal"])
-def test_enumeration_is_sorted_and_duplicate_free(kind):
-    elements = enumerate_placements(6, kind)
-    keys = [e.roots for e in elements]
-    assert keys == sorted(keys)
-    assert len(set(keys)) == len(keys)
+@pytest.mark.parametrize(
+    "kind,largest", [("general", 8), ("orthogonal", 9)], ids=["general", "orthogonal"]
+)
+def test_enumeration_is_sorted_and_duplicate_free(kind, largest):
+    for n in range(1, largest + 1):
+        keys = [e.roots for e in enumerate_placements(n, kind)]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_orthogonal_enumeration_filters_the_general_one():
     for n in range(1, 7):
         general = enumerate_placements(n)
-        assert set(enumerate_placements(n, "orthogonal")) == {
+        assert enumerate_placements(n, "orthogonal") == tuple(
             d for d in general if d.is_orthogonal()
-        }
+        )
+
+
+@pytest.mark.parametrize(
+    "n,kind,digest",
+    [
+        (8, "general", "f1d54057ef860db984be5ace2e80fe97eb382bf8024769c1b74190183faeb149"),
+        (9, "orthogonal", "5f02355587e2c1187d68c248f8ed5cd7451d4019f3eb202508746d830848097b"),
+        pytest.param(
+            10,
+            "general",
+            "a6d9472c44a9b8c145497db3da8e5337fa3699bc643427cd397305f24b2f5f58",
+            marks=pytest.mark.slow,
+        ),
+        pytest.param(
+            12,
+            "orthogonal",
+            "cf7497c0d9975df3628eeb6a2d47cda9c210238d77bfa09a08ed665cc8187d4e",
+            marks=pytest.mark.slow,
+        ),
+    ],
+    ids=["general-8", "orthogonal-9", "general-10", "orthogonal-12"],
+)
+def test_enumeration_text_is_pinned(n, kind, digest):
+    text = "\n".join(e.to_text() for e in enumerate_placements(n, kind))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_smallest_board_has_only_the_empty_placement():

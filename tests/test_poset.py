@@ -238,6 +238,24 @@ def test_check_graded_witness_shares_a_tail_above_the_skipping_cover():
     )
 
 
+@settings(max_examples=100)
+@given(st.integers(2, 40), st.lists(st.tuples(st.integers(0, 39), st.integers(1, 4)), max_size=80))
+def test_witness_chains_step_along_hasse_edges_from_bottom_to_top(m, steps):
+    # a < a + d only, closed up: an order with minimum 0 and maximum m - 1
+    leq = np.eye(m, dtype=bool)
+    leq[0], leq[:, -1] = True, True
+    for a, d in steps:
+        leq[a % m, min(a % m + d, m - 1)] = True
+    for _ in range(m.bit_length()):
+        leq = leq | (leq.astype(np.int64) @ leq.astype(np.int64) > 0)
+    poset = Poset(6, "general", enumerate_placements(6)[:m], leq)
+    report = check_graded(poset)
+    for chain in report.witness_chains or ():
+        path = [poset.index_of(e) for e in chain]
+        assert path[0] == 0 and path[-1] == m - 1
+        assert set(zip(path, path[1:])) <= set(poset.hasse)
+
+
 def test_check_graded_ranks_a_chain_listed_out_of_order():
     # the chain 0 < 2 < 1: its Hasse ranks 0, 2, 1 are not the formula
     # ranks 0, 1, 2 of the labels '', '2,1' and '2,1;3,2'
@@ -355,6 +373,30 @@ def test_packed_pair_must_fit_the_elements():
     elements = enumerate_placements(4)
     with pytest.raises(RookError, match="packed leq must cover 14 elements"):
         Poset(4, "general", elements[:14], packed_dominance(elements))
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (lambda bits, columns: (bits, columns + 1), "permutation of range(15)"),
+        (lambda bits, columns: (bits.astype(np.int64), columns), "uint64"),
+        (lambda bits, columns: (bits, columns.astype(float)), "permutation of range(15)"),
+        (lambda bits, columns: (bits, columns, columns), "pair, not 3"),
+    ],
+    ids=["columns-not-a-permutation", "signed-bits", "float-columns", "three-parts"],
+)
+def test_packed_pair_of_the_wrong_form_is_refused(bad, message):
+    elements = enumerate_placements(4)
+    with pytest.raises(RookError, match=re.escape(message)):
+        Poset(4, "general", elements, bad(*packed_dominance(elements)))
+
+
+def test_poset_and_batch_ranks_refuse_an_unknown_kind():
+    elements = enumerate_placements(4)
+    with pytest.raises(RookError, match="unknown kind 'bogus'"):
+        Poset(4, "bogus", elements, packed_dominance(elements))
+    with pytest.raises(RookError, match="unknown kind 'Orthogonal'"):
+        rookposet.kerov.ranks_of(elements, "Orthogonal")
 
 
 def test_poset_rejects_non_transitive_relations():
