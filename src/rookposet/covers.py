@@ -26,6 +26,9 @@ that propose candidates:
 One rule then keeps the covers among the candidates: the move is
 blocked when a root p of D outside S lies below a root of S but below
 no root of T, in the root order (a, b) <= (c, d) iff c >= a and d <= b.
+On bitmasks over D's roots, with under(x) the roots weakly below x, the
+rule reads under(S) & ~bits(S) & ~under(T) != 0, and under(T) is computed
+only while the rest of the mask is nonzero.
 A target shares a row or a column with a source, so it never equals a
 kept root and the non-strict order is exact.  This is each family's own
 condition: for a removal T is empty, so (i, j) must be minimal; for a
@@ -47,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
-from .errors import OrthogonalityError
+from .errors import OrthogonalityError, RookError
 from .placements import Root, RookPlacement, roots_to_text
 
 MoveKind = Literal[
@@ -59,8 +62,6 @@ MoveKind = Literal[
     "split_general",
     "split_orthogonal",
 ]
-
-Cell = tuple[int, int]  # a root as a bare (row, col) pair
 
 
 @dataclass(frozen=True)
@@ -83,85 +84,87 @@ class CoverMove:
 
 def _candidates(
     d: RookPlacement, orthogonal: bool
-) -> Iterator[tuple[MoveKind, tuple[Cell, ...], tuple[Cell, ...]]]:
+) -> Iterator[tuple[MoveKind, tuple[Root, ...], tuple[tuple[int, int], ...]]]:
     """(kind, source, target) for every move the full-index and endpoint
     rules allow, in family order and then in the order of D's roots;
-    source and target are sorted (row, col) pairs."""
+    source holds D's roots and target bare (row, col) pairs, both sorted."""
     rows, cols = d.rows, d.cols
     full = (rows | cols) if orthogonal else (rows & cols)
-    cells = [(r.row, r.col) for r in d.roots]
+    rooks = [(r, *r) for r in d.roots]  # each root with its row and column
     # the non-full indices strictly between the column and the row of each root
-    gaps = {(i, j): [k for k in range(j + 1, i) if k not in full] for i, j in cells}
-    for (i, j), free in gaps.items():
+    gaps = [(r, i, j, [k for k in range(j + 1, i) if k not in full]) for r, i, j in rooks]
+    for r, i, j, free in gaps:
         if not free:
-            yield "remove", ((i, j),), ()
-    for (i, j), free in gaps.items():
+            yield "remove", (r,), ()
+    for r, i, j, free in gaps:
         if free:
             m = free[0]
             if orthogonal or (m in rows and m not in cols):
-                yield "slide_right", ((i, j),), ((i, m),)
-    for (i, j), free in gaps.items():
+                yield "slide_right", (r,), ((i, m),)
+    for r, i, j, free in gaps:
         if free:
             m = free[-1]
             if orthogonal or (m in cols and m not in rows):
-                yield "slide_up", ((i, j),), ((m, j),)
-    for i, j in cells:
-        for a, b in cells:
+                yield "slide_up", (r,), ((m, j),)
+    for r, i, j in rooks:
+        for q, a, b in rooks:
             if i < a and b < j:
-                yield "cross_general", ((i, j), (a, b)), ((i, b), (a, j))
+                yield "cross_general", (r, q), ((i, b), (a, j))
     if orthogonal:
-        for i, j in cells:
-            for a, b in cells:
+        for r, i, j in rooks:
+            for q, a, b in rooks:
                 if j < b < i < a and all(k in full for k in range(b + 1, i)):
-                    yield "cross_orthogonal", ((i, j), (a, b)), ((b, j), (a, i))
+                    yield "cross_orthogonal", (r, q), ((b, j), (a, i))
     split = "split_orthogonal" if orthogonal else "split_general"
-    for (i, j), free in gaps.items():
+    for r, i, j, free in gaps:
         for x, a in enumerate(free):
             if not orthogonal and a not in rows and a not in cols:
-                yield split, ((i, j),), ((a, j), (i, a))
+                yield split, (r,), ((a, j), (i, a))
             if x + 1 < len(free):
                 b = free[x + 1]
                 if orthogonal or (
                     a in cols and a not in rows and b in rows and b not in cols
                 ):
-                    yield split, ((i, j),), ((a, j), (i, b))
-
-
-def _blocked(
-    cells: list[Cell], source: tuple[Cell, ...], target: tuple[Cell, ...]
-) -> bool:
-    """True when a kept root of D lies below a source root but below no
-    target root, so that the move is not a cover."""
-    return any(
-        p not in source
-        and any(p[0] <= s[0] and p[1] >= s[1] for s in source)
-        and not any(p[0] <= t[0] and p[1] >= t[1] for t in target)
-        for p in cells
-    )
+                    yield split, (r,), ((a, j), (i, b))
 
 
 def _cover_moves(d: RookPlacement, orthogonal: bool) -> list[CoverMove]:
     """Every cover move of D for one kind, in family order."""
-    by_cell = {(r.row, r.col): r for r in d.roots}
-    cells = list(by_cell)
+    roots = d.roots
+
+    def under(i: int, j: int) -> int:  # bit k set iff roots[k] <= (i, j)
+        return sum([1 << k for k, (a, b) in enumerate(roots) if a <= i and b >= j])
+
+    bit = {r: 1 << k for k, r in enumerate(roots)}
+    below_root = {r: under(*r) for r in roots}
     moves = []
     for kind, source, target in _candidates(d, orthogonal):
-        if _blocked(cells, source, target):
+        # the kept roots below the one or two source roots...
+        first, last = source[0], source[-1]
+        below = (below_root[first] | below_root[last]) & ~(bit[first] | bit[last])
+        for i, j in target:  # ...each need a target above them
+            below = below and below & ~under(i, j)
+        if below:
             continue
         # tuple() of a list, not of a generator: CPython builds the latter
         # at a guessed size and shrinks it, which bypasses its tuple free
         # lists on allocation but refills them on release, growing memory
-        kept = tuple([r for c, r in by_cell.items() if c not in source])
         added = tuple([Root(i, j) for i, j in target])
-        result = RookPlacement(d.n, kept + added)
-        moves.append(CoverMove(kind, tuple([by_cell[c] for c in source]), added, result))
+        kept = tuple([r for r in roots if r not in source])
+        moves.append(CoverMove(kind, source, added, RookPlacement(d.n, kept + added)))
     return moves
+
+
+def _placement(d: object) -> RookPlacement:
+    if not isinstance(d, RookPlacement):
+        raise RookError(f"{d!r} is not a RookPlacement")
+    return d
 
 
 def moves_general(d: RookPlacement) -> list[CoverMove]:
     """All cover moves of a placement, in family order: removals, right
     slides, up slides, crossing swaps, splits."""
-    return _cover_moves(d, orthogonal=False)
+    return _cover_moves(_placement(d), orthogonal=False)
 
 
 def moves_orthogonal(d: RookPlacement) -> list[CoverMove]:
@@ -172,7 +175,7 @@ def moves_orthogonal(d: RookPlacement) -> list[CoverMove]:
     endpoint indices.  Each result is checked and a violation raises,
     since silently dropping one would hide a real bug.
     """
-    if not d.is_orthogonal():
+    if not _placement(d).is_orthogonal():
         raise OrthogonalityError(f"placement {d.to_text()!r} is not orthogonal")
     moves = _cover_moves(d, orthogonal=True)
     for m in moves:

@@ -13,7 +13,7 @@ of the symmetric group written as products of disjoint transpositions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
@@ -33,28 +33,38 @@ def _is_int(value: object) -> bool:
 
 def _as_tuple(roots: object) -> tuple:
     try:
+        if isinstance(roots, Root):  # one pair, not a collection of roots
+            raise TypeError
         return tuple(roots)
     except TypeError:
         raise RookError(f"roots must be an iterable, got {roots!r}") from None
 
 
-@dataclass(frozen=True, order=True)
-class Root:
-    """A board cell (row, col) with row > col >= 1."""
+class Root(tuple):
+    """A board cell (row, col) with row > col >= 1: an immutable pair that
+    sorts, hashes and compares as the plain tuple, and that pickle and copy
+    rebuild through the checks of __new__."""
 
-    row: int
-    col: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (_is_int(self.row) and _is_int(self.col)):
-            raise RookError(f"root ({self.row!r}, {self.col!r}) needs int coordinates")
-        if self.col < 1 or self.row <= self.col:
-            raise RookError(
-                f"({self.row},{self.col}) is not a root: need row > col >= 1"
-            )
+    def __new__(cls, row: int, col: int) -> Root:
+        if not (_is_int(row) and _is_int(col)):
+            raise RookError(f"root ({row!r}, {col!r}) needs int coordinates")
+        if col < 1 or row <= col:
+            raise RookError(f"({row},{col}) is not a root: need row > col >= 1")
+        return tuple.__new__(cls, (row, col))
+
+    row = property(itemgetter(0))
+    col = property(itemgetter(1))
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Root(row={self[0]!r}, col={self[1]!r})"
 
     def __str__(self) -> str:
-        return f"{self.row},{self.col}"
+        return f"{self[0]},{self[1]}"
 
 
 def roots_to_text(roots: Iterable[Root]) -> str:
@@ -84,9 +94,12 @@ class RookPlacement:
                 raise RookError(f"{r!r} is not a Root")
         ordered = tuple(sorted(roots))
         object.__setattr__(self, "roots", ordered)
+        rows, cols = {i for i, _ in ordered}, {j for _, j in ordered}
+        if len(rows) == len(cols) == len(ordered) and (not ordered or ordered[-1][0] <= self.n):
+            return  # the last root has the largest row
         seen_rows: dict[int, Root] = {}
         seen_cols: dict[int, Root] = {}
-        for r in ordered:
+        for r in ordered:  # find the first violation, for the message
             if r.row > self.n:
                 raise AmbientError(f"root ({r}) outside board of size {self.n}")
             if r.row in seen_rows:
@@ -97,16 +110,15 @@ class RookPlacement:
                 raise AttackError(
                     f"rooks ({seen_cols[r.col]}) and ({r}) share column {r.col}"
                 )
-            seen_rows[r.row] = r
-            seen_cols[r.col] = r
+            seen_rows[r.row] = seen_cols[r.col] = r
 
-    @cached_property
+    @property
     def rows(self) -> frozenset[int]:
-        return frozenset(r.row for r in self.roots)
+        return frozenset([i for i, _ in self.roots])
 
-    @cached_property
+    @property
     def cols(self) -> frozenset[int]:
-        return frozenset(r.col for r in self.roots)
+        return frozenset([j for _, j in self.roots])
 
     @property
     def size(self) -> int:
@@ -120,7 +132,7 @@ class RookPlacement:
         return roots_to_text(self.roots)
 
     def to_json(self) -> dict:
-        return {"n": self.n, "roots": [[r.row, r.col] for r in self.roots]}
+        return {"n": self.n, "roots": [list(r) for r in self.roots]}
 
     def __str__(self) -> str:
         return self.to_text()
@@ -194,7 +206,7 @@ def render_board(placement: RookPlacement, symbol: str = "X") -> str:
     Occupied cells show `symbol` ('X' by default, pass '⊗' for the
     circled-times look), empty cells show '.'.
     """
-    occupied = {(r.row, r.col) for r in placement.roots}
+    occupied = set(placement.roots)
     lines = [
         "".join(symbol if (i, j) in occupied else "." for j in range(1, placement.n + 1))
         for i in range(1, placement.n + 1)
@@ -278,9 +290,8 @@ def root_arrays(placements: Sequence[RookPlacement]) -> tuple[np.ndarray, np.nda
             raise AmbientError(f"placements on boards of sizes {n} and {p.n}")
     sizes = np.array([p.size for p in placements], dtype=np.intp)
     filled = np.arange(sizes.max(initial=0)) < sizes[:, None]
-    cells = np.array(
-        [(r.row, r.col) for p in placements for r in p.roots], dtype=np.intp
-    ).reshape(-1, 2)
+    cells = np.array([x for p in placements for r in p.roots for x in r], dtype=np.intp)
+    cells = cells.reshape(-1, 2)  # numpy reads flat ints faster than pairs or Roots
     rows = np.zeros(filled.shape, dtype=np.intp)
     cols = np.full(filled.shape, n + 1, dtype=np.intp)
     # a boolean mask assigns in row-major order, i.e. placement by placement

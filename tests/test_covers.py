@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,8 @@ from rookposet import (
     CoverMove,
     OrthogonalityError,
     Root,
+    RookError,
+    RookPlacement,
     brute_force_covers,
     build_poset,
     enumerate_placements,
@@ -46,6 +49,40 @@ SIZE_DELTA = {
 MOVE_LISTS_SHA256 = "5c9d19df64f2c241dbb6e62f4c3a0bd2e70e587d029993df783f5a2d6e3f7147"
 
 SLIDES_SWAPPED = {"slide_right": "slide_up", "slide_up": "slide_right"}
+
+
+def _pairwise_blocked(cells, source, target):
+    """True when a kept root of D lies below a source root but below no
+    target root, so that the move is not a cover."""
+    return any(
+        p not in source
+        and any(p[0] <= s[0] and p[1] >= s[1] for s in source)
+        and not any(p[0] <= t[0] and p[1] >= t[1] for t in target)
+        for p in cells
+    )
+
+
+def pairwise_cover_moves(d, orthogonal):
+    """The cover rule root by root, and every result through the public
+    constructor: the reference for the bitmask test of the engine."""
+    by_cell = {(r.row, r.col): r for r in d.roots}
+    cells = list(by_cell)
+    moves = []
+    for kind, source, target in rookposet.covers._candidates(d, orthogonal):
+        if _pairwise_blocked(cells, source, target):
+            continue
+        kept = tuple([r for c, r in by_cell.items() if c not in source])
+        added = tuple([Root(i, j) for i, j in target])
+        result = RookPlacement(d.n, kept + added)
+        moves.append(CoverMove(kind, tuple([by_cell[c] for c in source]), added, result))
+    return moves
+
+
+def _assert_matches_pairwise(d, orthogonal):
+    moves = (moves_orthogonal if orthogonal else moves_general)(d)
+    reference = pairwise_cover_moves(d, orthogonal)
+    assert moves == reference
+    assert all(type(r) is Root for m in moves for r in m.source + m.target)
 
 
 def _by_kind(moves, kind):
@@ -296,3 +333,39 @@ def test_general_moves_are_phi_equivariant(d):
 @given(orthogonal_placements(min_n=9, max_n=14))
 def test_orthogonal_moves_are_phi_equivariant(d):
     _assert_phi_equivariant(moves_orthogonal, d)
+
+
+def test_bitmask_cover_rule_matches_the_pairwise_one_exhaustive():
+    for n in range(1, 8):
+        for d in enumerate_placements(n):
+            _assert_matches_pairwise(d, orthogonal=False)
+    for n in range(1, 9):
+        for d in enumerate_placements(n, "orthogonal"):
+            _assert_matches_pairwise(d, orthogonal=True)
+
+
+@settings(max_examples=80)
+@given(placements(min_n=8, max_n=40))
+def test_bitmask_cover_rule_matches_the_pairwise_one_general(d):
+    _assert_matches_pairwise(d, orthogonal=False)
+
+
+@settings(max_examples=80)
+@given(orthogonal_placements(min_n=8, max_n=40))
+def test_bitmask_cover_rule_matches_the_pairwise_one_orthogonal(d):
+    _assert_matches_pairwise(d, orthogonal=True)
+
+
+@pytest.mark.parametrize(
+    "entry,value",
+    [
+        (moves_general, "2,1"),
+        (moves_orthogonal, None),
+        (predecessors_general, [(2, 1)]),
+        (predecessors_orthogonal, Root(2, 1)),
+    ],
+    ids=["moves_general", "moves_orthogonal", "predecessors_general", "predecessors_orthogonal"],
+)
+def test_move_functions_refuse_what_is_not_a_placement(entry, value):
+    with pytest.raises(RookError, match=f"^{re.escape(repr(value))} is not a RookPlacement$"):
+        entry(value)

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import pickle
+import re
+from itertools import combinations
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import orthogonal_placements, placements
 from rookposet import (
@@ -43,6 +48,73 @@ def test_make_root_rejects_bad_cells(i, j):
 def test_make_root_rejects_coordinates_that_are_not_ints(i, j):
     with pytest.raises(RookError, match="int coordinates"):
         Root(i, j)
+
+
+def test_root_is_the_plain_pair_in_order_hash_and_equality():
+    pairs = [(i, j) for i in range(2, 7) for j in range(1, i)]
+    roots = [Root(i, j) for i, j in reversed(pairs)]
+    assert sorted(roots) == sorted(pairs) == pairs
+    assert all(type(r) is Root for r in sorted(roots))
+    for r, pair in zip(reversed(roots), pairs):
+        assert r == pair and hash(r) == hash(pair) and tuple(r) == pair
+        assert (r.row, r.col) == r
+    assert {Root(6, 2): "x"}[(6, 2)] == "x"
+
+
+def test_root_repr_and_text():
+    assert repr(Root(6, 2)) == "Root(row=6, col=2)"
+    assert str(Root(6, 2)) == "6,2"
+    assert repr((Root(3, 1),)) == "(Root(row=3, col=1),)"
+
+
+@pytest.mark.parametrize("attribute", ["row", "col", "other"])
+def test_root_is_immutable(attribute):
+    r = Root(6, 2)
+    with pytest.raises(AttributeError):
+        setattr(r, attribute, 3)
+    assert r == (6, 2)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_root_pickle_round_trip(protocol):
+    # the reduction calls Root itself, so that loading checks the cell again
+    assert Root(6, 2).__reduce_ex__(protocol) == (Root, (6, 2))
+    r = pickle.loads(pickle.dumps(Root(6, 2), protocol))
+    assert type(r) is Root and r == (6, 2) and r.row == 6
+    d = pickle.loads(pickle.dumps(parse_placement("3,1;6,2", 6), protocol))
+    assert d == parse_placement("3,1;6,2", 6) and all(type(r) is Root for r in d.roots)
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy])
+def test_root_copy_round_trip(clone):
+    r = clone(Root(6, 2))
+    assert type(r) is Root and r == (6, 2)
+
+
+class _Forged:
+    """Pickles as the reduction of a Root, but with coordinates of no root."""
+
+    def __reduce__(self):
+        return Root, (2, 2)
+
+
+def test_no_route_builds_a_root_that_is_not_one():
+    assert not hasattr(Root, "_make") and not hasattr(Root, "_replace")
+    with pytest.raises(RookError, match="not a root"):
+        Root.__new__(Root, 2, 2)
+    with pytest.raises(RookError, match="int coordinates"):
+        Root.__new__(Root, 2.0, 1)
+    with pytest.raises(RookError, match="not a root"):
+        pickle.loads(pickle.dumps(_Forged()))
+    with pytest.raises(TypeError):
+        Root((6, 2))
+
+
+def test_a_single_root_is_not_an_iterable_of_roots():
+    with pytest.raises(RookError, match=r"roots must be an iterable, got Root\(row=2, col=1\)"):
+        RookPlacement(3, Root(2, 1))
+    with pytest.raises(RookError, match="roots must be an iterable"):
+        validate_placement(Root(2, 1), 3)
 
 
 @pytest.mark.parametrize("roots,n", [([(2, True)], 2), ([(2.5, 1)], 3)])
@@ -115,6 +187,40 @@ def test_shared_column_is_an_attack():
 def test_root_off_the_board_is_rejected():
     with pytest.raises(AmbientError):
         validate_placement([(7, 1)], 6)
+
+
+@pytest.mark.parametrize(
+    "roots,n,error,message",
+    [
+        ([(4, 1), (4, 3)], 5, AttackError, "rooks (4,1) and (4,3) share row 4"),
+        ([(3, 2), (5, 2)], 5, AttackError, "rooks (3,2) and (5,2) share column 2"),
+        ([(3, 1), (3, 1)], 5, AttackError, "rooks (3,1) and (3,1) share row 3"),
+        ([(3, 1), (4, 1), (5, 2), (5, 3)], 5, AttackError, "rooks (3,1) and (4,1) share column 1"),
+        ([(7, 1)], 6, AmbientError, "root (7,1) outside board of size 6"),
+        ([(7, 1), (7, 2)], 6, AmbientError, "root (7,1) outside board of size 6"),
+        ([(4, 1), (4, 3), (7, 2)], 6, AttackError, "rooks (4,1) and (4,3) share row 4"),
+    ],
+)
+def test_constructor_names_the_first_violation_in_root_order(roots, n, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        RookPlacement(n, tuple(Root(i, j) for i, j in reversed(roots)))
+
+
+cells = st.tuples(st.integers(2, 9), st.integers(1, 8)).filter(lambda c: c[0] > c[1])
+
+
+@given(st.integers(0, 9), st.lists(cells, max_size=5))
+def test_constructor_accepts_exactly_the_non_attacking_roots_on_the_board(n, pairs):
+    fits = all(i <= n for i, _ in pairs) and not any(
+        p[0] == q[0] or p[1] == q[1] for p, q in combinations(pairs, 2)
+    )
+    try:
+        d = validate_placement(pairs, n)
+    except (AttackError, AmbientError):
+        assert not fits
+    else:
+        assert fits and d.roots == tuple(sorted(pairs))
+        assert (d.rows, d.cols) == ({i for i, _ in pairs}, {j for _, j in pairs})
 
 
 @pytest.mark.parametrize(
