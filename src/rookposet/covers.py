@@ -27,8 +27,9 @@ One rule then keeps the covers among the candidates: the move is
 blocked when a root p of D outside S lies below a root of S but below
 no root of T, in the root order (a, b) <= (c, d) iff c >= a and d <= b.
 On bitmasks over D's roots, with under(x) the roots weakly below x, the
-rule reads under(S) & ~bits(S) & ~under(T) != 0, and under(T) is computed
-only while the rest of the mask is nonzero.
+rule reads under(S) & ~bits(S) & ~under(T) != 0.  Two prefix tables per
+placement, row_le[i] (the roots with row <= i) and col_ge[j] (those with
+col >= j), give under(i, j) = row_le[i] & col_ge[j] in O(1).
 A target shares a row or a column with a source, so it never equals a
 kept root and the non-strict order is exact.  This is each family's own
 condition: for a removal T is empty, so (i, j) must be minimal; for a
@@ -48,6 +49,8 @@ A move never touches the board size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Iterator, Literal
 
 from .errors import OrthogonalityError, RookError
@@ -131,19 +134,20 @@ def _candidates(
 def _cover_moves(d: RookPlacement, orthogonal: bool) -> list[CoverMove]:
     """Every cover move of D for one kind, in family order."""
     roots = d.roots
-
-    def under(i: int, j: int) -> int:  # bit k set iff roots[k] <= (i, j)
-        return sum([1 << k for k, (a, b) in enumerate(roots) if a <= i and b >= j])
-
-    bit = {r: 1 << k for k, r in enumerate(roots)}
-    below_root = {r: under(*r) for r in roots}
+    # bit[i] is the bit of the root in row i; the roots weakly below a
+    # cell (i, j) are row_le[i] & col_ge[j], those with row <= i and col >= j
+    row_le, col_ge, bit = [0] * (d.n + 1), [0] * (d.n + 1), {}
+    for k, (i, j) in enumerate(roots):
+        row_le[i] = col_ge[j] = bit[i] = 1 << k
+    row_le = list(accumulate(row_le, or_))
+    col_ge = list(accumulate(reversed(col_ge), or_))[::-1]
     moves = []
     for kind, source, target in _candidates(d, orthogonal):
         # the kept roots below the one or two source roots...
-        first, last = source[0], source[-1]
-        below = (below_root[first] | below_root[last]) & ~(bit[first] | bit[last])
+        (i, j), (a, b) = source[0], source[-1]
+        below = (row_le[i] & col_ge[j] | row_le[a] & col_ge[b]) & ~(bit[i] | bit[a])
         for i, j in target:  # ...each need a target above them
-            below = below and below & ~under(i, j)
+            below &= ~(row_le[i] & col_ge[j])
         if below:
             continue
         # tuple() of a list, not of a generator: CPython builds the latter

@@ -39,7 +39,7 @@ def kerov_map(placement: RookPlacement) -> RookPlacement:
     if placement.n < 2:
         raise RookError(f"board size must be at least 2, got {placement.n}")
     return validate_placement(
-        [Root(2 * r.row - 2, 2 * r.col - 1) for r in placement.roots],
+        [Root(2 * r[0] - 2, 2 * r[1] - 1) for r in placement.roots],
         2 * placement.n - 2,
     )
 
@@ -55,7 +55,7 @@ def rank_orthogonal(placement: RookPlacement) -> int:
     inversions counted from the transpositions by the crossing form."""
     if not placement.is_orthogonal():
         raise OrthogonalityError(f"placement {placement.to_text()!r} is not orthogonal")
-    arcs = [(r.col, r.row) for r in placement.roots]
+    arcs = [(r[1], r[0]) for r in placement.roots]
     crossings = sum(1 for c1, r1 in arcs for c2, r2 in arcs if c1 < c2 < r1 < r2)
     inversions = sum(2 * (r - c) - 1 for c, r in arcs) - 2 * crossings
     return _exact_half(inversions + placement.size)

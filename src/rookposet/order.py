@@ -87,11 +87,11 @@ def leq_placement(d1: RookPlacement, d2: RookPlacement) -> bool:
         raise AmbientError(f"cannot compare boards of sizes {d1.n} and {d2.n}")
     n = d1.n
     roots = d1.roots + d2.roots
-    cand_rows = sorted({r.row + 1 for r in roots if r.row < n})
+    cand_rows = sorted({r[0] + 1 for r in roots if r[0] < n})
     entering: dict[int, tuple[list[int], list[int]]] = {1: ([], [])}
     for side, d in enumerate((d1, d2)):
         for r in d.roots:
-            entering.setdefault(r.col, ([], []))[side].append(r.row)
+            entering.setdefault(r[1], ([], []))[side].append(r[0])
     # rows of the rooks in columns <= j, sorted, for d1 and d2
     rows1: list[int] = []
     rows2: list[int] = []
@@ -237,9 +237,8 @@ def involution_of(placement: RookPlacement) -> Permutation:
             f"placement {placement.to_text()!r} is not orthogonal"
         )
     images = list(range(1, placement.n + 1))
-    for r in placement.roots:
-        images[r.row - 1] = r.col
-        images[r.col - 1] = r.row
+    for i, j in placement.roots:
+        images[i - 1], images[j - 1] = j, i
     return Permutation(tuple(images))
 
 

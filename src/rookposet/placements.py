@@ -13,6 +13,7 @@ of the symmetric group written as products of disjoint transpositions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator, Literal, Sequence
 
@@ -94,8 +95,11 @@ class RookPlacement:
                 raise RookError(f"{r!r} is not a Root")
         ordered = tuple(sorted(roots))
         object.__setattr__(self, "roots", ordered)
-        rows, cols = {i for i, _ in ordered}, {j for _, j in ordered}
-        if len(rows) == len(cols) == len(ordered) and (not ordered or ordered[-1][0] <= self.n):
+        if not ordered:
+            return
+        # zip transposes in C: unpacking a Root, a tuple subclass, is slow
+        rows, cols = zip(*ordered)
+        if len(set(rows)) == len(set(cols)) == len(ordered) and rows[-1] <= self.n:
             return  # the last root has the largest row
         seen_rows: dict[int, Root] = {}
         seen_cols: dict[int, Root] = {}
@@ -126,7 +130,9 @@ class RookPlacement:
 
     def is_orthogonal(self) -> bool:
         """True when no index is both a row and a column of the placement."""
-        return not (self.rows & self.cols)
+        # rows are distinct, columns are distinct and row > col in each
+        # root, so the 2k endpoints are distinct iff no row is a column
+        return len(set(chain.from_iterable(self.roots))) == 2 * len(self.roots)
 
     def to_text(self) -> str:
         return roots_to_text(self.roots)

@@ -6,6 +6,7 @@ import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rookposet.covers
 from conftest import orthogonal_placements, placements
@@ -353,6 +354,44 @@ def test_bitmask_cover_rule_matches_the_pairwise_one_general(d):
 @settings(max_examples=80)
 @given(orthogonal_placements(min_n=8, max_n=40))
 def test_bitmask_cover_rule_matches_the_pairwise_one_orthogonal(d):
+    _assert_matches_pairwise(d, orthogonal=True)
+
+
+@st.composite
+def sparse_placements(draw, orthogonal: bool, max_n: int = 2000, max_rooks: int = 6):
+    """At most max_rooks rooks on a board of up to max_n, so that most rows
+    and columns are empty.  Each end of the prefix tables of the engine,
+    row n and column 1, holds a rook in about half of the draws."""
+    n = draw(st.integers(2, max_n))
+    cell = st.integers(2, n).flatmap(lambda i: st.tuples(st.just(i), st.integers(1, i - 1)))
+    cells = draw(st.lists(cell, max_size=max_rooks))
+    if draw(st.booleans()):
+        cells.insert(0, (draw(st.integers(2, n)), 1))
+    if draw(st.booleans()):
+        cells.insert(0, (n, draw(st.integers(1, n - 1))))
+    rows: set[int] = set()
+    cols: set[int] = set()
+    roots = []
+    for i, j in cells:  # keep each cell that attacks none kept before it
+        clash = {i, j} & (rows | cols) if orthogonal else i in rows or j in cols
+        if not clash and len(roots) < max_rooks:
+            roots.append((i, j))
+            rows.add(i)
+            cols.add(j)
+    return validate_placement(roots, n)
+
+
+# no deadline: one board of n = 2000 has thousands of split moves to check,
+# which takes up to about 0.2 s
+@settings(max_examples=40, deadline=None)
+@given(sparse_placements(orthogonal=False))
+def test_bitmask_cover_rule_matches_the_pairwise_one_on_sparse_general_boards(d):
+    _assert_matches_pairwise(d, orthogonal=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_placements(orthogonal=True))
+def test_bitmask_cover_rule_matches_the_pairwise_one_on_sparse_orthogonal_boards(d):
     _assert_matches_pairwise(d, orthogonal=True)
 
 

@@ -237,6 +237,20 @@ def test_is_orthogonal(roots, expected):
     assert validate_placement(roots, 8).is_orthogonal() is expected
 
 
+def test_is_orthogonal_means_no_row_is_a_column_exhaustive():
+    outcomes = set()
+    for n in range(1, 8):
+        for d in enumerate_placements(n):
+            assert d.is_orthogonal() is not (d.rows & d.cols)
+            outcomes.add(d.is_orthogonal())
+    assert outcomes == {True, False}
+
+
+@given(st.one_of(placements(max_n=12), orthogonal_placements(max_n=12)))
+def test_is_orthogonal_means_no_row_is_a_column(d):
+    assert d.is_orthogonal() is not (d.rows & d.cols)
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 @pytest.mark.parametrize("kind", ["general", "orthogonal"])
 def test_counts_match_known_sequences(n, kind):
