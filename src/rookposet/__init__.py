@@ -22,12 +22,8 @@ from .kerov import (
 )
 from .order import (
     Permutation,
-    RankMatrix,
-    bruhat_leq,
-    inversion_length,
     involution_of,
     leq_placement,
-    rank_matrix,
 )
 from .placements import (
     DEFAULT_CAP,
@@ -43,7 +39,6 @@ from .placements import (
 from .poset import (
     GradedReport,
     Poset,
-    brute_force_covers,
     build_poset,
     check_graded,
     export_dot,
@@ -63,18 +58,14 @@ __all__ = [
     "ParityError",
     "Permutation",
     "Poset",
-    "RankMatrix",
     "RookError",
     "Root",
     "RookPlacement",
-    "bruhat_leq",
-    "brute_force_covers",
     "build_poset",
     "check_graded",
     "count_placements",
     "enumerate_placements",
     "export_dot",
-    "inversion_length",
     "involution_of",
     "kerov_map",
     "leq_placement",
@@ -86,7 +77,6 @@ __all__ = [
     "predecessors_general",
     "predecessors_orthogonal",
     "rank_general",
-    "rank_matrix",
     "rank_orthogonal",
     "render_board",
     "validate_placement",

@@ -53,8 +53,8 @@ from itertools import accumulate
 from operator import or_
 from typing import Iterator, Literal
 
-from .errors import OrthogonalityError, RookError
-from .placements import Root, RookPlacement, roots_to_text
+from .errors import OrthogonalityError
+from .placements import Root, RookPlacement, _placement, roots_to_text
 
 MoveKind = Literal[
     "remove",
@@ -157,12 +157,6 @@ def _cover_moves(d: RookPlacement, orthogonal: bool) -> list[CoverMove]:
         kept = tuple([r for r in roots if r not in source])
         moves.append(CoverMove(kind, source, added, RookPlacement(d.n, kept + added)))
     return moves
-
-
-def _placement(d: object) -> RookPlacement:
-    if not isinstance(d, RookPlacement):
-        raise RookError(f"{d!r} is not a RookPlacement")
-    return d
 
 
 def moves_general(d: RookPlacement) -> list[CoverMove]:

@@ -20,7 +20,7 @@ class OrthogonalityError(RookError):
 
 
 class CapError(RookError):
-    """An enumeration would produce more placements than the configured cap."""
+    """An enumeration would exceed the configured cap, or a relation the memory."""
 
 
 class ParityError(RuntimeError):

@@ -31,12 +31,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import OrthogonalityError, ParityError, RookError
-from .placements import Kind, Root, RookPlacement, root_arrays, validate_placement
+from .placements import Kind, Root, RookPlacement, _placement, root_arrays, validate_placement
 
 
 def kerov_map(placement: RookPlacement) -> RookPlacement:
     """Double the board: root (i, j) goes to (2i - 2, 2j - 1)."""
-    if placement.n < 2:
+    if _placement(placement).n < 2:
         raise RookError(f"board size must be at least 2, got {placement.n}")
     return validate_placement(
         [Root(2 * r[0] - 2, 2 * r[1] - 1) for r in placement.roots],
@@ -53,7 +53,7 @@ def _exact_half(total: int) -> int:
 def rank_orthogonal(placement: RookPlacement) -> int:
     """Half of (inversions of the involution + number of rooks), with the
     inversions counted from the transpositions by the crossing form."""
-    if not placement.is_orthogonal():
+    if not _placement(placement).is_orthogonal():
         raise OrthogonalityError(f"placement {placement.to_text()!r} is not orthogonal")
     arcs = [(r[1], r[0]) for r in placement.roots]
     crossings = sum(1 for c1, r1 in arcs for c2, r2 in arcs if c1 < c2 < r1 < r2)
@@ -65,7 +65,7 @@ def rank_general(placement: RookPlacement) -> int:
     """Rank through the doubling map: the orthogonal rank of the image,
     which has as many rooks as the placement.  The empty placement is
     the minimum, of rank 0, on every board (n = 1 included)."""
-    if not placement.roots:
+    if not _placement(placement).roots:
         return 0
     return rank_orthogonal(kerov_map(placement))
 

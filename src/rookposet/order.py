@@ -39,8 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AmbientError, OrthogonalityError, RookError
-from .placements import RookPlacement, root_arrays
+from .errors import AmbientError, CapError, OrthogonalityError, RookError
+from .placements import RookPlacement, _placement, root_arrays
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def leq_placement(d1: RookPlacement, d2: RookPlacement) -> bool:
     Reads only the O(k^2) cells of the sparse-cell rule (module docstring)
     for k rooks in all, at O(log k) each.
     """
-    if d1.n != d2.n:
+    if _placement(d1).n != _placement(d2).n:
         raise AmbientError(f"cannot compare boards of sizes {d1.n} and {d2.n}")
     n = d1.n
     roots = d1.roots + d2.roots
@@ -122,10 +122,14 @@ def _mapped(rows: int, cols: int, dtype: type) -> np.ndarray:
     block has landed in the hole the last one left, and the heap keeps up
     to twice the threshold free at its top, so peak and resting RSS of
     repeated builds would grow.  The mapping is unmapped when the array
-    dies; tracemalloc does not see it.
+    dies; tracemalloc does not see it.  CapError when the OS refuses it.
     """
     size = rows * cols * np.dtype(dtype).itemsize
-    flat = np.frombuffer(mmap.mmap(-1, max(size, 1)), dtype=dtype, count=rows * cols)
+    try:
+        buffer = mmap.mmap(-1, max(size, 1))
+    except OSError as exc:
+        raise CapError(f"cannot map {rows} rows x {cols} words ({size} bytes): {exc.strerror}")
+    flat = np.frombuffer(buffer, dtype=dtype, count=rows * cols)
     return flat.reshape(rows, cols)
 
 
@@ -232,10 +236,8 @@ class Permutation:
 
 def involution_of(placement: RookPlacement) -> Permutation:
     """Product of the transpositions (row col) of an orthogonal placement."""
-    if not placement.is_orthogonal():
-        raise OrthogonalityError(
-            f"placement {placement.to_text()!r} is not orthogonal"
-        )
+    if not _placement(placement).is_orthogonal():
+        raise OrthogonalityError(f"placement {placement.to_text()!r} is not orthogonal")
     images = list(range(1, placement.n + 1))
     for i, j in placement.roots:
         images[i - 1], images[j - 1] = j, i
@@ -256,8 +258,10 @@ def bruhat_matrix(perms: Sequence[Permutation]) -> np.ndarray:
     #{k <= i : w(k) <= j} of perms[a] is at least that of perms[b]."""
     m, n = len(perms), perms[0].n if perms else 0
     ones = np.array([w.images for w in perms]).reshape(m, n, 1) == np.arange(1, n + 1)
-    # a bool cumsum counts in the default integer type, which holds any n
-    tables = ones.cumsum(axis=1).cumsum(axis=2).reshape(m, n * n)
+    # a prefix count is at most n, so the smallest type that holds n will
+    # do, and the m comparisons below read a fraction of the int64 bytes
+    small = np.min_scalar_type(n)
+    tables = ones.cumsum(axis=1, dtype=small).cumsum(axis=2, dtype=small).reshape(m, n * n)
     leq = np.empty((m, m), dtype=bool)
     for a in range(m):
         np.all(tables[a] >= tables, axis=1, out=leq[a])

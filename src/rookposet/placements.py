@@ -144,6 +144,12 @@ class RookPlacement:
         return self.to_text()
 
 
+def _placement(d: object) -> RookPlacement:
+    if not isinstance(d, RookPlacement):
+        raise RookError(f"{d!r} is not a RookPlacement")
+    return d
+
+
 def _as_root(r: object) -> Root:
     if isinstance(r, Root):
         return r
@@ -212,7 +218,7 @@ def render_board(placement: RookPlacement, symbol: str = "X") -> str:
     Occupied cells show `symbol` ('X' by default, pass '⊗' for the
     circled-times look), empty cells show '.'.
     """
-    occupied = set(placement.roots)
+    occupied = set(_placement(placement).roots)
     lines = [
         "".join(symbol if (i, j) in occupied else "." for j in range(1, placement.n + 1))
         for i in range(1, placement.n + 1)

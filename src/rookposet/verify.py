@@ -1,10 +1,13 @@
 """Exhaustive self-checks over full boards, used by tests and the CLI.
 
 Every suite sweeps a range of board sizes and compares two independent
-routes to the same answer (move generators vs materialized covers,
-doubling map vs direct comparison, Hasse ranks vs closed formulas, and
-so on).  A suite reports how many instances it checked and describes
-any failures instead of stopping at the first one.
+routes to the same answer: move generators vs materialized covers,
+dominance vs Bruhat order, Hasse ranks vs closed formulas, and so on.
+tests/test_routes.py pins the pair of each suite; kerov-covers, the one
+exception, checks the general move rule against the orthogonal one,
+each of which a covers suite pins to materialized covers.  A suite
+reports how many instances it checked and describes any failures
+instead of stopping at the first one.
 """
 
 from __future__ import annotations
@@ -145,13 +148,15 @@ def verify_covers_orthogonal(
 
 
 def verify_kerov_order(max_n: int = DEFAULT_BOUNDS["kerov-order"]) -> SuiteResult:
-    """The doubling map preserves and reflects order on all pairs."""
+    """The doubling map preserves and reflects order on all pairs: dominance
+    on R(n) equals Bruhat order of the images read as involutions, so the
+    two sides share no kernel."""
     res = SuiteResult("kerov-order")
     for n in _boards(res.name, 3, max_n):
         elements = enumerate_placements(n)
         res.checked += len(elements) ** 2
-        images = [kerov_map(e) for e in elements]
-        for a, b in np.argwhere(dominance_matrix(elements) != dominance_matrix(images)):
+        images = [involution_of(kerov_map(e)) for e in elements]
+        for a, b in np.argwhere(dominance_matrix(elements) != bruhat_matrix(images)):
             res.failures.append(
                 f"n={n}: order disagrees on "
                 f"{elements[a].to_text()!r} vs {elements[b].to_text()!r}"

@@ -19,8 +19,8 @@ from rookposet import (
     moves_general,
     moves_orthogonal,
     parse_placement,
-    rank_matrix,
 )
+from rookposet.order import rank_matrix
 from rookposet.poset import export_dot
 from rookposet.verify import (
     verify_bruhat,

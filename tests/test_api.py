@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
 import rookposet
 
 PUBLIC_NAMES = {
@@ -13,18 +19,14 @@ PUBLIC_NAMES = {
     "ParityError",
     "Permutation",
     "Poset",
-    "RankMatrix",
     "RookError",
     "Root",
     "RookPlacement",
-    "bruhat_leq",
-    "brute_force_covers",
     "build_poset",
     "check_graded",
     "count_placements",
     "enumerate_placements",
     "export_dot",
-    "inversion_length",
     "involution_of",
     "kerov_map",
     "leq_placement",
@@ -36,7 +38,6 @@ PUBLIC_NAMES = {
     "predecessors_general",
     "predecessors_orthogonal",
     "rank_general",
-    "rank_matrix",
     "rank_orthogonal",
     "render_board",
     "validate_placement",
@@ -44,6 +45,29 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_pinned():
-    assert len(rookposet.__all__) == len(PUBLIC_NAMES) == 37
+    assert len(rookposet.__all__) == len(PUBLIC_NAMES) == 32
     assert set(rookposet.__all__) == PUBLIC_NAMES
     assert all(hasattr(rookposet, name) for name in PUBLIC_NAMES)
+
+
+@pytest.mark.parametrize(
+    "module,name",
+    [
+        ("order", "RankMatrix"),
+        ("order", "rank_matrix"),
+        ("order", "inversion_length"),
+        ("order", "bruhat_leq"),
+        ("poset", "brute_force_covers"),
+    ],
+)
+def test_check_only_routes_live_in_their_modules(module, name):
+    assert name not in dir(rookposet)
+    assert callable(getattr(importlib.import_module(f"rookposet.{module}"), name))
+
+
+def test_readme_python_blocks_run():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

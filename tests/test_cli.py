@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import errno
 import json
+import mmap
+import re
 
 import pytest
 
+from rookposet import CapError, build_poset
 from rookposet.cli import main
 
 
@@ -223,3 +227,14 @@ def test_missing_required_argument_exits_2(capsys):
 
 def test_unknown_suite_exits_2(capsys):
     assert run(capsys, "verify", "--suite", "nope")[0] == 2
+
+
+def test_a_relation_the_os_cannot_map_exits_2(monkeypatch, capsys):
+    def refuse(*args):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    message = "cannot map 52 rows x 1 words (416 bytes): Cannot allocate memory"
+    with pytest.raises(CapError, match=f"^{re.escape(message)}$"):
+        build_poset(5)
+    assert run(capsys, "hasse", "--n", "5") == (2, "", f"error: {message}\n")

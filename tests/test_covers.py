@@ -16,7 +16,6 @@ from rookposet import (
     Root,
     RookError,
     RookPlacement,
-    brute_force_covers,
     build_poset,
     enumerate_placements,
     kerov_map,
@@ -30,6 +29,7 @@ from rookposet import (
     rank_orthogonal,
     validate_placement,
 )
+from rookposet.poset import brute_force_covers
 
 BIG = "3,1;6,2;7,3;5,4;8,5"  # a well-trodden 8-board placement
 

@@ -10,7 +10,6 @@ from rookposet import (
     ParityError,
     RookError,
     enumerate_placements,
-    inversion_length,
     involution_of,
     kerov_map,
     leq_placement,
@@ -22,6 +21,7 @@ from rookposet import (
     validate_placement,
 )
 from rookposet.kerov import _exact_half, ranks_of
+from rookposet.order import inversion_length
 
 
 def test_kerov_image_known_value():

@@ -14,9 +14,7 @@ from rookposet import (
     AmbientError,
     OrthogonalityError,
     Permutation,
-    bruhat_leq,
     enumerate_placements,
-    inversion_length,
     involution_of,
     kerov_map,
     leq_placement,
@@ -24,16 +22,18 @@ from rookposet import (
     predecessors_general,
     predecessors_orthogonal,
     rank_general,
-    rank_matrix,
     rank_orthogonal,
     validate_placement,
 )
 from rookposet.kerov import ranks_of
 from rookposet.order import (
+    bruhat_leq,
     bruhat_matrix,
     counting_entries,
     dominance_matrix,
+    inversion_length,
     packed_dominance,
+    rank_matrix,
     unpack_rows,
 )
 

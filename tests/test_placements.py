@@ -22,8 +22,13 @@ from rookposet import (
     build_poset,
     count_placements,
     enumerate_placements,
+    involution_of,
+    kerov_map,
+    leq_placement,
     parse_placement,
     placement_from_json,
+    rank_general,
+    rank_orthogonal,
     render_board,
     validate_placement,
 )
@@ -336,6 +341,26 @@ def test_render_board_known_picture():
 def test_render_board_custom_symbol():
     d = parse_placement("2,1", 2)
     assert render_board(d, symbol="⊗") == "..\n⊗."
+
+
+@pytest.mark.parametrize("value", [None, "x", Root(2, 1)], ids=["None", "str", "Root"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda v: leq_placement(RookPlacement(2, ()), v),
+        lambda v: leq_placement(v, RookPlacement(2, ())),
+        kerov_map,
+        rank_general,
+        rank_orthogonal,
+        involution_of,
+        render_board,
+    ],
+    ids=["leq_placement-right", "leq_placement-left", "kerov_map", "rank_general",
+         "rank_orthogonal", "involution_of", "render_board"],
+)
+def test_placement_functions_refuse_what_is_not_a_placement(entry, value):
+    with pytest.raises(RookError, match=f"^{re.escape(repr(value))} is not a RookPlacement$"):
+        entry(value)
 
 
 def test_parse_placement_ignores_whitespace():

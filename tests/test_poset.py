@@ -20,7 +20,6 @@ from rookposet import (
     OrthogonalityError,
     Poset,
     RookError,
-    brute_force_covers,
     build_poset,
     check_graded,
     enumerate_placements,
@@ -36,6 +35,7 @@ from rookposet import (
     validate_placement,
 )
 from rookposet.order import dominance_matrix, pack_rows, packed_dominance
+from rookposet.poset import brute_force_covers
 
 NODE_RE = re.compile(r'^  (\d+) \[label="([0-9,;]*)"(?:, rank=(\d+))?\];$')
 EDGE_RE = re.compile(r"^  (\d+) -> (\d+);$")
