@@ -39,6 +39,11 @@ a root below (i, j) is below (i, b), which leaves the roots strictly
 between the pair; for an interleaved swap no root is below both (i, j)
 and (a, i), nor below both (a, b) and (b, j); a split is unchanged.
 
+A move that passes is built without a search: D's roots are sorted, so
+the kept roots are the slices of D around the one or two source
+indices, and RookPlacement(n, kept + target), the one checked
+constructor, sorts and checks the result like any other placement.
+
 The anti-transpose phi(i, j) = (n+1-j, n+1-i) is an order automorphism
 that maps the moves of D onto those of phi(D) with the slide directions
 exchanged; the tests check this, and no code path uses it.
@@ -48,10 +53,9 @@ A move never touches the board size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
-from typing import Iterator, Literal
+from typing import Iterator, Literal, NamedTuple
 
 from .errors import OrthogonalityError
 from .placements import Root, RookPlacement, _placement, roots_to_text
@@ -67,8 +71,7 @@ MoveKind = Literal[
 ]
 
 
-@dataclass(frozen=True)
-class CoverMove:
+class CoverMove(NamedTuple):
     """One application of a move family: result = (D - source) + target."""
 
     kind: MoveKind
@@ -134,18 +137,21 @@ def _candidates(
 def _cover_moves(d: RookPlacement, orthogonal: bool) -> list[CoverMove]:
     """Every cover move of D for one kind, in family order."""
     roots = d.roots
-    # bit[i] is the bit of the root in row i; the roots weakly below a
-    # cell (i, j) are row_le[i] & col_ge[j], those with row <= i and col >= j
-    row_le, col_ge, bit = [0] * (d.n + 1), [0] * (d.n + 1), {}
+    # at[i] is the index in D of the root in row i, and bit k stands for
+    # the root at index k; the roots weakly below a cell (i, j) are
+    # row_le[i] & col_ge[j], those with row <= i and col >= j
+    row_le, col_ge, at = [0] * (d.n + 1), [0] * (d.n + 1), {}
     for k, (i, j) in enumerate(roots):
-        row_le[i] = col_ge[j] = bit[i] = 1 << k
+        row_le[i] = col_ge[j] = 1 << k
+        at[i] = k
     row_le = list(accumulate(row_le, or_))
     col_ge = list(accumulate(reversed(col_ge), or_))[::-1]
     moves = []
     for kind, source, target in _candidates(d, orthogonal):
         # the kept roots below the one or two source roots...
         (i, j), (a, b) = source[0], source[-1]
-        below = (row_le[i] & col_ge[j] | row_le[a] & col_ge[b]) & ~(bit[i] | bit[a])
+        k, x = at[i], at[a]  # k == x for one source root, else k < x
+        below = (row_le[i] & col_ge[j] | row_le[a] & col_ge[b]) & ~(1 << k | 1 << x)
         for i, j in target:  # ...each need a target above them
             below &= ~(row_le[i] & col_ge[j])
         if below:
@@ -154,7 +160,7 @@ def _cover_moves(d: RookPlacement, orthogonal: bool) -> list[CoverMove]:
         # at a guessed size and shrinks it, which bypasses its tuple free
         # lists on allocation but refills them on release, growing memory
         added = tuple([Root(i, j) for i, j in target])
-        kept = tuple([r for r in roots if r not in source])
+        kept = roots[:k] + roots[k + 1 : x] + roots[x + 1 :]
         moves.append(CoverMove(kind, source, added, RookPlacement(d.n, kept + added)))
     return moves
 

@@ -31,17 +31,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import OrthogonalityError, ParityError, RookError
-from .placements import Kind, Root, RookPlacement, _placement, root_arrays, validate_placement
+from .placements import Kind, Root, RookPlacement, _placement, root_arrays
 
 
 def kerov_map(placement: RookPlacement) -> RookPlacement:
     """Double the board: root (i, j) goes to (2i - 2, 2j - 1)."""
     if _placement(placement).n < 2:
         raise RookError(f"board size must be at least 2, got {placement.n}")
-    return validate_placement(
-        [Root(2 * r[0] - 2, 2 * r[1] - 1) for r in placement.roots],
-        2 * placement.n - 2,
-    )
+    image = tuple([Root(2 * i - 2, 2 * j - 1) for i, j in placement.roots])
+    return RookPlacement(2 * placement.n - 2, image)
 
 
 def _exact_half(total: int) -> int:

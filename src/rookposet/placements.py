@@ -49,10 +49,13 @@ class Root(tuple):
     __slots__ = ()
 
     def __new__(cls, row: int, col: int) -> Root:
-        if not (_is_int(row) and _is_int(col)):
-            raise RookError(f"root ({row!r}, {col!r}) needs int coordinates")
-        if col < 1 or row <= col:
-            raise RookError(f"({row},{col}) is not a root: need row > col >= 1")
+        # exact ints on the board pass one test; the rest get each check
+        if not (type(row) is int and type(col) is int and 0 < col < row):
+            if not (_is_int(row) and _is_int(col)):
+                raise RookError(f"root ({row!r}, {col!r}) needs int coordinates")
+            if col < 1 or row <= col:
+                raise RookError(f"({row},{col}) is not a root: need row > col >= 1")
+            row, col = int(row), int(col)  # an int subclass may print otherwise
         return tuple.__new__(cls, (row, col))
 
     row = property(itemgetter(0))
@@ -70,7 +73,7 @@ class Root(tuple):
 
 def roots_to_text(roots: Iterable[Root]) -> str:
     """Serialize roots as ``i,j;i,j;...`` in the order given."""
-    return ";".join(str(r) for r in roots)
+    return ";".join(map("%d,%d".__mod__, roots))
 
 
 @dataclass(frozen=True)
@@ -85,13 +88,14 @@ class RookPlacement:
     roots: tuple[Root, ...]
 
     def __post_init__(self) -> None:
-        if not _is_int(self.n) or self.n < 0:
-            raise AmbientError(
-                f"board size must be a non-negative int, got {self.n!r}"
-            )
-        roots = _as_tuple(self.roots)
+        # each check tests the exact type first, which is all it takes on
+        # the hot paths, and falls back to the subclass-aware test
+        n = self.n
+        if not (type(n) is int or _is_int(n)) or n < 0:
+            raise AmbientError(f"board size must be a non-negative int, got {n!r}")
+        roots = self.roots if type(self.roots) is tuple else _as_tuple(self.roots)
         for r in roots:
-            if not isinstance(r, Root):
+            if type(r) is not Root and not isinstance(r, Root):
                 raise RookError(f"{r!r} is not a Root")
         ordered = tuple(sorted(roots))
         object.__setattr__(self, "roots", ordered)
@@ -99,7 +103,7 @@ class RookPlacement:
             return
         # zip transposes in C: unpacking a Root, a tuple subclass, is slow
         rows, cols = zip(*ordered)
-        if len(set(rows)) == len(set(cols)) == len(ordered) and rows[-1] <= self.n:
+        if len(set(rows)) == len(set(cols)) == len(ordered) and rows[-1] <= n:
             return  # the last root has the largest row
         seen_rows: dict[int, Root] = {}
         seen_cols: dict[int, Root] = {}

@@ -229,6 +229,23 @@ def test_moves_are_strict_descents_with_known_size_change():
                 assert not set(m.target) & set(d.roots)
 
 
+@pytest.mark.parametrize(
+    "n,kind,edges",
+    [
+        (8, "general", 20500),
+        (9, "orthogonal", 15892),
+        pytest.param(10, "general", 820582, marks=pytest.mark.slow),
+        pytest.param(12, "orthogonal", 1303036, marks=pytest.mark.slow),
+    ],
+    ids=["general-8", "orthogonal-9", "general-10", "orthogonal-12"],
+)
+def test_move_edge_totals_are_the_hasse_edge_counts(n, kind, edges):
+    # the Hasse edge counts of build_poset, streamed one element at a time
+    # from the moves, with no relation built
+    predecessors = predecessors_general if kind == "general" else predecessors_orthogonal
+    assert sum(len(predecessors(d)) for d in enumerate_placements(n, kind)) == edges
+
+
 def test_orthogonal_moves_stay_orthogonal():
     general_kinds = {"remove", "slide_right", "slide_up", "cross_general",
                      "cross_orthogonal", "split_orthogonal"}
@@ -263,6 +280,14 @@ def test_cover_move_json_shape():
         "target": "8,6",
         "result": "3,1;5,4;6,2;7,3;8,6",
     }
+    assert repr(move) == (
+        "CoverMove(kind='slide_right', source=(Root(row=8, col=5),), "
+        "target=(Root(row=8, col=6),), result=RookPlacement(n=8, roots=("
+        "Root(row=3, col=1), Root(row=5, col=4), Root(row=6, col=2), "
+        "Root(row=7, col=3), Root(row=8, col=6))))"
+    )
+    with pytest.raises(AttributeError):
+        move.kind = "remove"
 
 
 @settings(max_examples=60)

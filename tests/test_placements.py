@@ -7,6 +7,7 @@ import pickle
 import re
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -38,20 +39,40 @@ GENERAL_COUNTS = [1, 2, 5, 15, 52, 203, 877]
 ORTHOGONAL_COUNTS = [1, 2, 4, 10, 26, 76, 232]
 
 
+class Index(int):
+    """An int subclass that is not bool: it misses the exact-type fast
+    paths of Root and RookPlacement and must pass their full checks."""
+
+    def __str__(self) -> str:
+        return f"Index({int(self)})"
+
+
 def test_make_root_accepts_cells_below_diagonal():
     r = Root(6, 2)
     assert (r.row, r.col) == (6, 2)
 
 
-@pytest.mark.parametrize("i,j", [(2, 2), (1, 3), (3, 0), (1, 1)])
+@pytest.mark.parametrize("i,j", [(Index(6), 2), (6, Index(2)), (Index(6), Index(2))])
+def test_int_subclass_coordinates_are_accepted_as_plain_ints(i, j):
+    r = Root(i, j)
+    assert r == (6, 2) and list(map(type, r)) == [int, int]
+    assert str(r) == "6,2" and RookPlacement(6, (r,)).to_text() == "6,2"
+
+
+@pytest.mark.parametrize("i,j", [(2, 2), (1, 3), (3, 0), (1, 1),
+                                 pytest.param(Index(2), Index(2), id="Index-Index")])
 def test_make_root_rejects_bad_cells(i, j):
-    with pytest.raises(RookError):
+    with pytest.raises(RookError, match="is not a root"):
         Root(i, j)
 
 
-@pytest.mark.parametrize("i,j", [("3", 1), (3, 1.0), (2.5, 1), (2, True), (True, 0)])
+@pytest.mark.parametrize(
+    "i,j",
+    [("3", 1), (3, 1.0), (2.5, 1), (2, True), (True, 0),
+     pytest.param(np.int64(3), 1, id="int64-1"), pytest.param(3, np.int64(1), id="3-int64")],
+)
 def test_make_root_rejects_coordinates_that_are_not_ints(i, j):
-    with pytest.raises(RookError, match="int coordinates"):
+    with pytest.raises(RookError, match=re.escape(f"root ({i!r}, {j!r}) needs int coordinates")):
         Root(i, j)
 
 
@@ -128,23 +149,41 @@ def test_validate_placement_rejects_coordinates_that_are_not_ints(roots, n):
         validate_placement(roots, n)
 
 
-@pytest.mark.parametrize("n", [2.5, 2.0, True, "3", None])
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "3", None, pytest.param(np.int64(3), id="int64")])
 def test_board_size_that_is_not_an_int_is_rejected(n):
-    with pytest.raises(AmbientError):
+    message = re.escape(f"board size must be a non-negative int, got {n!r}")
+    with pytest.raises(AmbientError, match=message):
         parse_placement("2,1", n)
-    with pytest.raises(AmbientError):
+    with pytest.raises(AmbientError, match=message):
         RookPlacement(n, ())
-    with pytest.raises(AmbientError):
+    with pytest.raises(AmbientError, match=message):
         count_placements(n)
-    with pytest.raises(AmbientError):
+    with pytest.raises(AmbientError, match=message):
         enumerate_placements(n)
     with pytest.raises(AmbientError):
         build_poset(n)
 
 
+def test_int_subclass_board_size_is_accepted():
+    d = RookPlacement(Index(3), (Root(3, 1),))
+    assert d == RookPlacement(3, (Root(3, 1),)) and d.to_text() == "3,1"
+    assert enumerate_placements(Index(3)) == enumerate_placements(3)
+    with pytest.raises(AmbientError, match=r"^root \(4,1\) outside board of size"):
+        RookPlacement(Index(3), (Root(4, 1),))
+
+
+class _SubRoot(Root):
+    __slots__ = ()
+
+
 def test_placement_roots_must_be_root_objects():
     with pytest.raises(RookError, match="not a Root"):
         RookPlacement(3, ((2, 1),))
+    with pytest.raises(RookError, match=r"^\(2, 1\) is not a Root$"):
+        RookPlacement(3, [Root(3, 1), (2, 1)])
+    # the exact-type test comes first; a Root subclass and a list still pass
+    d = RookPlacement(3, [_SubRoot(3, 2), Root(2, 1)])
+    assert d.roots == ((2, 1), (3, 2)) and type(d.roots) is tuple
 
 
 def test_placement_roots_must_be_iterable():
