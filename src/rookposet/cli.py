@@ -10,10 +10,12 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .covers import moves_general, moves_orthogonal
 from .errors import RookError
 from .kerov import kerov_map, rank_general, rank_orthogonal
-from .order import involution_of, leq_placement, rank_matrix
+from .order import counting_entries, involution_of, leq_placement
 from .placements import (
     DEFAULT_CAP,
     enumerate_placements,
@@ -52,8 +54,12 @@ def cmd_compare(args) -> int:
     a = parse_placement(args.a, args.n)
     b = parse_placement(args.b, args.n)
     if not args.summary:
-        for name, d in (("R(a)", a), ("R(b)", b)):
-            for line in _matrix_lines(name, rank_matrix(d).entries):
+        # both counting matrices, zero on and above the diagonal
+        matrices = np.zeros((2, args.n, args.n), dtype=int)
+        below = np.tril_indices(args.n, -1)
+        matrices[:, below[0], below[1]] = counting_entries((a, b)).T
+        for name, matrix in zip(("R(a)", "R(b)"), matrices.tolist()):
+            for line in _matrix_lines(name, matrix):
                 print(line)
     le, ge = leq_placement(a, b), leq_placement(b, a)
     if le and ge:

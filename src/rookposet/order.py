@@ -11,18 +11,17 @@ placement at a time in pure Python, is the dense oracle for them.
 packed_dominance turns them into the relation as packed bit rows, the
 one form that the materialized poset keeps and dominance_matrix unpacks.
 
-leq_placement compares two placements with k rooks between them on O(k^2)
-cells, not all n(n - 1)/2: like Fulton's essential set (Duke Math. J. 65,
-1992), a counting matrix only changes value where a rook's row or column
-starts.  Rows i in {2} and {row + 1 of each rook} and columns j in {1}
-and {col of each rook} cut the board into rectangles on which both
-matrices are constant, and each is read at the cell (max(i, j + 1), j),
-skipped when that row is past n.  The max matters: a rectangle whose low
-corner (i, j) lies on or above the diagonal can still hold cells below
-it, and (j + 1, j) is the first of them; '3,2' against the empty
-placement on n = 5 differs only in such a rectangle.  If the rectangle
-holds none, that cell lies in another one, so every cell read is a real
-constraint.  rank_matrix and RankMatrix.__le__ stay as the dense route.
+leq_placement compares D1 with D2 on at most k1(k1 + 1)/2 cells for the
+k1 rooks of D1, whatever the board and the rooks of D2: only a cell
+(r, c) with r a row and c a column of D1's rooks, r > c, can fail.  Take
+any cell (i, j) and let S be the rooks of D1 it counts; if S is empty
+there is nothing to check.  Else let i' be the least row and j' the
+largest column in S: (i', j') is a cell, as i' >= i > j >= j', its
+region holds S and lies inside the region of (i, j), so count1(i', j')
+= count1(i, j) and count2(i', j') <= count2(i, j).  Like Fulton's
+essential set (Duke Math. J. 65, 1992), the cells come from where D1's
+own matrix steps, so the cost follows the rooks of the left operand.
+rank_matrix and RankMatrix.__le__ stay as the dense route.
 
 Orthogonal placements are involutions in disguise: involution_of turns
 one into the product of its transpositions, and bruhat_matrix compares
@@ -80,30 +79,28 @@ def rank_matrix(placement: RookPlacement) -> RankMatrix:
 def leq_placement(d1: RookPlacement, d2: RookPlacement) -> bool:
     """Dominance comparison; placements must live on boards of equal size.
 
-    Reads only the O(k^2) cells of the sparse-cell rule (module docstring)
-    for k rooks in all, at O(log k) each.
+    Reads only the cells (r, c) of the rule in the module docstring: r a
+    row and c a column of d1's rooks, r > c.  It sweeps d1's rooks by
+    descending row and, at the row r of the t-th of them, reads the at
+    most t columns below r of d1's rooks in rows >= r, so at most
+    k1(k1 + 1)/2 cells for k1 rooks of d1, at O(log k) each.
     """
     if _placement(d1).n != _placement(d2).n:
         raise AmbientError(f"cannot compare boards of sizes {d1.n} and {d2.n}")
-    n = d1.n
-    roots = d1.roots + d2.roots
-    cand_rows = sorted({r[0] + 1 for r in roots if r[0] < n})
-    entering: dict[int, tuple[list[int], list[int]]] = {1: ([], [])}
-    for side, d in enumerate((d1, d2)):
-        for r in d.roots:
-            entering.setdefault(r[1], ([], []))[side].append(r[0])
-    # rows of the rooks in columns <= j, sorted, for d1 and d2
-    rows1: list[int] = []
-    rows2: list[int] = []
-    for j in sorted(entering):
-        new1, new2 = entering[j]
-        for row in new1:
-            insort(rows1, row)
-        for row in new2:
-            insort(rows2, row)
-        # row 2 and the candidate rows at or above the diagonal move to j + 1
-        for i in [j + 1] + cand_rows[bisect_right(cand_rows, j + 1) :]:
-            if len(rows1) - bisect_left(rows1, i) > len(rows2) - bisect_left(rows2, i):
+    # columns of the rooks in rows >= r, sorted, for d1 and d2; the roots
+    # are sorted by row, so d2's enter from its end
+    cols1: list[int] = []
+    cols2: list[int] = []
+    roots2 = d2.roots
+    t = len(roots2)
+    for r, c in reversed(d1.roots):
+        insort(cols1, c)
+        while t and roots2[t - 1][0] >= r:
+            t -= 1
+            insort(cols2, roots2[t][1])
+        # count1(r, cols1[idx]) is idx + 1
+        for idx in range(bisect_left(cols1, r)):
+            if idx + 1 > bisect_right(cols2, cols1[idx]):
                 return False
     return True
 
@@ -135,17 +132,19 @@ def _mapped(rows: int, cols: int, dtype: type) -> np.ndarray:
 
 def counting_entries(placements: Sequence[RookPlacement]) -> np.ndarray:
     """The below-diagonal counting-matrix entries of each placement as an
-    int8 (n(n - 1)/2 x m) array, one row per cell (i, j), i > j, in
-    row-major order.  Each entry is at most n // 2.  All placements must
-    live on one board (AmbientError otherwise)."""
+    (n(n - 1)/2 x m) array, one row per cell (i, j), i > j, in row-major
+    order.  Each entry is at most n // 2, so the array is int8 up to
+    n = 255, every board the materialized poset reaches, and int16 past
+    it.  All placements must live on one board (AmbientError otherwise)."""
     n = placements[0].n if placements else 0
+    dtype = np.int8 if n < 256 else np.int16
     rows, cols = root_arrays(placements)
-    entries = np.empty((n * (n - 1) // 2, len(placements)), dtype=np.int8)
+    entries = np.empty((n * (n - 1) // 2, len(placements)), dtype=dtype)
     e = 0
     for i in range(2, n + 1):
         below = rows >= i
         for j in range(1, i):
-            np.sum(below & (cols <= j), axis=1, dtype=np.int8, out=entries[e])
+            np.sum(below & (cols <= j), axis=1, dtype=dtype, out=entries[e])
             e += 1
     return entries
 
@@ -182,7 +181,7 @@ def packed_dominance(
     entries = counting_entries(placements)
     columns = np.argsort(entries.sum(axis=0), kind="stable")
     # an all-zero cell first: its v = 0 set (no pad bits) seeds each row
-    entries = np.vstack([np.zeros((1, m), dtype=np.int8), entries])
+    entries = np.vstack([np.zeros((1, m), dtype=entries.dtype), entries])
     values = np.arange(entries.max(initial=0) + 1)[:, None]
     sets = np.stack([pack_rows(e[columns] >= values) for e in entries])
     width = sets.shape[2]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import permutations as all_perms
 
 import numpy as np
@@ -77,9 +78,9 @@ def test_leq_placement_known_pair():
 
 
 def test_leq_placement_reads_cells_below_a_constant_rectangle():
-    # '3,2' counts 1 at (3, 2) and the empty placement 0; that cell is in
-    # the rectangle with corner (2, 2) on the diagonal, so the sparse rule
-    # must move the corner to (max(i, j + 1), j) = (3, 2), not skip it
+    # '3,2' counts 1 at (3, 2) and the empty placement 0: the one cell the
+    # sparse rule reads for it is (3, 2), row and column of its own rook;
+    # the empty placement reads no cell at all and is below everything
     assert leq_placement(parse_placement("3,2", 5), parse_placement("", 5)) is False
     assert leq_placement(parse_placement("", 5), parse_placement("3,2", 5)) is True
 
@@ -127,6 +128,26 @@ def test_leq_placement_matches_dense_matrices(pair):
     assert leq_placement(b, a) == (rank_matrix(b) <= rank_matrix(a))
 
 
+@settings(max_examples=60)
+@given(st.one_of(placements(max_n=40), orthogonal_placements(max_n=40)))
+def test_each_count_is_read_at_a_cell_of_the_rooks_it_counts(d):
+    # the lemma leq_placement rests on: a nonzero entry (i, j) equals the
+    # entry at (least row, largest column) of the rooks S it counts, a
+    # cell of rows(D) x cols(D) below the diagonal
+    matrix = rank_matrix(d)
+    for i in range(2, d.n + 1):
+        for j in range(1, i):
+            counted = [(r, c) for r, c in d.roots if r >= i and c <= j]
+            if not counted:
+                assert matrix.entry(i, j) == 0
+                continue
+            least_row = min(r for r, _ in counted)
+            largest_col = max(c for _, c in counted)
+            assert least_row in d.rows and largest_col in d.cols
+            assert least_row > largest_col
+            assert matrix.entry(least_row, largest_col) == matrix.entry(i, j)
+
+
 def test_single_element_kernels_do_not_touch_the_dense_routes(monkeypatch):
     def dense(*args):
         raise AssertionError("dense route called")
@@ -139,6 +160,14 @@ def test_single_element_kernels_do_not_touch_the_dense_routes(monkeypatch):
     a = parse_placement("2000,1", 2000)
     b = parse_placement("1999,3", 2000)
     assert leq_placement(b, a) and not leq_placement(a, b)
+    # one rook on the left against about 500 on the right: the cells read
+    # follow the left operand's rooks
+    rng = random.Random(18)
+    rows = rng.sample(range(1001, 2000), 499)
+    cols = rng.sample(range(2, 1001), 499)
+    many = [(2000, 1)] + list(zip(rows, cols))
+    assert leq_placement(a, validate_placement(many, 2000)) is True
+    assert leq_placement(a, validate_placement(many[1:], 2000)) is False
     assert rank_general(a) == 2 * 1999 - 1
     assert rank_orthogonal(b) == 1996
 
@@ -146,6 +175,9 @@ def test_single_element_kernels_do_not_touch_the_dense_routes(monkeypatch):
 def test_leq_placement_rejects_mismatched_boards():
     with pytest.raises(AmbientError):
         leq_placement(parse_placement("2,1", 3), parse_placement("2,1", 4))
+    # an empty left operand reads no cell, but the boards are still checked
+    with pytest.raises(AmbientError):
+        leq_placement(parse_placement("", 3), parse_placement("", 4))
 
 
 def test_empty_placement_is_below_everything():
@@ -381,6 +413,15 @@ def test_counting_entries_match_rank_matrix_exhaustive(n, kind):
     assert entries.shape == (n * (n - 1) // 2, len(elements))
     assert entries.dtype == np.int8
     assert entries.T.tolist() == [_dense_entries(d) for d in elements]
+
+
+def test_counting_entries_widen_past_int8_on_large_boards():
+    # 150 rooks all counted at (151, 150): more than int8 holds
+    d = validate_placement([(i + 150, i) for i in range(1, 151)], 300)
+    entries = counting_entries([d])
+    assert entries.dtype == np.int16
+    cell = 150 * 149 // 2 + 149  # row-major index of (151, 150)
+    assert entries[cell, 0] == entries.max() == 150
 
 
 def test_counting_entries_match_rank_matrix_off_the_enumeration():

@@ -57,6 +57,7 @@ KERNELS = {
     ("poset", "Poset"): ORACLES,
     ("poset", "_cover_scan"): ORACLES,
     ("poset", "check_graded"): ORACLES,
+    ("cli", "cmd_compare"): ORACLES,
 }
 KERNELS.update(
     {
