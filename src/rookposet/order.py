@@ -31,7 +31,6 @@ no code shared with dominance_matrix, so that each one checks the other.
 
 from __future__ import annotations
 
-import mmap
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Sequence
@@ -110,26 +109,6 @@ def leq_placement(d1: RookPlacement, d2: RookPlacement) -> bool:
 _BLOCK_BYTES = 1 << 19
 
 
-def _mapped(rows: int, cols: int, dtype: type) -> np.ndarray:
-    """A zero-filled rows x cols array in an anonymous mapping of its own.
-
-    Large arrays that are built again and again go there rather than on
-    the C heap: freeing one makes glibc raise its mmap threshold, so the
-    next of that size lands on the heap.  It then only fits if no small
-    block has landed in the hole the last one left, and the heap keeps up
-    to twice the threshold free at its top, so peak and resting RSS of
-    repeated builds would grow.  The mapping is unmapped when the array
-    dies; tracemalloc does not see it.  CapError when the OS refuses it.
-    """
-    size = rows * cols * np.dtype(dtype).itemsize
-    try:
-        buffer = mmap.mmap(-1, max(size, 1))
-    except OSError as exc:
-        raise CapError(f"cannot map {rows} rows x {cols} words ({size} bytes): {exc.strerror}")
-    flat = np.frombuffer(buffer, dtype=dtype, count=rows * cols)
-    return flat.reshape(rows, cols)
-
-
 def counting_entries(placements: Sequence[RookPlacement]) -> np.ndarray:
     """The below-diagonal counting-matrix entries of each placement as an
     (n(n - 1)/2 x m) array, one row per cell (i, j), i > j, in row-major
@@ -174,8 +153,8 @@ def packed_dominance(
     of t at most that of d and one smaller.  As in a range-encoded bitmap
     index (Chan and Ioannidis, SIGMOD 1999), the set {b : E[e, b] >= v}
     is packed once per cell e and value v, and row a is the AND over the
-    cells of the set at v = E[e, a], filled a block of rows at a time in
-    an anonymous mapping of m^2 / 8 bytes.
+    cells of the set at v = E[e, a], filled a block of rows at a time,
+    each seeded first, in an m^2 / 8 byte array (CapError if refused).
     """
     m = len(placements)
     entries = counting_entries(placements)
@@ -185,7 +164,10 @@ def packed_dominance(
     values = np.arange(entries.max(initial=0) + 1)[:, None]
     sets = np.stack([pack_rows(e[columns] >= values) for e in entries])
     width = sets.shape[2]
-    bits = _mapped(m, width, np.uint64)
+    try:
+        bits = np.empty((m, width), dtype=np.uint64)
+    except MemoryError:
+        raise CapError(f"cannot allocate {m} rows x {width} words ({8 * m * width} bytes)")
     rows = max(1, _BLOCK_BYTES // max(16 * width, 1))
     scratch = np.empty((min(rows, m), width), dtype=np.uint64)
     for a0 in range(0, m, rows):
@@ -207,13 +189,16 @@ def dominance_matrix(placements: Sequence[RookPlacement]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Permutation:
-    """A permutation of {1..n} in one-line notation."""
+    """A permutation of {1..n} in one-line notation; pickle and copy check it."""
 
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise RookError(f"not a permutation of 1..{len(self.images)}: {self.images}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.images,)
 
     @property
     def n(self) -> int:

@@ -80,8 +80,8 @@ def roots_to_text(roots: Iterable[Root]) -> str:
 class RookPlacement:
     """An immutable placement on the board of size n.
 
-    Roots are stored sorted ascending by (row, col); this canonical
-    order is what every serialization and enumeration uses.
+    Roots are stored sorted ascending by (row, col), the order of every
+    serialization and enumeration; pickle and copy rebuild it checked.
     """
 
     n: int
@@ -119,6 +119,9 @@ class RookPlacement:
                     f"rooks ({seen_cols[r.col]}) and ({r}) share column {r.col}"
                 )
             seen_rows[r.row] = seen_cols[r.col] = r
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.n, self.roots)
 
     @property
     def rows(self) -> frozenset[int]:

@@ -26,6 +26,7 @@ from .placements import (
     Kind,
     Root,
     RookPlacement,
+    _is_int,
     count_placements,
     enumerate_placements,
 )
@@ -73,6 +74,8 @@ class SuiteResult:
 def _boards(name: str, low: int, max_n: int) -> range:
     """Board sizes low..max_n; a bound that leaves none is refused, since
     a suite that checks nothing would report a vacuous PASS."""
+    if not _is_int(max_n):
+        raise RookError(f"{name} needs an int bound, got {max_n!r}")
     if max_n < low:
         raise RookError(f"{name} checks boards from n={low}; max_n={max_n} checks none")
     return range(low, max_n + 1)
@@ -244,8 +247,8 @@ SUITES["all"] = {key: fn for part in SUITES.values() for key, fn in part.items()
 def run_suite(name: str, max_n: int | None = None) -> list[SuiteResult]:
     """Run one named suite ('all' for every one); None runs each sub-suite
     up to its DEFAULT_BOUNDS entry."""
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if not isinstance(name, str) or name not in SUITES:
+        raise RookError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     return [
         fn(DEFAULT_BOUNDS[key] if max_n is None else max_n)
         for key, fn in SUITES[name].items()

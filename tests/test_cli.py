@@ -1,12 +1,12 @@
 from __future__ import annotations
 
-import errno
 import json
-import mmap
 import re
 
+import numpy as np
 import pytest
 
+import rookposet.order as order_module
 from rookposet import CapError, build_poset
 from rookposet.cli import main
 
@@ -229,12 +229,23 @@ def test_unknown_suite_exits_2(capsys):
     assert run(capsys, "verify", "--suite", "nope")[0] == 2
 
 
-def test_a_relation_the_os_cannot_map_exits_2(monkeypatch, capsys):
-    def refuse(*args):
-        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+class _RefusingNumpy:
+    """numpy, except that empty() refuses the relation of R(5): 52 rows of
+    one uint64 word, as numpy refuses an array the OS will not give it."""
 
-    monkeypatch.setattr(mmap, "mmap", refuse)
-    message = "cannot map 52 rows x 1 words (416 bytes): Cannot allocate memory"
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float, **kwargs):
+        if shape == (52, 1) and np.dtype(dtype) == np.uint64:
+            raise MemoryError("Unable to allocate 416. B for an array")
+        return np.empty(shape, dtype, **kwargs)
+
+
+def test_a_relation_the_os_cannot_map_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(order_module, "np", _RefusingNumpy())
+    message = "cannot allocate 52 rows x 1 words (416 bytes)"
     with pytest.raises(CapError, match=f"^{re.escape(message)}$"):
         build_poset(5)
     assert run(capsys, "hasse", "--n", "5") == (2, "", f"error: {message}\n")

@@ -172,6 +172,12 @@ def test_single_element_kernels_do_not_touch_the_dense_routes(monkeypatch):
     assert rank_orthogonal(b) == 1996
 
 
+def test_rank_matrices_of_two_boards_do_not_compare():
+    a, b = rank_matrix(parse_placement("2,1", 3)), rank_matrix(parse_placement("2,1", 4))
+    with pytest.raises(AmbientError, match="cannot compare boards of sizes 3 and 4"):
+        a <= b
+
+
 def test_leq_placement_rejects_mismatched_boards():
     with pytest.raises(AmbientError):
         leq_placement(parse_placement("2,1", 3), parse_placement("2,1", 4))

@@ -17,6 +17,7 @@ from rookposet import (
     AmbientError,
     AttackError,
     CapError,
+    Permutation,
     Root,
     RookError,
     RookPlacement,
@@ -115,6 +116,35 @@ def test_root_pickle_round_trip(protocol):
 def test_root_copy_round_trip(clone):
     r = clone(Root(6, 2))
     assert type(r) is Root and r == (6, 2)
+    d, w = parse_placement("3,1;6,2", 6), Permutation((3, 1, 2))
+    assert clone(d) == d and clone(w) == w
+
+
+def _small_int(value: int, protocol: int) -> bytes:
+    """How pickle writes an int below 256: INT in protocol 0, BININT1 after."""
+    return b"I%d\n" % value if protocol == 0 else b"K" + bytes([value])
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+@pytest.mark.parametrize(
+    "cls,args,old,new,error",
+    [
+        # the board of a placement shrunk below its root (3,1)
+        (RookPlacement, (6, (Root(3, 1),)), 6, 2, AmbientError),
+        # an image of a permutation repeated
+        (Permutation, ((1, 2, 3),), 1, 2, RookError),
+    ],
+    ids=["placement", "permutation"],
+)
+def test_a_pickle_edited_to_an_invalid_value_is_refused(protocol, cls, args, old, new, error):
+    # the reduction calls the class itself, so that loading checks again
+    value = cls(*args)
+    assert value.__reduce_ex__(protocol) == (cls, args)
+    assert pickle.loads(pickle.dumps(value, protocol)) == value
+    payload = pickle.dumps(value, protocol)
+    assert payload.count(_small_int(old, protocol)) == 1
+    with pytest.raises(error):
+        pickle.loads(payload.replace(_small_int(old, protocol), _small_int(new, protocol)))
 
 
 class _Forged:
@@ -134,6 +164,13 @@ def test_no_route_builds_a_root_that_is_not_one():
         pickle.loads(pickle.dumps(_Forged()))
     with pytest.raises(TypeError):
         Root((6, 2))
+
+
+def test_enumeration_refuses_an_unknown_kind():
+    with pytest.raises(RookError, match="unknown kind 'bogus'"):
+        enumerate_placements(4, "bogus")
+    with pytest.raises(RookError, match="unknown kind 'bogus'"):
+        count_placements(4, "bogus")
 
 
 def test_a_single_root_is_not_an_iterable_of_roots():

@@ -375,6 +375,12 @@ def test_packed_pair_must_fit_the_elements():
         Poset(4, "general", elements[:14], packed_dominance(elements))
 
 
+def test_bool_relation_must_fit_the_elements():
+    elements = enumerate_placements(4)
+    with pytest.raises(RookError, match=re.escape("leq must be 15x15, got (14, 14)")):
+        Poset(4, "general", elements, np.eye(14, dtype=bool))
+
+
 @pytest.mark.parametrize(
     "bad,message",
     [
@@ -585,10 +591,10 @@ def test_hasse_edge_counts_are_pinned(n, kind, edges):
 
 
 def test_build_poset_memory_stays_near_one_leq_matrix():
-    # m = 877, so the packed relation takes 0.1 MB, in an anonymous
-    # mapping that tracemalloc does not see; a bool leq matrix would take
-    # 0.77 MB.  The bound lies between the peak of a dense float32 f @ f
-    # reduction (10.0 MB) and of the blocked build (0.9 MB).
+    # m = 877, so the packed relation takes 0.1 MB, which tracemalloc
+    # counts; a bool leq matrix would take 0.77 MB.  The bound lies
+    # between the peak of a dense float32 f @ f reduction (10.0 MB) and
+    # of the blocked build (0.9 MB).
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -682,6 +688,30 @@ def test_orthogonal_ten_hasse_edges_are_the_move_covers():
     poset = build_poset(10, "orthogonal")
     assert len(poset.hasse) == 67486
     assert sum(len(predecessors_orthogonal(d)) for d in poset.elements) == 67486
+
+
+def test_repeated_builds_keep_the_peak_rss():
+    # Five passes of the benchmark's hasse ladder in a fresh process: the
+    # relations freed by one pass must leave room for the next, so that
+    # the peak RSS after pass 5 is within 2 MB of that after pass 1.  It
+    # is read as VmHWM, since ru_maxrss keeps the peak of the process
+    # that spawned this one across exec.
+    code = (
+        "import re; from rookposet import build_poset, check_graded\n"
+        "for _ in range(5):\n"
+        "    for kind, n in [('general', 6), ('general', 7), ('general', 8),\n"
+        "                    ('orthogonal', 7), ('orthogonal', 8), ('orthogonal', 9)]:\n"
+        "        check_graded(build_poset(n, kind))\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        print(re.search(r'VmHWM:\\s*(\\d+) kB', status.read())[1])\n"
+    )
+    src = os.path.dirname(os.path.dirname(rookposet.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    peaks = [int(line) for line in out.stdout.split()]
+    assert len(peaks) == 5 and peaks[-1] - peaks[0] <= 2 * 1024
 
 
 @pytest.mark.slow

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import re
+from dataclasses import replace
+
 import pytest
 
 import rookposet.verify as verify_module
-from rookposet import involution_of, kerov_map, parse_placement
+from rookposet import RookError, involution_of, kerov_map, parse_placement
 
 
 def test_kerov_order_reports_every_disagreeing_pair(monkeypatch):
@@ -84,6 +87,105 @@ def test_kerov_covers_refuses_a_map_that_is_not_injective(monkeypatch):
         "kerov-covers: FAIL (250 checked)\n"
         "  n=3: the doubling map is not injective on R(3)"
     )
+
+
+@pytest.mark.parametrize(
+    "change,checked,failures",
+    [
+        # one element twice: the count, the known count and the repeat fail
+        (
+            lambda elements: elements + elements[:1],
+            7,
+            [
+                "general n=2: enumerated 3, counted 2",
+                "general n=2: enumerated 3, expected 2",
+                "general n=2: enumeration repeats an element",
+            ],
+        ),
+        # the last element replaced by the first: the count holds, the set not
+        (
+            lambda elements: elements[:-1] + elements[:1],
+            6,
+            [
+                "general n=2: enumeration repeats an element",
+                "general n=2: subset-filter oracle disagrees",
+            ],
+        ),
+    ],
+    ids=["repeated", "replaced"],
+)
+def test_counts_reports_a_wrong_enumeration(monkeypatch, change, checked, failures):
+    real = verify_module.enumerate_placements
+    monkeypatch.setattr(
+        verify_module,
+        "enumerate_placements",
+        lambda n, kind: change(real(n, kind)) if (n, kind) == (2, "general") else real(n, kind),
+    )
+    res = verify_module.verify_counts(2)
+    assert res.summary() == "\n".join(
+        [f"counts: FAIL ({checked} checked)"] + ["  " + f for f in failures]
+    )
+
+
+@pytest.mark.parametrize(
+    "kind,checked,missing",
+    [("general", 5, "['2,1;3,2']"), ("orthogonal", 4, "['2,1', '3,2']")],
+)
+def test_covers_reports_missing_and_extra_covers(monkeypatch, kind, checked, missing):
+    # Below the maximum '3,1' of R(3) or I(3), report the minimum '' as
+    # its only cover: its real covers go missing and '' is extra.
+    top, bottom = parse_placement("3,1", 3), parse_placement("", 3)
+    name = f"predecessors_{kind}"
+    real = getattr(verify_module, name)
+    monkeypatch.setattr(verify_module, name, lambda d: {bottom} if d == top else real(d))
+    res = getattr(verify_module, f"verify_covers_{kind}")(3)
+    assert res.summary() == (
+        f"covers-{kind}: FAIL ({checked} checked)\n"
+        f"  {kind} n=3 D='3,1': missing {missing}, extra ['']"
+    )
+
+
+@pytest.mark.parametrize("kind,checked", [("general", 7), ("orthogonal", 6)])
+@pytest.mark.parametrize(
+    "change,failure",
+    [
+        ({"is_graded": False, "witness": "chains of 2 and 3"}, "not graded: chains of 2 and 3"),
+        ({"rank_formula_ok": False}, "Hasse rank disagrees with formula"),
+    ],
+    ids=["not-graded", "formula"],
+)
+def test_graded_reports_a_failed_report(monkeypatch, kind, checked, change, failure):
+    real = verify_module.check_graded
+    monkeypatch.setattr(
+        verify_module,
+        "check_graded",
+        lambda poset: replace(real(poset), **change) if poset.n == 3 else real(poset),
+    )
+    res = getattr(verify_module, f"verify_graded_{kind}")(3)
+    assert res.summary() == f"graded-{kind}: FAIL ({checked} checked)\n  {kind} n=3: {failure}"
+
+
+@pytest.mark.parametrize("count", [10, 12])
+def test_summary_shows_ten_failures_and_counts_the_rest(count):
+    res = verify_module.SuiteResult("x", 99, [f"failure {i}" for i in range(count)])
+    lines = res.summary().split("\n")
+    assert lines[:11] == ["x: FAIL (99 checked)"] + [f"  failure {i}" for i in range(10)]
+    assert lines[11:] == ([f"  ... and {count - 10} more"] if count > 10 else [])
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("bogus",), "unknown suite 'bogus'; choose from ['all', 'bruhat', "),
+        ((None,), "unknown suite None"),
+        (("counts", "3"), "counts needs an int bound, got '3'"),
+        (("counts", 2.5), "counts needs an int bound, got 2.5"),
+        (("graded", True), "graded-general needs an int bound, got True"),
+    ],
+)
+def test_run_suite_refuses_bad_input(args, message):
+    with pytest.raises(RookError, match=f"^{re.escape(message)}"):
+        verify_module.run_suite(*args)
 
 
 @pytest.mark.slow
