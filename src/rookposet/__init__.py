@@ -12,7 +12,6 @@ from .errors import (
     AttackError,
     CapError,
     OrthogonalityError,
-    ParityError,
     RookError,
 )
 from .kerov import (
@@ -55,7 +54,6 @@ __all__ = [
     "DEFAULT_CAP",
     "GradedReport",
     "OrthogonalityError",
-    "ParityError",
     "Permutation",
     "Poset",
     "RookError",

@@ -21,7 +21,3 @@ class OrthogonalityError(RookError):
 
 class CapError(RookError):
     """An enumeration would exceed the configured cap, or a relation the memory."""
-
-
-class ParityError(RuntimeError):
-    """An integer that is provably even came out odd.  Signals a bug, not bad input."""

@@ -226,6 +226,8 @@ def render_board(placement: RookPlacement, symbol: str = "X") -> str:
     circled-times look), empty cells show '.'.
     """
     occupied = set(_placement(placement).roots)
+    if not isinstance(symbol, str):
+        raise RookError(f"symbol must be a str, got {symbol!r}")
     lines = [
         "".join(symbol if (i, j) in occupied else "." for j in range(1, placement.n + 1))
         for i in range(1, placement.n + 1)

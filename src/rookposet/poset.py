@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import order as order_module
-from .errors import RookError
+from .errors import AmbientError, RookError
 from .kerov import ranks_of
 from .order import pack_rows, packed_dominance, unpack_rows
-from .placements import DEFAULT_CAP, Kind, RookPlacement, enumerate_placements
+from .placements import DEFAULT_CAP, Kind, RookPlacement, _is_int, _placement, enumerate_placements
 
 
 class Poset:
@@ -30,7 +30,8 @@ class Poset:
     (RookError otherwise).  A bool array is packed once into such a pair,
     with its columns in down-set-size order, and not kept: the pair is the
     only form of the relation held.  `hasse` lists the cover edges as
-    sorted (lower_index, upper_index) pairs.
+    sorted (lower_index, upper_index) pairs.  The elements must be
+    distinct placements on the board of size n (RookError, AmbientError).
 
     The covers are the transitive reduction (Aho, Garey and Ullman, "The
     transitive reduction of a directed graph", SIAM J. Comput. 1, 1972):
@@ -52,8 +53,13 @@ class Poset:
         elements: tuple[RookPlacement, ...],
         leq: np.ndarray | tuple[np.ndarray, np.ndarray],
     ) -> None:
+        if not _is_int(n) or n < 0:
+            raise AmbientError(f"board size must be a non-negative int, got {n!r}")
         if kind not in ("general", "orthogonal"):
             raise RookError(f"unknown kind {kind!r}")
+        for e in elements:
+            if _placement(e).n != n:
+                raise AmbientError(f"placement {e.to_text()!r} is on board {e.n}, not {n}")
         m = len(elements)
         if isinstance(leq, tuple):
             if len(leq) != 2:
@@ -83,13 +89,16 @@ class Poset:
         self._below = lower[by_upper]
         self._below_at = np.searchsorted(upper[by_upper], np.arange(m + 1))
         self._index = dict(zip(self.elements, range(m)))
+        if len(self._index) < m:  # a repeat that leq orders both ways failed the scan
+            twice = next(e for i, e in enumerate(self.elements) if self._index[e] != i)
+            raise RookError(f"placement {twice.to_text()!r} is listed twice")
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def index_of(self, placement: RookPlacement) -> int:
         try:
-            return self._index[placement]
+            return self._index[_placement(placement)]
         except KeyError:
             raise RookError(
                 f"placement {placement.to_text()!r} (n={placement.n}) is not "

@@ -16,7 +16,6 @@ PUBLIC_NAMES = {
     "DEFAULT_CAP",
     "GradedReport",
     "OrthogonalityError",
-    "ParityError",
     "Permutation",
     "Poset",
     "RookError",
@@ -45,7 +44,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_pinned():
-    assert len(rookposet.__all__) == len(PUBLIC_NAMES) == 32
+    assert len(rookposet.__all__) == len(PUBLIC_NAMES) == 31
     assert set(rookposet.__all__) == PUBLIC_NAMES
     assert all(hasattr(rookposet, name) for name in PUBLIC_NAMES)
 

@@ -7,7 +7,6 @@ from conftest import orthogonal_placements, placements
 from rookposet import (
     AmbientError,
     OrthogonalityError,
-    ParityError,
     RookError,
     enumerate_placements,
     involution_of,
@@ -20,7 +19,7 @@ from rookposet import (
     rank_orthogonal,
     validate_placement,
 )
-from rookposet.kerov import _exact_half, ranks_of
+from rookposet.kerov import ranks_of
 from rookposet.order import inversion_length
 
 
@@ -148,15 +147,21 @@ def test_rank_orthogonal_matches_inversion_count(d):
     assert rank_orthogonal(d) == _rank_by_inversions(d)
 
 
+def test_rank_general_matches_inversion_count_of_the_image_exhaustive():
+    for n in range(2, 9):
+        for d in enumerate_placements(n):
+            assert rank_general(d) == _rank_by_inversions(kerov_map(d))
+
+
+@settings(max_examples=100)
+@given(placements(max_n=40, min_n=2))
+def test_rank_general_matches_inversion_count_of_the_image(d):
+    assert rank_general(d) == _rank_by_inversions(kerov_map(d))
+
+
 def test_rank_orthogonal_rejects_non_orthogonal_placements():
     with pytest.raises(OrthogonalityError):
         rank_orthogonal(parse_placement("2,1;3,2", 3))
-
-
-def test_exact_half_raises_on_odd_totals():
-    assert _exact_half(8) == 4
-    with pytest.raises(ParityError):
-        _exact_half(7)
 
 
 @settings(max_examples=60)

@@ -34,6 +34,7 @@ from rookposet import (
     render_board,
     validate_placement,
 )
+from rookposet.poset import brute_force_covers
 from rookposet.verify import subset_filter_placements
 
 GENERAL_COUNTS = [1, 2, 5, 15, 52, 203, 877]
@@ -419,7 +420,15 @@ def test_render_board_custom_symbol():
     assert render_board(d, symbol="⊗") == "..\n⊗."
 
 
-@pytest.mark.parametrize("value", [None, "x", Root(2, 1)], ids=["None", "str", "Root"])
+@pytest.mark.parametrize("symbol", [5, None, b"X"])
+def test_render_board_refuses_a_symbol_that_is_not_a_str(symbol):
+    with pytest.raises(RookError, match="symbol must be a str"):
+        render_board(parse_placement("2,1", 2), symbol=symbol)
+
+
+@pytest.mark.parametrize(
+    "value", [None, "x", Root(2, 1), [1, 2]], ids=["None", "str", "Root", "list"]
+)
 @pytest.mark.parametrize(
     "entry",
     [
@@ -430,9 +439,13 @@ def test_render_board_custom_symbol():
         rank_orthogonal,
         involution_of,
         render_board,
+        lambda v: build_poset(2).index_of(v),
+        lambda v: build_poset(2).leq_elements(RookPlacement(2, ()), v),
+        lambda v: brute_force_covers(build_poset(2), v),
     ],
     ids=["leq_placement-right", "leq_placement-left", "kerov_map", "rank_general",
-         "rank_orthogonal", "involution_of", "render_board"],
+         "rank_orthogonal", "involution_of", "render_board", "index_of", "leq_elements",
+         "brute_force_covers"],
 )
 def test_placement_functions_refuse_what_is_not_a_placement(entry, value):
     with pytest.raises(RookError, match=f"^{re.escape(repr(value))} is not a RookPlacement$"):

@@ -17,6 +17,7 @@ import rookposet.kerov
 import rookposet.order as order_module
 import rookposet.poset
 from rookposet import (
+    AmbientError,
     OrthogonalityError,
     Poset,
     RookError,
@@ -359,6 +360,35 @@ def test_packed_pair_of_a_repeated_placement_is_not_antisymmetric():
         Poset(4, "general", twice, packed_dominance(twice))
 
 
+def test_poset_refuses_a_repeated_element_its_relation_allows():
+    d = parse_placement("2,1", 3)
+    with pytest.raises(RookError) as err:
+        Poset(3, "general", (d, d), np.eye(2, dtype=bool))
+    assert str(err.value) == "placement '2,1' is listed twice"
+
+
+@pytest.mark.parametrize("n", [True, -1, 3.0, "3", None])
+def test_poset_refuses_a_board_size_that_is_not_a_non_negative_int(n):
+    with pytest.raises(AmbientError, match="board size must be a non-negative int"):
+        Poset(n, "general", (), np.zeros((0, 0), dtype=bool))
+
+
+def test_poset_refuses_elements_of_another_board():
+    elements = enumerate_placements(3)
+    with pytest.raises(AmbientError) as err:
+        Poset(5, "general", elements, packed_dominance(elements))
+    assert str(err.value) == "placement '' is on board 3, not 5"
+    mixed = (parse_placement("", 3), parse_placement("4,1", 4))
+    with pytest.raises(AmbientError, match="'4,1' is on board 4, not 3"):
+        Poset(3, "general", mixed, np.eye(2, dtype=bool))
+
+
+def test_poset_refuses_elements_that_are_not_placements():
+    with pytest.raises(RookError) as err:
+        Poset(3, "general", ("a", "b"), np.eye(2, dtype=bool))
+    assert str(err.value) == "'a' is not a RookPlacement"
+
+
 def test_packed_pair_must_list_its_columns_in_a_linear_extension():
     # the reverse of the enumeration order, which starts at the minimum
     elements = enumerate_placements(4)
@@ -690,44 +720,45 @@ def test_orthogonal_ten_hasse_edges_are_the_move_covers():
     assert sum(len(predecessors_orthogonal(d)) for d in poset.elements) == 67486
 
 
-def test_repeated_builds_keep_the_peak_rss():
-    # Five passes of the benchmark's hasse ladder in a fresh process: the
-    # relations freed by one pass must leave room for the next, so that
-    # the peak RSS after pass 5 is within 2 MB of that after pass 1.  It
-    # is read as VmHWM, since ru_maxrss keeps the peak of the process
-    # that spawned this one across exec.
-    code = (
-        "import re; from rookposet import build_poset, check_graded\n"
-        "for _ in range(5):\n"
-        "    for kind, n in [('general', 6), ('general', 7), ('general', 8),\n"
-        "                    ('orthogonal', 7), ('orthogonal', 8), ('orthogonal', 9)]:\n"
-        "        check_graded(build_poset(n, kind))\n"
+def _peaks_in_a_fresh_process(code: str) -> list[int]:
+    """Run code in a fresh Python process and return its peak RSS in kB at
+    each call the code makes to peak().  The peak is read as VmHWM
+    (Linux), since ru_maxrss keeps the peak of the process that spawned
+    this one across exec."""
+    peak = (
+        "import re\n"
+        "def peak():\n"
         "    with open('/proc/self/status') as status:\n"
         "        print(re.search(r'VmHWM:\\s*(\\d+) kB', status.read())[1])\n"
     )
     src = os.path.dirname(os.path.dirname(rookposet.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", peak + code], env=env, capture_output=True, text=True, check=True
     )
-    peaks = [int(line) for line in out.stdout.split()]
+    return [int(line) for line in out.stdout.split()]
+
+
+def test_repeated_builds_keep_the_peak_rss():
+    # Five passes of the benchmark's hasse ladder: the relations freed by
+    # one pass must leave room for the next, so that the peak RSS after
+    # pass 5 is within 2 MB of that after pass 1.
+    peaks = _peaks_in_a_fresh_process(
+        "from rookposet import build_poset, check_graded\n"
+        "for _ in range(5):\n"
+        "    for kind, n in [('general', 6), ('general', 7), ('general', 8),\n"
+        "                    ('orthogonal', 7), ('orthogonal', 8), ('orthogonal', 9)]:\n"
+        "        check_graded(build_poset(n, kind))\n"
+        "    peak()\n"
+    )
     assert len(peaks) == 5 and peaks[-1] - peaks[0] <= 2 * 1024
 
 
 @pytest.mark.slow
 def test_general_nine_builds_in_a_quarter_gigabyte():
-    # a fresh process, so that the peak is this build's alone; ru_maxrss
-    # is in KiB on Linux
-    code = (
-        "import resource; from rookposet import build_poset; build_poset(9); "
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
-    )
-    src = os.path.dirname(os.path.dirname(rookposet.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert int(out.stdout) < 256 * 1024
+    # a fresh process, so that the peak is this build's alone
+    peaks = _peaks_in_a_fresh_process("from rookposet import build_poset; build_poset(9); peak()")
+    assert len(peaks) == 1 and peaks[0] < 256 * 1024
 
 
 @pytest.mark.slow

@@ -162,3 +162,9 @@ def test_verify_suites_compare_two_independent_routes(suite):
         assert common and {DEFS[name][0] for name in common} == {"covers"}
     else:
         assert not common
+
+
+def test_rank_general_does_not_go_through_the_kerov_image():
+    # so that rank_general(d) == rank_orthogonal(kerov_map(d)) in
+    # tests/test_kerov.py compares two routes
+    assert not reaches("rank_general") & {"kerov_map", "rank_orthogonal"}
