@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import get_args
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .kerov import kerov_map, rank_general, rank_orthogonal
 from .order import counting_entries, involution_of, leq_placement
 from .placements import (
     DEFAULT_CAP,
+    Kind,
     enumerate_placements,
     parse_placement,
     render_board,
@@ -154,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("enumerate", cmd_enumerate, "list all placements of a board")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kind", choices=["general", "orthogonal"], default="general")
+    p.add_argument("--kind", choices=get_args(Kind), default="general")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
@@ -167,12 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("covers", cmd_covers, "cover moves and predecessors of a placement")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", required=True)
-    p.add_argument("--kind", choices=["general", "orthogonal"], default="general")
+    p.add_argument("--kind", choices=get_args(Kind), default="general")
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = add("hasse", cmd_hasse, "materialize a full poset as DOT or JSON")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kind", choices=["general", "orthogonal"], default="general")
+    p.add_argument("--kind", choices=get_args(Kind), default="general")
     p.add_argument("--format", choices=["dot", "json"], default="dot")
     p.add_argument("--out", default=None, help="write to a file instead of stdout")
     p.add_argument("--ranks", action="store_true", help="annotate nodes with ranks")
@@ -184,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("rank", cmd_rank, "rank of a placement in its poset")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kind", choices=["general", "orthogonal"], default="general")
+    p.add_argument("--kind", choices=get_args(Kind), default="general")
     p.add_argument("--d", required=True)
 
     p = add("render", cmd_render, "draw a placement on its board")

@@ -58,7 +58,7 @@ from operator import or_
 from typing import Iterator, Literal, NamedTuple
 
 from .errors import OrthogonalityError
-from .placements import Root, RookPlacement, _placement, roots_to_text
+from .placements import Root, RookPlacement, _orthogonal, _placement, roots_to_text
 
 MoveKind = Literal[
     "remove",
@@ -179,9 +179,7 @@ def moves_orthogonal(d: RookPlacement) -> list[CoverMove]:
     endpoint indices.  Each result is checked and a violation raises,
     since silently dropping one would hide a real bug.
     """
-    if not _placement(d).is_orthogonal():
-        raise OrthogonalityError(f"placement {d.to_text()!r} is not orthogonal")
-    moves = _cover_moves(d, orthogonal=True)
+    moves = _cover_moves(_orthogonal(d), orthogonal=True)
     for m in moves:
         if not m.result.is_orthogonal():
             raise OrthogonalityError(

@@ -31,8 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import OrthogonalityError, RookError
-from .placements import Kind, Root, RookPlacement, _placement, root_arrays
+from .errors import RookError
+from .placements import Kind, Root, RookPlacement, _kind, _orthogonal, _placement, root_arrays
 
 
 def kerov_map(placement: RookPlacement) -> RookPlacement:
@@ -51,9 +51,7 @@ def _length_and_crossings(roots: tuple[Root, ...]) -> tuple[int, int]:
 
 def rank_orthogonal(placement: RookPlacement) -> int:
     """L - X: arc length minus crossings."""
-    if not _placement(placement).is_orthogonal():
-        raise OrthogonalityError(f"placement {placement.to_text()!r} is not orthogonal")
-    length, crossings = _length_and_crossings(placement.roots)
+    length, crossings = _length_and_crossings(_orthogonal(placement).roots)
     return length - crossings
 
 
@@ -66,18 +64,15 @@ def rank_general(placement: RookPlacement) -> int:
 
 def ranks_of(placements: Sequence[RookPlacement], kind: Kind) -> list[int]:
     """rank_orthogonal (kind "orthogonal") or rank_general (kind "general")
-    of each placement, which must all live on one board, with the error
-    rank_orthogonal raises on the first placement that is not orthogonal;
-    RookError on another kind."""
+    of each placement, which must all live on one board.  The first element
+    that is not a placement, or not orthogonal for kind "orthogonal",
+    raises what the single-placement rank raises; another kind RookError."""
     rows, cols = root_arrays(placements)
-    if kind == "orthogonal":
+    if _kind(kind) == "orthogonal":
         # padding never meets: row 0 is no column and column n + 1 no row
         clash = (rows[:, :, None] == cols[:, None, :]).any(axis=(1, 2))
         if clash.any():
-            bad = placements[int(clash.argmax())]
-            raise OrthogonalityError(f"placement {bad.to_text()!r} is not orthogonal")
-    elif kind != "general":
-        raise RookError(f"unknown kind {kind!r}")
+            _orthogonal(placements[int(clash.argmax())])
     real = rows > 0
     length = np.where(real, rows - cols, 0).sum(axis=1)
     crossings = (

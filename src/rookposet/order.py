@@ -37,8 +37,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AmbientError, CapError, OrthogonalityError, RookError
-from .placements import RookPlacement, _placement, root_arrays
+from .errors import AmbientError, CapError, RookError
+from .placements import RookPlacement, _as_tuple, _orthogonal, _placement, root_arrays
 
 
 @dataclass(frozen=True)
@@ -115,9 +115,9 @@ def counting_entries(placements: Sequence[RookPlacement]) -> np.ndarray:
     order.  Each entry is at most n // 2, so the array is int8 up to
     n = 255, every board the materialized poset reaches, and int16 past
     it.  All placements must live on one board (AmbientError otherwise)."""
+    rows, cols = root_arrays(placements)
     n = placements[0].n if placements else 0
     dtype = np.int8 if n < 256 else np.int16
-    rows, cols = root_arrays(placements)
     entries = np.empty((n * (n - 1) // 2, len(placements)), dtype=dtype)
     e = 0
     for i in range(2, n + 1):
@@ -156,8 +156,8 @@ def packed_dominance(
     cells of the set at v = E[e, a], filled a block of rows at a time,
     each seeded first, in an m^2 / 8 byte array (CapError if refused).
     """
-    m = len(placements)
     entries = counting_entries(placements)
+    m = entries.shape[1]
     columns = np.argsort(entries.sum(axis=0), kind="stable")
     # an all-zero cell first: its v = 0 set (no pad bits) seeds each row
     entries = np.vstack([np.zeros((1, m), dtype=entries.dtype), entries])
@@ -194,6 +194,8 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.images, tuple) and set(map(type, self.images)) <= {int}):
+            raise RookError(f"permutation images must be a tuple of ints, got {self.images!r}")
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise RookError(f"not a permutation of 1..{len(self.images)}: {self.images}")
 
@@ -220,9 +222,7 @@ class Permutation:
 
 def involution_of(placement: RookPlacement) -> Permutation:
     """Product of the transpositions (row col) of an orthogonal placement."""
-    if not _placement(placement).is_orthogonal():
-        raise OrthogonalityError(f"placement {placement.to_text()!r} is not orthogonal")
-    images = list(range(1, placement.n + 1))
+    images = list(range(1, _orthogonal(placement).n + 1))
     for i, j in placement.roots:
         images[i - 1], images[j - 1] = j, i
     return Permutation(tuple(images))
@@ -240,6 +240,11 @@ def bruhat_matrix(perms: Sequence[Permutation]) -> np.ndarray:
     """m x m bool array whose entry (a, b) is perms[a] <= perms[b] in Bruhat
     order, for permutations of one size: every prefix count
     #{k <= i : w(k) <= j} of perms[a] is at least that of perms[b]."""
+    for w in _as_tuple(perms, "permutations"):
+        if not isinstance(w, Permutation):
+            raise RookError(f"{w!r} is not a Permutation")
+        if w.n != perms[0].n:
+            raise AmbientError(f"cannot compare permutations of sizes {perms[0].n} and {w.n}")
     m, n = len(perms), perms[0].n if perms else 0
     ones = np.array([w.images for w in perms]).reshape(m, n, 1) == np.arange(1, n + 1)
     # a prefix count is at most n, so the smallest type that holds n will
@@ -255,6 +260,4 @@ def bruhat_matrix(perms: Sequence[Permutation]) -> np.ndarray:
 def bruhat_leq(u: Permutation, v: Permutation) -> bool:
     """Bruhat order by dominance: u <= v iff every prefix count of u
     is at least the matching prefix count of v."""
-    if u.n != v.n:
-        raise AmbientError(f"cannot compare permutations of sizes {u.n} and {v.n}")
     return bool(bruhat_matrix((u, v))[0, 1])

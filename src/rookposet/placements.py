@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence, get_args
 
 import numpy as np
 
-from .errors import AmbientError, AttackError, CapError, RookError
+from .errors import AmbientError, AttackError, CapError, OrthogonalityError, RookError
 
 Kind = Literal["general", "orthogonal"]
 
@@ -32,13 +32,13 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _as_tuple(roots: object) -> tuple:
+def _as_tuple(items: object, what: str = "roots") -> tuple:
     try:
-        if isinstance(roots, Root):  # one pair, not a collection of roots
+        if isinstance(items, Root):  # one pair, not a collection of roots
             raise TypeError
-        return tuple(roots)
+        return tuple(items)
     except TypeError:
-        raise RookError(f"roots must be an iterable, got {roots!r}") from None
+        raise RookError(f"{what} must be an iterable, got {items!r}") from None
 
 
 class Root(tuple):
@@ -91,8 +91,8 @@ class RookPlacement:
         # each check tests the exact type first, which is all it takes on
         # the hot paths, and falls back to the subclass-aware test
         n = self.n
-        if not (type(n) is int or _is_int(n)) or n < 0:
-            raise AmbientError(f"board size must be a non-negative int, got {n!r}")
+        if not (type(n) is int and n >= 0):
+            _board(n)
         roots = self.roots if type(self.roots) is tuple else _as_tuple(self.roots)
         for r in roots:
             if type(r) is not Root and not isinstance(r, Root):
@@ -151,9 +151,27 @@ class RookPlacement:
         return self.to_text()
 
 
+def _board(n: object) -> int:
+    if not _is_int(n) or n < 0:
+        raise AmbientError(f"board size must be a non-negative int, got {n!r}")
+    return n
+
+
+def _kind(kind: object) -> Kind:
+    if kind not in get_args(Kind):
+        raise RookError(f"unknown kind {kind!r}")
+    return kind
+
+
 def _placement(d: object) -> RookPlacement:
     if not isinstance(d, RookPlacement):
         raise RookError(f"{d!r} is not a RookPlacement")
+    return d
+
+
+def _orthogonal(d: object) -> RookPlacement:
+    if not _placement(d).is_orthogonal():
+        raise OrthogonalityError(f"placement {d.to_text()!r} is not orthogonal")
     return d
 
 
@@ -205,18 +223,10 @@ def parse_placement(text: str, n: int) -> RookPlacement:
 def placement_from_json(data: dict) -> RookPlacement:
     """Inverse of RookPlacement.to_json."""
     try:
-        n = data["n"]
-        pairs = data["roots"]
+        n, pairs = data["n"], data["roots"]
     except (TypeError, KeyError):
         raise RookError("placement JSON needs keys 'n' and 'roots'") from None
-    if not _is_int(n) or not isinstance(pairs, list):
-        raise RookError("placement JSON: 'n' must be an int and 'roots' a list")
-    for p in pairs:
-        if not (isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_int, p))):
-            raise RookError(
-                f"placement JSON: root {p!r} is not a [row, col] pair of ints"
-            )
-    return validate_placement([tuple(p) for p in pairs], n)
+    return validate_placement(pairs, n)
 
 
 def render_board(placement: RookPlacement, symbol: str = "X") -> str:
@@ -241,23 +251,20 @@ def count_placements(n: int, kind: Kind = "general") -> int:
     General placements are counted by the Bell numbers, orthogonal ones
     by the involution (telephone) numbers.
     """
-    if not _is_int(n) or n < 0:
-        raise AmbientError(f"board size must be a non-negative int, got {n!r}")
-    if kind == "general":
-        # Bell triangle.
-        row = [1]
-        for _ in range(n - 1):
-            nxt = [row[-1]]
-            for v in row:
-                nxt.append(nxt[-1] + v)
-            row = nxt
-        return row[-1] if n >= 1 else 1
-    if kind == "orthogonal":
+    _board(n)
+    if _kind(kind) == "orthogonal":
         a, b = 1, 1  # t(0), t(1)
         for k in range(2, n + 1):
             a, b = b, b + (k - 1) * a
         return b
-    raise RookError(f"unknown kind {kind!r}")
+    # Bell triangle.
+    row = [1]
+    for _ in range(n - 1):
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
+    return row[-1] if n >= 1 else 1
 
 
 def _search(n: int, orthogonal: bool) -> Iterator[tuple[Root, ...]]:
@@ -302,9 +309,10 @@ def root_arrays(placements: Sequence[RookPlacement]) -> tuple[np.ndarray, np.nda
     arrays, k the most rooks of any one, each row in root order.  A
     placement with fewer rooks is padded with row 0 and column n + 1,
     which no cell (i, j) of the board reaches: a count over columns <= j
-    and rows >= i never includes them.  Raises AmbientError unless all
-    placements live on one board.
+    and rows >= i never includes them.  Raises RookError on anything but
+    placements, and AmbientError unless all live on one board.
     """
+    placements = tuple(map(_placement, _as_tuple(placements, "placements")))
     n = placements[0].n if placements else 0
     for p in placements:
         if p.n != n:

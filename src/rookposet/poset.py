@@ -17,7 +17,8 @@ from . import order as order_module
 from .errors import AmbientError, RookError
 from .kerov import ranks_of
 from .order import pack_rows, packed_dominance, unpack_rows
-from .placements import DEFAULT_CAP, Kind, RookPlacement, _is_int, _placement, enumerate_placements
+from .placements import DEFAULT_CAP, Kind, RookPlacement, _as_tuple, _board, _kind, _placement
+from .placements import enumerate_placements
 
 
 class Poset:
@@ -53,10 +54,8 @@ class Poset:
         elements: tuple[RookPlacement, ...],
         leq: np.ndarray | tuple[np.ndarray, np.ndarray],
     ) -> None:
-        if not _is_int(n) or n < 0:
-            raise AmbientError(f"board size must be a non-negative int, got {n!r}")
-        if kind not in ("general", "orthogonal"):
-            raise RookError(f"unknown kind {kind!r}")
+        self.n, self.kind = _board(n), _kind(kind)
+        self.elements = elements = _as_tuple(elements, "elements")
         for e in elements:
             if _placement(e).n != n:
                 raise AmbientError(f"placement {e.to_text()!r} is on board {e.n}, not {n}")
@@ -79,9 +78,6 @@ class Poset:
         lower, upper = _cover_scan(bits, columns, pos)
         if (pos[lower] > pos[upper]).any():
             raise RookError("columns are not a linear extension of the order relation")
-        self.n = n
-        self.kind: Kind = kind
-        self.elements = tuple(elements)
         self._bits, self._columns, self._pos = bits, columns, pos
         self.hasse: tuple[tuple[int, int], ...] = tuple(zip(lower.tolist(), upper.tolist()))
         # lower covers of x: _below[_below_at[x] : _below_at[x + 1]], by index
@@ -108,6 +104,12 @@ class Poset:
     def leq_elements(self, a: RookPlacement, b: RookPlacement) -> bool:
         p = int(self._pos[self.index_of(b)])
         return bool(int(self._bits[self.index_of(a), p >> 6]) >> (p & 63) & 1)
+
+
+def _poset(p: object) -> Poset:
+    if not isinstance(p, Poset):
+        raise RookError(f"{p!r} is not a Poset")
+    return p
 
 
 def _cover_scan(
@@ -192,7 +194,7 @@ def build_poset(n: int, kind: Kind = "general", cap: int = DEFAULT_CAP) -> Poset
 
 def brute_force_covers(poset: Poset, placement: RookPlacement) -> set[RookPlacement]:
     """Lower covers of an element, read off the materialized relation only."""
-    idx = poset.index_of(placement)
+    idx = _poset(poset).index_of(placement)
     at = poset._below_at
     return {poset.elements[t] for t in poset._below[at[idx] : at[idx + 1]].tolist()}
 
@@ -228,7 +230,7 @@ def check_graded(poset: Poset) -> GradedReport:
     success the ranks are cross-checked against the closed formulas; on
     failure a witness is produced.
     """
-    m = len(poset)
+    m = len(_poset(poset))
     # Poset has proved leq a partial order, so an element is minimal when
     # it has no lower cover and maximal when it has no upper cover.
     below, at = poset._below, poset._below_at
@@ -312,7 +314,7 @@ def export_dot(poset: Poset, include_ranks: bool = False) -> str:
     node also carries a rank attribute and same-rank elements are tied
     into one layer.
     """
-    lines = [f'digraph "{poset.kind}_{poset.n}" {{', "  rankdir=BT;"]
+    lines = [f'digraph "{_poset(poset).kind}_{poset.n}" {{', "  rankdir=BT;"]
     ranks = ranks_of(poset.elements, poset.kind) if include_ranks else None
     same: dict[int, list[str]] = {}
     for i, e in enumerate(poset.elements):
@@ -333,7 +335,7 @@ def poset_to_json(poset: Poset) -> dict:
     """JSON-ready dump: elements in canonical order, Hasse edges by index,
     and the closed-form rank of every element."""
     return {
-        "n": poset.n,
+        "n": _poset(poset).n,
         "kind": poset.kind,
         "elements": [[[r.row, r.col] for r in e.roots] for e in poset.elements],
         "hasse": [list(edge) for edge in poset.hasse],

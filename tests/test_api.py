@@ -4,9 +4,20 @@ import importlib
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rookposet
+from rookposet import RookError
+from rookposet.kerov import ranks_of
+from rookposet.order import (
+    bruhat_leq,
+    bruhat_matrix,
+    counting_entries,
+    dominance_matrix,
+    packed_dominance,
+)
+from rookposet.poset import brute_force_covers
 
 PUBLIC_NAMES = {
     "AmbientError",
@@ -70,3 +81,41 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+_D = rookposet.parse_placement("2,1", 2)
+_EMPTY = np.zeros((0, 0), dtype=bool)
+# calls that leaked AttributeError or TypeError on input of the wrong type;
+# each batch kernel gets the bad value as its whole argument and in a list
+LEAKS = {
+    "check_graded": rookposet.check_graded,
+    "export_dot": rookposet.export_dot,
+    "poset_to_json": rookposet.poset_to_json,
+    "brute_force_covers": lambda p: brute_force_covers(p, _D),
+    "Poset": lambda elements: rookposet.Poset(3, "general", elements, _EMPTY),
+    "Permutation": rookposet.Permutation,
+    "bruhat_leq": lambda w: bruhat_leq(w, rookposet.Permutation((1,))),
+}
+for _name, _kernel in {
+    "ranks_of": lambda xs: ranks_of(xs, "general"),
+    "counting_entries": counting_entries,
+    "packed_dominance": packed_dominance,
+    "dominance_matrix": dominance_matrix,
+    "bruhat_matrix": bruhat_matrix,
+}.items():
+    LEAKS[f"{_name}(bad)"] = _kernel
+    LEAKS[f"{_name}([bad])"] = lambda x, kernel=_kernel: kernel([x])
+
+
+@pytest.mark.parametrize("bad", ["x", None, 3])
+@pytest.mark.parametrize("call", sorted(LEAKS))
+def test_input_of_the_wrong_type_raises_rook_error(call, bad):
+    with pytest.raises(RookError):
+        LEAKS[call](bad)
+
+
+def test_permutation_images_must_be_a_tuple_of_ints():
+    for images in ([2, 1], (2.0, 1.0), (True,), "21"):
+        with pytest.raises(RookError, match="must be a tuple of ints"):
+            rookposet.Permutation(images)
+    assert hash(rookposet.Permutation((2, 1))) == hash(rookposet.Permutation((2, 1)))

@@ -489,6 +489,9 @@ def test_json_round_trip():
         {"n": 3, "roots": [[2, 1, 5]]},
         {"n": 3, "roots": [5]},
         {"n": True, "roots": []},
+        {"n": 3, "roots": [["2", "1"]]},
+        {"n": 3, "roots": [[2.0, 1]]},
+        {"n": 3, "roots": "21"},
     ],
 )
 def test_json_rejects_malformed_payloads(data):

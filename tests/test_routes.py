@@ -168,3 +168,25 @@ def test_rank_general_does_not_go_through_the_kerov_image():
     # so that rank_general(d) == rank_orthogonal(kerov_map(d)) in
     # tests/test_kerov.py compares two routes
     assert not reaches("rank_general") & {"kerov_map", "rank_orthogonal"}
+
+
+# guard message -> the one definition that raises it
+GUARDS = {
+    "board size must be a non-negative int": ("placements", "_board"),
+    "unknown kind": ("placements", "_kind"),
+    "is not orthogonal": ("placements", "_orthogonal"),
+    "is not a RookPlacement": ("placements", "_placement"),
+    "is not a Poset": ("poset", "_poset"),
+}
+
+
+@pytest.mark.parametrize("message", sorted(GUARDS))
+def test_each_input_rule_is_raised_from_one_guard(message):
+    sites = [
+        (module, getattr(top, "name", None))
+        for module, tree in TREES.items()
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Raise) and message in ast.unparse(node)
+    ]
+    assert sites == [GUARDS[message]]
