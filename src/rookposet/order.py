@@ -8,8 +8,9 @@ counting_entries reads the counts of all m placements from their padded
 root arrays (placements.root_arrays), one cell (i, j) at a time, as the
 number of rooks t with col_t <= j and row_t >= i; rank_matrix, one
 placement at a time in pure Python, is the dense oracle for them.
-packed_dominance turns them into the relation as packed bit rows, the
-one form that the materialized poset keeps and dominance_matrix unpacks.
+packed_dominance turns them into the relation as packed bit rows in a
+linear extension, the one form that the materialized poset keeps and
+dominance_matrix unpacks.
 
 leq_placement compares D1 with D2 on at most k1(k1 + 1)/2 cells for the
 k1 rooks of D1, whatever the board and the rooks of D2: only a cell
@@ -115,6 +116,7 @@ def counting_entries(placements: Sequence[RookPlacement]) -> np.ndarray:
     order.  Each entry is at most n // 2, so the array is int8 up to
     n = 255, every board the materialized poset reaches, and int16 past
     it.  All placements must live on one board (AmbientError otherwise)."""
+    placements = _as_tuple(placements, "placements")
     rows, cols = root_arrays(placements)
     n = placements[0].n if placements else 0
     dtype = np.int8 if n < 256 else np.int16
@@ -145,46 +147,54 @@ def unpack_rows(words: np.ndarray, m: int) -> np.ndarray:
 def packed_dominance(
     placements: Sequence[RookPlacement],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The dominance order of the placements as (bits, columns): row a of
-    `bits` packs (pack_rows) {b : placements[a] <= placements[b]}, with bit
-    k for placements[columns[k]].  All placements must live on one board
-    (AmbientError otherwise).  `columns` sorts them stably by the sum of
-    their counting entries E, a linear extension: t < d makes each entry
-    of t at most that of d and one smaller.  As in a range-encoded bitmap
-    index (Chan and Ioannidis, SIGMOD 1999), the set {b : E[e, b] >= v}
-    is packed once per cell e and value v, and row a is the AND over the
-    cells of the set at v = E[e, a], filled a block of rows at a time,
-    each seeded first, in an m^2 / 8 byte array (CapError if refused).
+    """The dominance order of the placements as (bits, columns): `columns`
+    sorts them stably by the sum of their counting entries E, a linear
+    extension (t < d makes each entry of t at most that of d and one
+    smaller), and row p of `bits` packs (pack_rows) the up-set of
+    placements[columns[p]], bit q for placements[columns[q]].  All
+    placements must live on one board (AmbientError otherwise).  As in a
+    range-encoded bitmap index (Chan and Ioannidis, SIGMOD 1999), the set
+    {b : E[e, b] >= v} is packed once per cell e and value v, and row p is
+    the AND over the cells of the set at v = E[e, columns[p]], filled a
+    block of rows at a time from the first position of its first row's sum
+    on (only a repeat there can come first in an up-set), each seeded
+    first, in a zeroed m^2 / 8 byte array (CapError if refused).
     """
     entries = counting_entries(placements)
     m = entries.shape[1]
-    columns = np.argsort(entries.sum(axis=0), kind="stable")
+    sums = entries.sum(axis=0)
+    columns = np.argsort(sums, kind="stable")
+    sums = sums[columns]
     # an all-zero cell first: its v = 0 set (no pad bits) seeds each row
     entries = np.vstack([np.zeros((1, m), dtype=entries.dtype), entries])
     values = np.arange(entries.max(initial=0) + 1)[:, None]
     sets = np.stack([pack_rows(e[columns] >= values) for e in entries])
     width = sets.shape[2]
     try:
-        bits = np.empty((m, width), dtype=np.uint64)
+        bits = np.zeros((m, width), dtype=np.uint64)
     except MemoryError:
         raise CapError(f"cannot allocate {m} rows x {width} words ({8 * m * width} bytes)")
-    rows = max(1, _BLOCK_BYTES // max(16 * width, 1))
-    scratch = np.empty((min(rows, m), width), dtype=np.uint64)
-    for a0 in range(0, m, rows):
-        block = bits[a0 : a0 + rows]
-        tmp = scratch[: len(block)]
-        block[...] = sets[0, 0]
-        for cell, at in zip(sets[1:], entries[1:, a0 : a0 + rows]):
-            np.take(cell, at, axis=0, out=tmp, mode="clip")
-            block &= tmp
+    p0 = 0
+    while p0 < m:
+        w0 = int(np.searchsorted(sums, sums[p0])) >> 6
+        rows = max(1, _BLOCK_BYTES // (16 * (width - w0)))
+        block = bits[p0 : p0 + rows, w0:]
+        # ANDed in a contiguous copy: numpy ANDs into a strided block slower
+        tail = np.empty(block.shape, dtype=np.uint64)
+        tail[...] = sets[0, 0, w0:]
+        for cell, at in zip(sets[1:, :, w0:], entries[1:, columns[p0 : p0 + rows]]):
+            tail &= cell[at]
+        block[...] = tail
+        p0 += rows
     return bits, columns
 
 
 def dominance_matrix(placements: Sequence[RookPlacement]) -> np.ndarray:
     """m x m bool array whose entry (a, b) is placements[a] <= placements[b]:
-    packed_dominance unpacked, with its columns back in index order."""
+    packed_dominance unpacked, with rows and columns back in index order."""
     bits, columns = packed_dominance(placements)
-    return unpack_rows(bits, len(columns))[:, np.argsort(columns)].view(bool)
+    pos = np.argsort(columns)
+    return unpack_rows(bits, len(columns))[np.ix_(pos, pos)].view(bool)
 
 
 @dataclass(frozen=True)
@@ -240,7 +250,8 @@ def bruhat_matrix(perms: Sequence[Permutation]) -> np.ndarray:
     """m x m bool array whose entry (a, b) is perms[a] <= perms[b] in Bruhat
     order, for permutations of one size: every prefix count
     #{k <= i : w(k) <= j} of perms[a] is at least that of perms[b]."""
-    for w in _as_tuple(perms, "permutations"):
+    perms = _as_tuple(perms, "permutations")
+    for w in perms:
         if not isinstance(w, Permutation):
             raise RookError(f"{w!r} is not a Permutation")
         if w.n != perms[0].n:

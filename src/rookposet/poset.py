@@ -26,13 +26,14 @@ class Poset:
 
     `leq` is the order relation over `elements`, a partial order, given
     as an m x m bool array or as the (bits, columns) pair of
-    order.packed_dominance: uint64 bits of shape (m, ceil(m / 64)) and
-    int columns, a permutation of range(m) in a linear extension
-    (RookError otherwise).  A bool array is packed once into such a pair,
-    with its columns in down-set-size order, and not kept: the pair is the
-    only form of the relation held.  `hasse` lists the cover edges as
-    sorted (lower_index, upper_index) pairs.  The elements must be
-    distinct placements on the board of size n (RookError, AmbientError).
+    order.packed_dominance: int columns, a permutation of range(m) in a
+    linear extension, and uint64 bits of shape (m, ceil(m / 64)), row p
+    the up-set of element columns[p], bit q for columns[q] (RookError
+    otherwise).  A bool array is packed once into such a pair, in
+    down-set-size order, and not kept: the pair is the only form of the
+    relation held.  `hasse` lists the cover edges as sorted (lower_index,
+    upper_index) pairs.  The elements must be distinct placements on the
+    board of size n (RookError, AmbientError).
 
     The covers are the transitive reduction (Aho, Garey and Ullman, "The
     transitive reduction of a directed graph", SIAM J. Comput. 1, 1972):
@@ -45,6 +46,8 @@ class Poset:
     subset of up(a); with reflexivity these checks prove `leq`
     antisymmetric and transitive, so a relation that is not a partial
     order raises RookError, naming the first offending a in index order.
+    Once no row is seen to have a bit before its own, as in an order, a
+    block is scanned from its first row's word on, and c <= a cannot hold.
     """
 
     def __init__(
@@ -69,15 +72,13 @@ class Poset:
             if leq.shape != (m, m):
                 raise RookError(f"leq must be {m}x{m}, got {leq.shape}")
             columns = np.argsort(leq.sum(axis=0), kind="stable")
-            bits = pack_rows(leq[:, columns])
+            bits = pack_rows(leq[np.ix_(columns, columns)])
         if bits.dtype != np.uint64 or bits.shape != (m, -(-m // 64)):
             raise RookError(f"packed leq must cover {m} elements in uint64 words")
         if columns.dtype.kind not in "iu" or not np.array_equal(np.sort(columns), np.arange(m)):
             raise RookError(f"packed leq columns must be ints, a permutation of range({m})")
-        pos = np.argsort(columns)  # bit pos[x] of a row stands for element x
-        lower, upper = _cover_scan(bits, columns, pos)
-        if (pos[lower] > pos[upper]).any():
-            raise RookError("columns are not a linear extension of the order relation")
+        pos = np.argsort(columns)  # row and bit pos[x] stand for element x
+        lower, upper = _cover_scan(bits, columns)
         self._bits, self._columns, self._pos = bits, columns, pos
         self.hasse: tuple[tuple[int, int], ...] = tuple(zip(lower.tolist(), upper.tolist()))
         # lower covers of x: _below[_below_at[x] : _below_at[x + 1]], by index
@@ -102,8 +103,9 @@ class Poset:
             ) from None
 
     def leq_elements(self, a: RookPlacement, b: RookPlacement) -> bool:
-        p = int(self._pos[self.index_of(b)])
-        return bool(int(self._bits[self.index_of(a), p >> 6]) >> (p & 63) & 1)
+        p, q = (int(self._pos[self.index_of(x)]) for x in (a, b))
+        # a row has no bit before its own position
+        return q >= p and bool(int(self._bits[p, q >> 6]) >> (q & 63) & 1)
 
 
 def _poset(p: object) -> Poset:
@@ -112,76 +114,86 @@ def _poset(p: object) -> Poset:
     return p
 
 
-def _cover_scan(
-    bits: np.ndarray, columns: np.ndarray, pos: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _cover_scan(bits: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The cover edges as sorted (lower, upper) index arrays, by the block
     scan of the Poset docstring; RookError if the relation is no order."""
     m, width = bits.shape
-    own = np.left_shift(np.uint64(1), (pos & 63).astype(np.uint64))
-    if not (bits[np.arange(m), pos >> 6] & own).all():
+    p = np.arange(m)
+    own = np.left_shift(np.uint64(1), (p & 63).astype(np.uint64))
+    if not (bits[p, p >> 6] & own).all():
         raise RookError("order relation is not reflexive")
-    steps: list[tuple[np.ndarray, ...]] = []
-    # left, outside, up and escape share the byte budget of one block
-    rows = max(1, order_module._BLOCK_BYTES // max(32 * width, 1))
-    up = np.empty((min(rows, m), width), dtype=np.uint64)
-    escape = np.empty_like(up)
-    for a0 in range(0, m, rows):
-        ids = np.arange(a0, min(a0 + rows, m))
-        outside = ~bits[a0 : a0 + rows]
+    # if some row has a bit before its own (a non-order, or a repeated
+    # element), every block is scanned from word 0, with the check c <= a
+    triangular = not (bits[p, p >> 6] & (own - np.uint64(1))).any() and not any(
+        bits[r : r + 64, : r >> 6].any() for r in range(64, m, 64)
+    )
+    steps, offences = [(np.empty(0, dtype=np.intp),) * 2], []
+    p0 = 0
+    while p0 < m:
+        w0 = p0 >> 6 if triangular else 0
+        # left, outside, up and escape share the byte budget of one block
+        rows = max(1, order_module._BLOCK_BYTES // (32 * (width - w0)))
+        ids = p[p0 : p0 + rows]
+        outside = ~bits[p0 : p0 + rows, w0:]
         # the strict up-sets still to scan: clear each row's own bit
-        left = bits[a0 : a0 + rows].copy()
-        left[ids - a0, pos[ids] >> 6] ^= own[ids]
-        first = len(steps)
+        left = bits[p0 : p0 + rows, w0:].copy()
+        left[ids - p0, (ids >> 6) - w0] ^= own[ids]
+        p0 += rows
         while True:
-            live = left.any(axis=1)
-            if not live.all():
-                ids, left, outside = ids[live], left[live], outside[live]
-            k = len(ids)
-            if not k:
-                break
             # lowest set bit: first nonzero word, then frexp of its lowest bit
-            word = (left != 0).argmax(axis=1)
-            w = left[np.arange(k), word]
+            nonzero = left != 0
+            word = nonzero.argmax(axis=1)
+            live = nonzero[np.arange(len(ids)), word]
+            if not live.all():
+                keep = np.flatnonzero(live)
+                ids, word, left, outside = (x.take(keep, 0) for x in (ids, word, left, outside))
+            if not len(ids):
+                break
+            w = left[np.arange(len(ids)), word]
             low = np.frexp((w & (~w + 1)).astype(np.float64))[1] - 1
-            covers = columns[64 * word + low]
-            np.take(bits, covers, axis=0, out=up[:k], mode="clip")
-            np.bitwise_and(up[:k], outside, out=escape[:k])
-            back = (bits[covers, pos[ids] >> 6] & own[ids]) != 0
-            escaped = escape[:k].any(axis=1)
-            steps.append((ids, covers, back, escaped))
-            np.invert(up[:k], out=up[:k])
-            np.bitwise_and(left, up[:k], out=left)
-        _raise_first_offence(bits, columns, steps[first:])
-    lower = np.concatenate([s[0] for s in steps] or [np.empty(0, dtype=np.intp)])
-    upper = np.concatenate([s[1] for s in steps] or [np.empty(0, dtype=np.intp)])
-    edges = np.lexsort((upper, lower))
-    return lower[edges], upper[edges]
+            covers = 64 * (w0 + word) + low
+            steps.append((ids, covers))
+            up = bits[covers, w0:]
+            escape = up & outside
+            back = np.zeros(len(ids), dtype=bool)
+            if not triangular:
+                back = (bits[covers, ids >> 6] & own[ids]) != 0
+            if back.any() or escape.max():
+                offences.append((ids, covers, back, escape.any(axis=1)))
+            np.invert(up, out=up)
+            left &= up
+    if offences:
+        _raise_first_offence(bits, columns, offences)
+    ids, covers = map(np.concatenate, zip(*steps))
+    if (ids > covers).any():
+        raise RookError("columns are not a linear extension of the order relation")
+    # sorted by lower, then upper index, through one key
+    index = columns.astype(np.intp)
+    return np.divmod(np.sort(index[ids] * m + index[covers]), m)
 
 
 def _raise_first_offence(
-    bits: np.ndarray, columns: np.ndarray, steps: list[tuple[np.ndarray, ...]]
+    bits: np.ndarray, columns: np.ndarray, offences: list[tuple[np.ndarray, ...]]
 ) -> None:
-    """Given the steps of one block as (rows, covers, c <= a, up(c) not in
-    up(a)) arrays, raise the RookError of its smallest offending row a:
+    """Given the scan's steps that hold an offence, in the order taken, as
+    (rows, covers, c <= a, up(c) not in up(a)) arrays, rows and covers by
+    position, raise the RookError of the offending row a of least index:
     for its first cover c <= a if there is one, else for its first cover
     c with some x >= c but not x >= a, the smallest such x."""
-    if not any(back.any() or escaped.any() for _, _, back, escaped in steps):
-        return
-    ids, covers, back, escaped = (np.concatenate(s) for s in zip(*steps))
-    a = int(ids[back | escaped].min())
-    mine = ids == a
+    ids, covers, back, escaped = map(np.concatenate, zip(*offences))
+    a = int(columns[ids[back | escaped]].min())
+    mine = columns[ids] == a
     if back[mine].any():
-        c = int(covers[mine][back[mine].argmax()])
+        c = int(columns[covers[mine][back[mine].argmax()]])
         raise RookError(
             f"order relation is not antisymmetric: elements {a} and "
             f"{c} are each <= the other"
         )
-    c = int(covers[mine][escaped[mine].argmax()])
-    x = int(columns[np.flatnonzero(unpack_rows(bits[c] & ~bits[a], len(columns)))].min())
+    pa, pc = ids[mine][0], covers[mine][escaped[mine].argmax()]
+    x = int(columns[np.flatnonzero(unpack_rows(bits[pc] & ~bits[pa], len(columns)))].min())
     raise RookError(
         f"order relation is not transitive: elements {a} <= "
-        f"{c} <= {x} but not {a} <= {x}"
+        f"{columns[pc]} <= {x} but not {a} <= {x}"
     )
 
 

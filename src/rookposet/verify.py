@@ -27,6 +27,7 @@ from .placements import (
     Root,
     RookPlacement,
     _is_int,
+    _kind,
     count_placements,
     enumerate_placements,
 )
@@ -83,6 +84,7 @@ def _boards(name: str, low: int, max_n: int) -> range:
 
 def subset_filter_placements(n: int, kind: Kind = "general") -> set[RookPlacement]:
     """Brute-force oracle: test every subset of the board's roots."""
+    kind = _kind(kind)
     all_roots = [Root(i, j) for i in range(2, n + 1) for j in range(1, i)]
     found = set()
     for size in range(len(all_roots) + 1):

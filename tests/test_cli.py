@@ -230,17 +230,17 @@ def test_unknown_suite_exits_2(capsys):
 
 
 class _RefusingNumpy:
-    """numpy, except that empty() refuses the relation of R(5): 52 rows of
+    """numpy, except that zeros() refuses the relation of R(5): 52 rows of
     one uint64 word, as numpy refuses an array the OS will not give it."""
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     @staticmethod
-    def empty(shape, dtype=float, **kwargs):
+    def zeros(shape, dtype=float, **kwargs):
         if shape == (52, 1) and np.dtype(dtype) == np.uint64:
             raise MemoryError("Unable to allocate 416. B for an array")
-        return np.empty(shape, dtype, **kwargs)
+        return np.zeros(shape, dtype, **kwargs)
 
 
 def test_a_relation_the_os_cannot_map_exits_2(monkeypatch, capsys):

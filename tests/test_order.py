@@ -305,6 +305,25 @@ def test_bruhat_prefix_counts_do_not_overflow_on_large_boards():
     assert not bruhat_leq(reverse, ident)
 
 
+@pytest.mark.parametrize(
+    "relation",
+    [counting_entries, lambda items: packed_dominance(items)[0], dominance_matrix],
+    ids=["counting_entries", "packed_dominance", "dominance_matrix"],
+)
+def test_placement_relations_take_a_set_or_a_generator(relation):
+    elements = enumerate_placements(4)
+    unique = set(elements)  # list() keeps the set's own order
+    assert np.array_equal(relation(unique), relation(list(unique)))
+    assert np.array_equal(relation(d for d in elements), relation(elements))
+
+
+def test_bruhat_matrix_takes_a_set_or_a_generator():
+    perms = [Permutation(p) for p in all_perms(range(1, 4))]
+    unique = set(perms)
+    assert np.array_equal(bruhat_matrix(unique), bruhat_matrix(list(unique)))
+    assert np.array_equal(bruhat_matrix(w for w in perms), bruhat_matrix(perms))
+
+
 def test_bruhat_on_the_empty_permutation():
     empty = Permutation(())
     assert bruhat_leq(empty, empty)
@@ -374,6 +393,17 @@ def _assert_packed_pair_is_sound(items):
     leq = dominance_matrix(items)
     pos = np.argsort(columns)
     assert (pos[:, None] < pos)[leq & ~leq.T].all()
+
+
+@pytest.mark.parametrize(
+    "n,kind", [(n, "general") for n in range(1, 9)] + [(n, "orthogonal") for n in range(1, 10)]
+)
+def test_packed_rows_have_no_bit_before_their_own(n, kind):
+    # row p stands for columns[p]: a linear extension of distinct elements
+    bits, columns = packed_dominance(enumerate_placements(n, kind))
+    m = len(columns)
+    assert not np.tril(unpack_rows(bits, m), -1).any()
+    assert unpack_rows(bits, m).diagonal().all()
 
 
 @pytest.mark.parametrize("n,m", [(0, 0), (1, 1), (5, 52), (7, 877), (8, 4140)])

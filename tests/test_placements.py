@@ -172,6 +172,8 @@ def test_enumeration_refuses_an_unknown_kind():
         enumerate_placements(4, "bogus")
     with pytest.raises(RookError, match="unknown kind 'bogus'"):
         count_placements(4, "bogus")
+    with pytest.raises(RookError, match="unknown kind 'bogus'"):
+        subset_filter_placements(3, "bogus")
 
 
 def test_a_single_root_is_not_an_iterable_of_roots():

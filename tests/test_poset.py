@@ -346,8 +346,8 @@ def test_poset_names_the_first_offence(relations, count, message):
 def test_packed_pair_without_a_diagonal_bit_is_not_reflexive(a):
     elements = enumerate_placements(5)
     bits, columns = packed_dominance(elements)
-    p = int(np.argsort(columns)[a])
-    bits[a, p >> 6] ^= np.uint64(1 << (p & 63))
+    p = int(np.argsort(columns)[a])  # row p and its bit p stand for a
+    bits[p, p >> 6] ^= np.uint64(1 << (p & 63))
     with pytest.raises(RookError) as err:
         Poset(5, "general", elements, (bits, columns))
     assert str(err.value) == "order relation is not reflexive"
@@ -358,6 +358,35 @@ def test_packed_pair_of_a_repeated_placement_is_not_antisymmetric():
     twice = elements + elements[7:8]
     with pytest.raises(RookError, match="not antisymmetric: elements 7 and 15"):
         Poset(4, "general", twice, packed_dominance(twice))
+
+
+@pytest.mark.parametrize("block_bytes", [1, 96, 416])
+def test_repeat_in_a_later_block_and_word_is_not_antisymmetric(monkeypatch, block_bytes):
+    # the first placement of a sum group whose last position lies in a
+    # later word, so that its repeat, which sorts last in the group, has a
+    # row whose first block starts past the word of the first copy
+    elements = enumerate_placements(6)
+    sums = order_module.counting_entries(elements).sum(axis=0)
+    order = np.argsort(sums, kind="stable")
+    firsts = np.searchsorted(sums[order], sums[order])
+    lasts = np.searchsorted(sums[order], sums[order], side="right") - 1
+    p = next(p for p in range(len(order)) if firsts[p] == p and p >> 6 < lasts[p] >> 6)
+    a, m = int(order[p]), len(elements)
+    monkeypatch.setattr(order_module, "_BLOCK_BYTES", block_bytes)
+    twice = elements + elements[a : a + 1]
+    with pytest.raises(RookError) as err:
+        Poset(6, "general", twice, packed_dominance(twice))
+    assert str(err.value) == (
+        f"order relation is not antisymmetric: elements {a} and {m} are each <= the other"
+    )
+
+
+@pytest.mark.parametrize("n,kind", [(5, "general"), (6, "orthogonal")])
+def test_leq_elements_agrees_with_the_relation_on_every_pair(n, kind):
+    poset = build_poset(n, kind)
+    leq = dominance_matrix(poset.elements)
+    got = [[poset.leq_elements(a, b) for b in poset.elements] for a in poset.elements]
+    assert np.array_equal(np.array(got), leq)
 
 
 def test_poset_refuses_a_repeated_element_its_relation_allows():
@@ -393,7 +422,7 @@ def test_packed_pair_must_list_its_columns_in_a_linear_extension():
     # the reverse of the enumeration order, which starts at the minimum
     elements = enumerate_placements(4)
     columns = np.arange(len(elements))[::-1].copy()
-    bits = pack_rows(dominance_matrix(elements)[:, columns])
+    bits = pack_rows(dominance_matrix(elements)[np.ix_(columns, columns)])
     with pytest.raises(RookError) as err:
         Poset(4, "general", elements, (bits, columns))
     assert str(err.value) == "columns are not a linear extension of the order relation"
@@ -580,7 +609,7 @@ def test_block_scan_matches_the_per_row_loop(leq, block_bytes):
 
 def _as_pair(leq):
     columns = np.argsort(leq.sum(axis=0), kind="stable")
-    return pack_rows(leq[:, columns]), columns
+    return pack_rows(leq[np.ix_(columns, columns)]), columns
 
 
 @settings(max_examples=100)
@@ -765,6 +794,14 @@ def test_general_nine_builds_in_a_quarter_gigabyte():
 def test_general_ten_is_graded_with_formula_ranks():
     poset = build_poset(10)
     assert len(poset) == 115975 and len(poset.hasse) == 820582
+    report = check_graded(poset)
+    assert report.is_graded and report.rank_formula_ok
+
+
+@pytest.mark.slow
+def test_orthogonal_twelve_is_graded_with_formula_ranks():
+    poset = build_poset(12, "orthogonal")
+    assert len(poset) == 140152 and len(poset.hasse) == 1303036
     report = check_graded(poset)
     assert report.is_graded and report.rank_formula_ok
 
