@@ -29,13 +29,6 @@ from .poset import build_poset, export_dot, poset_to_json
 from .verify import DEFAULT_BOUNDS, SUITES, run_suite
 
 
-def _matrix_lines(title: str, entries) -> list[str]:
-    lines = [title + ":"]
-    for row in entries:
-        lines.append("  " + " ".join(str(v) for v in row))
-    return lines
-
-
 def cmd_enumerate(args) -> int:
     elements = enumerate_placements(args.n, args.kind, cap=args.cap)
     if args.format == "json":
@@ -43,7 +36,7 @@ def cmd_enumerate(args) -> int:
             "n": args.n,
             "kind": args.kind,
             "count": len(elements),
-            "placements": [[[r.row, r.col] for r in e.roots] for e in elements],
+            "placements": [e.to_json()["roots"] for e in elements],
         }
         print(json.dumps(payload))
     else:
@@ -53,16 +46,16 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    a = parse_placement(args.a, args.n)
-    b = parse_placement(args.b, args.n)
+    a, b = args.a, args.b
     if not args.summary:
         # both counting matrices, zero on and above the diagonal
         matrices = np.zeros((2, args.n, args.n), dtype=int)
         below = np.tril_indices(args.n, -1)
         matrices[:, below[0], below[1]] = counting_entries((a, b)).T
         for name, matrix in zip(("R(a)", "R(b)"), matrices.tolist()):
-            for line in _matrix_lines(name, matrix):
-                print(line)
+            print(name + ":")
+            for row in matrix:
+                print("  " + " ".join(map(str, row)))
     le, ge = leq_placement(a, b), leq_placement(b, a)
     if le and ge:
         print("a == b")
@@ -76,7 +69,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_covers(args) -> int:
-    d = parse_placement(args.d, args.n)
+    d = args.d
     moves = moves_general(d) if args.kind == "general" else moves_orthogonal(d)
     if args.format == "json":
         print(json.dumps([m.to_json() for m in moves]))
@@ -92,7 +85,7 @@ def cmd_covers(args) -> int:
 def cmd_hasse(args) -> int:
     poset = build_poset(args.n, args.kind, cap=args.cap)
     if args.format == "json":
-        text = json.dumps(poset_to_json(poset))
+        text = json.dumps(poset_to_json(poset)) + "\n"
     else:
         text = export_dot(poset, include_ranks=args.ranks)
     if args.out:
@@ -101,30 +94,26 @@ def cmd_hasse(args) -> int:
         except OSError as exc:
             raise RookError(f"cannot write {args.out}: {exc.strerror}") from exc
         with fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        print(text, end="")
     return 0
 
 
 def cmd_kerov(args) -> int:
-    d = parse_placement(args.d, args.n)
-    image = kerov_map(d)
+    image = kerov_map(args.d)
     print(image.to_text())
     print(json.dumps(involution_of(image).to_json()))
     return 0
 
 
 def cmd_rank(args) -> int:
-    d = parse_placement(args.d, args.n)
-    value = rank_general(d) if args.kind == "general" else rank_orthogonal(d)
-    print(value)
+    print(rank_general(args.d) if args.kind == "general" else rank_orthogonal(args.d))
     return 0
 
 
 def cmd_render(args) -> int:
-    d = parse_placement(args.d, args.n)
-    print(render_board(d, symbol="⊗" if args.unicode else "X"))
+    print(render_board(args.d, symbol="⊗" if args.unicode else "X"))
     return 0
 
 
@@ -149,49 +138,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, helptext):
-        p = sub.add_parser(name, help=helptext)
+    def option(*names, **kwargs) -> argparse.ArgumentParser:
+        # one option as a parent parser, for the subcommands that share it
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **kwargs)
+        return parent
+
+    n = option("--n", type=int, required=True)
+    kind = option("--kind", choices=get_args(Kind), default="general")
+    d = option("--d", required=True)
+    cap = option("--cap", type=int, default=DEFAULT_CAP)
+    text_or_json = option("--format", choices=["text", "json"], default="text")
+
+    def add(name, fn, helptext, *parents):
+        p = sub.add_parser(name, help=helptext, parents=parents)
         p.set_defaults(func=fn)
         return p
 
-    p = add("enumerate", cmd_enumerate, "list all placements of a board")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kind", choices=get_args(Kind), default="general")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    add("enumerate", cmd_enumerate, "list all placements of a board",
+        n, kind, text_or_json, cap)
 
-    p = add("compare", cmd_compare, "compare two placements in dominance order")
-    p.add_argument("--n", type=int, required=True)
+    p = add("compare", cmd_compare, "compare two placements in dominance order", n)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--summary", action="store_true", help="print only the verdict")
 
-    p = add("covers", cmd_covers, "cover moves and predecessors of a placement")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", required=True)
-    p.add_argument("--kind", choices=get_args(Kind), default="general")
-    p.add_argument("--format", choices=["text", "json"], default="text")
+    add("covers", cmd_covers, "cover moves and predecessors of a placement",
+        n, d, kind, text_or_json)
 
-    p = add("hasse", cmd_hasse, "materialize a full poset as DOT or JSON")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kind", choices=get_args(Kind), default="general")
+    p = add("hasse", cmd_hasse, "materialize a full poset as DOT or JSON", n, kind, cap)
     p.add_argument("--format", choices=["dot", "json"], default="dot")
     p.add_argument("--out", default=None, help="write to a file instead of stdout")
     p.add_argument("--ranks", action="store_true", help="annotate nodes with ranks")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
-    p = add("kerov", cmd_kerov, "image of a placement under the doubling map")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", required=True)
+    add("kerov", cmd_kerov, "image of a placement under the doubling map", n, d)
+    add("rank", cmd_rank, "rank of a placement in its poset", n, kind, d)
 
-    p = add("rank", cmd_rank, "rank of a placement in its poset")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kind", choices=get_args(Kind), default="general")
-    p.add_argument("--d", required=True)
-
-    p = add("render", cmd_render, "draw a placement on its board")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", required=True)
+    p = add("render", cmd_render, "draw a placement on its board", n, d)
     p.add_argument("--unicode", action="store_true")
 
     p = add("verify", cmd_verify, "run an exhaustive self-check suite")
@@ -208,6 +191,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for key in ("a", "b", "d"):  # the placements, read on the board of --n
+            if hasattr(args, key):
+                setattr(args, key, parse_placement(getattr(args, key), args.n))
         return args.func(args)
     except RookError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -54,6 +54,8 @@ class RankMatrix:
         return self.entries[i - 1][j - 1]
 
     def __le__(self, other: "RankMatrix") -> bool:
+        if not isinstance(other, RankMatrix):
+            raise RookError(f"{other!r} is not a RankMatrix")
         if self.n != other.n:
             raise AmbientError(f"cannot compare boards of sizes {self.n} and {other.n}")
         return all(
@@ -66,7 +68,7 @@ class RankMatrix:
 
 def rank_matrix(placement: RookPlacement) -> RankMatrix:
     """Counting matrix of the placement (zero on and above the diagonal)."""
-    n = placement.n
+    n = _placement(placement).n
     rows = []
     for i in range(1, n + 1):
         row = [0] * n
@@ -238,9 +240,15 @@ def involution_of(placement: RookPlacement) -> Permutation:
     return Permutation(tuple(images))
 
 
+def _permutation(w: object) -> Permutation:
+    if not isinstance(w, Permutation):
+        raise RookError(f"{w!r} is not a Permutation")
+    return w
+
+
 def inversion_length(w: Permutation) -> int:
     """Number of inversions, i.e. pairs a < b with w(a) > w(b)."""
-    img = w.images
+    img = _permutation(w).images
     return sum(
         1 for a in range(len(img)) for b in range(a + 1, len(img)) if img[a] > img[b]
     )
@@ -250,10 +258,8 @@ def bruhat_matrix(perms: Sequence[Permutation]) -> np.ndarray:
     """m x m bool array whose entry (a, b) is perms[a] <= perms[b] in Bruhat
     order, for permutations of one size: every prefix count
     #{k <= i : w(k) <= j} of perms[a] is at least that of perms[b]."""
-    perms = _as_tuple(perms, "permutations")
+    perms = tuple(map(_permutation, _as_tuple(perms, "permutations")))
     for w in perms:
-        if not isinstance(w, Permutation):
-            raise RookError(f"{w!r} is not a Permutation")
         if w.n != perms[0].n:
             raise AmbientError(f"cannot compare permutations of sizes {perms[0].n} and {w.n}")
     m, n = len(perms), perms[0].n if perms else 0

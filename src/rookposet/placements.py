@@ -198,7 +198,8 @@ def validate_placement(
 
 
 def parse_placement(text: str, n: int) -> RookPlacement:
-    """Parse the ``i,j;i,j`` exchange format; whitespace is ignored everywhere.
+    """Parse the ``i,j;i,j`` exchange format; whitespace is ignored everywhere,
+    and each coordinate is ASCII digits only.
 
     The empty string denotes the empty placement.
     """
@@ -213,6 +214,10 @@ def parse_placement(text: str, n: int) -> RookPlacement:
         if len(parts) != 2:
             raise RookError(f"bad root token {token!r}: expected 'row,col'")
         try:
+            # int() alone would also take '1_0', '+3' and non-ASCII digits;
+            # past 4300 digits it raises ValueError itself
+            if not all(part.isascii() and part.isdigit() for part in parts):
+                raise ValueError
             i, j = int(parts[0]), int(parts[1])
         except ValueError:
             raise RookError(f"bad root token {token!r}: expected integers") from None
@@ -294,14 +299,20 @@ def enumerate_placements(
     order, so it yields them in that order.  Raises CapError up front
     when the count would exceed `cap`.
     """
-    total = count_placements(n, kind)  # rejects an n that is not an int
+    _board(n)
+    general = _kind(kind) == "general"
     if n < 1:
         raise AmbientError(f"board size must be at least 1, got {n}")
     if not _is_int(cap):
         raise RookError(f"cap must be an int, got {cap!r}")
-    if total > cap:
-        raise CapError(f"{total} placements of kind {kind!r} on board {n} exceed cap {cap}")
-    return tuple(RookPlacement(n, roots) for roots in _search(n, kind == "orthogonal"))
+    # B(n) >= 2^(n-1), the partitions of 1..n into runs, and t(n) >= 2^(n//2),
+    # the matchings of pairs (2i-1, 2i); 2^e > cap once e reaches the cap's
+    # bit length, so a large board is refused before the exact count, whose
+    # big-int work grows as n^2
+    exponent = n - 1 if general else n // 2
+    if exponent >= cap.bit_length() or count_placements(n, kind) > cap:
+        raise CapError(f"board {n} has more than {cap} placements of kind {kind!r}")
+    return tuple(RookPlacement(n, roots) for roots in _search(n, not general))
 
 
 def root_arrays(placements: Sequence[RookPlacement]) -> tuple[np.ndarray, np.ndarray]:

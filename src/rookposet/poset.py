@@ -349,7 +349,7 @@ def poset_to_json(poset: Poset) -> dict:
     return {
         "n": _poset(poset).n,
         "kind": poset.kind,
-        "elements": [[[r.row, r.col] for r in e.roots] for e in poset.elements],
+        "elements": [e.to_json()["roots"] for e in poset.elements],
         "hasse": [list(edge) for edge in poset.hasse],
         "ranks": ranks_of(poset.elements, poset.kind),
     }

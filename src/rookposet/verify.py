@@ -20,7 +20,7 @@ import numpy as np
 
 from .covers import predecessors_general, predecessors_orthogonal
 from .errors import RookError
-from .kerov import kerov_map, rank_general, rank_orthogonal
+from .kerov import kerov_map
 from .order import bruhat_matrix, dominance_matrix, involution_of
 from .placements import (
     Kind,
@@ -61,15 +61,11 @@ class SuiteResult:
         return not self.failures
 
     def summary(self) -> str:
-        status = "PASS" if self.ok else "FAIL"
-        head = f"{self.name}: {status} ({self.checked} checked)"
-        if self.failures:
-            shown = "\n".join("  " + f for f in self.failures[:10])
-            more = len(self.failures) - 10
-            if more > 0:
-                shown += f"\n  ... and {more} more"
-            return head + "\n" + shown
-        return head
+        lines = [f"{self.name}: {'PASS' if self.ok else 'FAIL'} ({self.checked} checked)"]
+        lines += ["  " + f for f in self.failures[:10]]
+        if len(self.failures) > 10:
+            lines.append(f"  ... and {len(self.failures) - 10} more")
+        return "\n".join(lines)
 
 
 def _boards(name: str, low: int, max_n: int) -> range:
@@ -121,10 +117,10 @@ def verify_counts(max_n: int = DEFAULT_BOUNDS["counts"]) -> SuiteResult:
     return res
 
 
-def _verify_covers(kind: Kind, low: int, max_n: int, name: str) -> SuiteResult:
-    res = SuiteResult(name)
+def _verify_covers(kind: Kind, max_n: int) -> SuiteResult:
+    res = SuiteResult(f"covers-{kind}")
     generator = predecessors_general if kind == "general" else predecessors_orthogonal
-    for n in _boards(name, low, max_n):
+    for n in _boards(res.name, 3, max_n):
         poset = build_poset(n, kind)
         for d in poset.elements:
             res.checked += 1
@@ -142,31 +138,39 @@ def _verify_covers(kind: Kind, low: int, max_n: int, name: str) -> SuiteResult:
 
 def verify_covers_general(max_n: int = DEFAULT_BOUNDS["covers-general"]) -> SuiteResult:
     """Move generators vs materialized covers over every placement of R(3..max_n)."""
-    return _verify_covers("general", 3, max_n, "covers-general")
+    return _verify_covers("general", max_n)
 
 
 def verify_covers_orthogonal(
     max_n: int = DEFAULT_BOUNDS["covers-orthogonal"],
 ) -> SuiteResult:
     """Move generators vs materialized covers over every placement of I(3..max_n)."""
-    return _verify_covers("orthogonal", 3, max_n, "covers-orthogonal")
+    return _verify_covers("orthogonal", max_n)
+
+
+def _dominance_vs_bruhat(
+    name: str, kind: Kind, image: Callable, failure: str, max_n: int
+) -> SuiteResult:
+    """Dominance on the placements of 3..max_n against Bruhat order of
+    their images; `failure` words a disagreeing pair from n, a and b."""
+    res = SuiteResult(name)
+    for n in _boards(name, 3, max_n):
+        elements = enumerate_placements(n, kind)
+        res.checked += len(elements) ** 2
+        perms = [image(e) for e in elements]
+        for a, b in np.argwhere(dominance_matrix(elements) != bruhat_matrix(perms)):
+            res.failures.append(
+                failure.format(n=n, a=elements[a].to_text(), b=elements[b].to_text())
+            )
+    return res
 
 
 def verify_kerov_order(max_n: int = DEFAULT_BOUNDS["kerov-order"]) -> SuiteResult:
     """The doubling map preserves and reflects order on all pairs: dominance
     on R(n) equals Bruhat order of the images read as involutions, so the
     two sides share no kernel."""
-    res = SuiteResult("kerov-order")
-    for n in _boards(res.name, 3, max_n):
-        elements = enumerate_placements(n)
-        res.checked += len(elements) ** 2
-        images = [involution_of(kerov_map(e)) for e in elements]
-        for a, b in np.argwhere(dominance_matrix(elements) != bruhat_matrix(images)):
-            res.failures.append(
-                f"n={n}: order disagrees on "
-                f"{elements[a].to_text()!r} vs {elements[b].to_text()!r}"
-            )
-    return res
+    return _dominance_vs_bruhat("kerov-order", "general", lambda d: involution_of(kerov_map(d)),
+                                "n={n}: order disagrees on {a!r} vs {b!r}", max_n)
 
 
 def verify_kerov_covers(max_n: int = DEFAULT_BOUNDS["kerov-covers"]) -> SuiteResult:
@@ -191,9 +195,9 @@ def verify_kerov_covers(max_n: int = DEFAULT_BOUNDS["kerov-covers"]) -> SuiteRes
     return res
 
 
-def _verify_graded(kind: Kind, max_n: int, name: str) -> SuiteResult:
-    res = SuiteResult(name)
-    for n in _boards(name, 2, max_n):
+def _verify_graded(kind: Kind, max_n: int) -> SuiteResult:
+    res = SuiteResult(f"graded-{kind}")
+    for n in _boards(res.name, 2, max_n):
         poset = build_poset(n, kind)
         res.checked += len(poset)
         report = check_graded(poset)
@@ -206,29 +210,20 @@ def _verify_graded(kind: Kind, max_n: int, name: str) -> SuiteResult:
 
 def verify_graded_general(max_n: int = DEFAULT_BOUNDS["graded-general"]) -> SuiteResult:
     """R(2..max_n) is graded with ranks matching the closed formula."""
-    return _verify_graded("general", max_n, "graded-general")
+    return _verify_graded("general", max_n)
 
 
 def verify_graded_orthogonal(
     max_n: int = DEFAULT_BOUNDS["graded-orthogonal"],
 ) -> SuiteResult:
     """I(2..max_n) is graded with ranks matching the closed formula."""
-    return _verify_graded("orthogonal", max_n, "graded-orthogonal")
+    return _verify_graded("orthogonal", max_n)
 
 
 def verify_bruhat(max_n: int = DEFAULT_BOUNDS["bruhat"]) -> SuiteResult:
     """Dominance on I(3..max_n) equals Bruhat order of the involutions."""
-    res = SuiteResult("bruhat")
-    for n in _boards(res.name, 3, max_n):
-        elements = enumerate_placements(n, "orthogonal")
-        res.checked += len(elements) ** 2
-        perms = [involution_of(e) for e in elements]
-        for a, b in np.argwhere(dominance_matrix(elements) != bruhat_matrix(perms)):
-            res.failures.append(
-                f"n={n}: {elements[a].to_text()!r} vs "
-                f"{elements[b].to_text()!r} disagree with Bruhat order"
-            )
-    return res
+    return _dominance_vs_bruhat("bruhat", "orthogonal", involution_of,
+                                "n={n}: {a!r} vs {b!r} disagree with Bruhat order", max_n)
 
 
 #: Sub-suites of each named suite, keyed by result name; "all" runs every one.

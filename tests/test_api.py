@@ -15,7 +15,9 @@ from rookposet.order import (
     bruhat_matrix,
     counting_entries,
     dominance_matrix,
+    inversion_length,
     packed_dominance,
+    rank_matrix,
 )
 from rookposet.poset import brute_force_covers
 
@@ -95,6 +97,9 @@ LEAKS = {
     "Poset": lambda elements: rookposet.Poset(3, "general", elements, _EMPTY),
     "Permutation": rookposet.Permutation,
     "bruhat_leq": lambda w: bruhat_leq(w, rookposet.Permutation((1,))),
+    "rank_matrix": rank_matrix,
+    "inversion_length": inversion_length,
+    "RankMatrix.__le__": lambda other: rank_matrix(_D) <= other,
 }
 for _name, _kernel in {
     "ranks_of": lambda xs: ranks_of(xs, "general"),

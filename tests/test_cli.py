@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import re
 
@@ -8,7 +9,7 @@ import pytest
 
 import rookposet.order as order_module
 from rookposet import CapError, build_poset
-from rookposet.cli import main
+from rookposet.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -221,6 +222,22 @@ def test_attacking_placement_exits_2(capsys):
     assert "share row" in err
 
 
+def test_an_int_literal_that_is_not_digits_exits_2(capsys):
+    code, out, err = run(capsys, "rank", "--n", "10", "--d", "1_0,1")
+    assert (code, out) == (2, "")
+    assert err == "error: bad root token '1_0,1': expected integers\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["hasse", "--n", "2500"], ["enumerate", "--n", "9000", "--kind", "orthogonal"]]
+)
+def test_a_board_past_the_cap_exits_2_with_a_short_message(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: board {argv[2]} has more than 1000000 placements")
+    assert len(err) < 200
+
+
 def test_missing_required_argument_exits_2(capsys):
     assert run(capsys, "enumerate")[0] == 2
 
@@ -249,3 +266,84 @@ def test_a_relation_the_os_cannot_map_exits_2(monkeypatch, capsys):
     with pytest.raises(CapError, match=f"^{re.escape(message)}$"):
         build_poset(5)
     assert run(capsys, "hasse", "--n", "5") == (2, "", f"error: {message}\n")
+
+
+_KIND = ("general", ["general", "orthogonal"], False, None)
+_REQUIRED_INT = (None, None, True, "int")
+_REQUIRED_TEXT = (None, None, True, None)
+# subcommand -> option -> (default, choices, required, type)
+OPTIONS = {
+    "enumerate": {
+        "--n": _REQUIRED_INT,
+        "--kind": _KIND,
+        "--format": ("text", ["text", "json"], False, None),
+        "--cap": (10**6, None, False, "int"),
+    },
+    "compare": {
+        "--n": _REQUIRED_INT,
+        "--a": _REQUIRED_TEXT,
+        "--b": _REQUIRED_TEXT,
+        "--summary": (False, None, False, None),
+    },
+    "covers": {
+        "--n": _REQUIRED_INT,
+        "--d": _REQUIRED_TEXT,
+        "--kind": _KIND,
+        "--format": ("text", ["text", "json"], False, None),
+    },
+    "hasse": {
+        "--n": _REQUIRED_INT,
+        "--kind": _KIND,
+        "--format": ("dot", ["dot", "json"], False, None),
+        "--out": (None, None, False, None),
+        "--ranks": (False, None, False, None),
+        "--cap": (10**6, None, False, "int"),
+    },
+    "kerov": {"--n": _REQUIRED_INT, "--d": _REQUIRED_TEXT},
+    "rank": {"--n": _REQUIRED_INT, "--kind": _KIND, "--d": _REQUIRED_TEXT},
+    "render": {
+        "--n": _REQUIRED_INT,
+        "--d": _REQUIRED_TEXT,
+        "--unicode": (False, None, False, None),
+    },
+    "verify": {
+        "--suite": (
+            None,
+            ["counts", "covers-general", "covers-orthogonal", "kerov", "graded",
+             "bruhat", "all"],
+            True,
+            None,
+        ),
+        "--max-n": (None, None, False, "int"),
+    },
+}
+
+
+def _subcommands():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_every_subcommand_has_its_pinned_options():
+    found = {
+        name: {
+            action.option_strings[0]: (
+                action.default,
+                None if action.choices is None else list(action.choices),
+                action.required,
+                getattr(action.type, "__name__", None),
+            )
+            for action in sub._actions
+            if "--help" not in action.option_strings
+        }
+        for name, sub in _subcommands().items()
+    }
+    assert found == OPTIONS
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_each_subcommand_help_exits_0(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    assert out.startswith(f"usage: rookposet {command}")

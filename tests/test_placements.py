@@ -34,6 +34,7 @@ from rookposet import (
     render_board,
     validate_placement,
 )
+import rookposet.placements as placements_module
 from rookposet.poset import brute_force_covers
 from rookposet.verify import subset_filter_placements
 
@@ -403,6 +404,38 @@ def test_enumeration_cap_is_checked_before_work():
     assert len(enumerate_placements(5, cap=52)) == 52
 
 
+def test_the_cap_lower_bounds_hold():
+    # B(n) >= 2^(n-1) and t(n) >= 2^(n//2)
+    for n in range(1, 60):
+        assert count_placements(n) >= 2 ** (n - 1)
+        assert count_placements(n, "orthogonal") >= 2 ** (n // 2)
+
+
+def _never(*args):
+    raise AssertionError("counted the placements of a board past the cap")
+
+
+@pytest.mark.parametrize(
+    "n,kind", [(21, "general"), (2500, "general"), (40, "orthogonal"), (9000, "orthogonal")]
+)
+def test_a_board_past_the_cap_is_refused_without_counting(monkeypatch, n, kind):
+    # 2^(n-1), or 2^(n//2), already exceeds the default cap of 10^6
+    monkeypatch.setattr(placements_module, "count_placements", _never)
+    message = f"^board {n} has more than 1000000 placements of kind '{kind}'$"
+    with pytest.raises(CapError, match=message):
+        enumerate_placements(n, kind)
+    with pytest.raises(CapError, match=message):
+        build_poset(n, kind)
+
+
+@pytest.mark.parametrize("n,kind", [(20, "general"), (39, "orthogonal")])
+def test_a_board_below_the_bound_is_refused_by_its_count(n, kind):
+    # the lower bound is under 10^6 here, the count above it
+    assert count_placements(n, kind) > 10**6
+    with pytest.raises(CapError, match=f"^board {n} has more than 1000000 placements"):
+        enumerate_placements(n, kind)
+
+
 def test_render_board_known_picture():
     d = parse_placement("3,1;6,2;5,3", 6)
     assert render_board(d) == "\n".join(
@@ -463,10 +496,16 @@ def test_parse_empty_string_is_the_empty_placement():
     assert parse_placement("  \n ", 4) == RookPlacement(4, ())
 
 
-@pytest.mark.parametrize("text", ["3;1", "3,1;", "a,b", "3,1,2", "3"])
+# '1_0', '+3' and '٣' (an Arabic-Indic three) are int() literals, not digits,
+# and int() refuses a literal of over 4300 digits
+@pytest.mark.parametrize(
+    "text",
+    ["3;1", "3,1;", "a,b", "3,1,2", "3", "1_0,1", "+3,1", "٣,1", "3,-1",
+     pytest.param("9" * 5000 + ",1", id="5000-digits")],
+)
 def test_parse_rejects_malformed_tokens(text):
-    with pytest.raises(RookError):
-        parse_placement(text, 6)
+    with pytest.raises(RookError, match="^bad root token"):
+        parse_placement(text, 10)
 
 
 def test_parse_rejects_repeated_roots():

@@ -177,6 +177,7 @@ GUARDS = {
     "is not orthogonal": ("placements", "_orthogonal"),
     "is not a RookPlacement": ("placements", "_placement"),
     "is not a Poset": ("poset", "_poset"),
+    "is not a Permutation": ("order", "_permutation"),
 }
 
 
@@ -190,3 +191,20 @@ def test_each_input_rule_is_raised_from_one_guard(message):
         if isinstance(node, ast.Raise) and message in ast.unparse(node)
     ]
     assert sites == [GUARDS[message]]
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(set(TREES) - {"__init__"}))
+def test_each_module_uses_every_name_it_imports(module):
+    # __init__ imports only to re-export
+    used = {node.id for node in ast.walk(TREES[module]) if isinstance(node, ast.Name)}
+    assert not _imported_names(TREES[module]) - used
