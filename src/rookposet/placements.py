@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
-from typing import Iterable, Iterator, Literal, Sequence, get_args
+from operator import attrgetter, itemgetter
+from typing import Iterable, Literal, Sequence, get_args
 
 import numpy as np
 
@@ -151,6 +151,52 @@ class RookPlacement:
         return self.to_text()
 
 
+def _batch(n: int, found: list[tuple[Root, ...]]) -> tuple[RookPlacement, ...]:
+    """The placements of the board of size n with the given root tuples,
+    built in place of `found` without a __post_init__ each: one check over
+    all of them (_check_batch) stands in for it."""
+    for i, roots in enumerate(found):
+        found[i] = p = object.__new__(RookPlacement)
+        object.__setattr__(p, "n", n)
+        object.__setattr__(p, "roots", roots)
+    batch = tuple(found)
+    found.clear()
+    _check_batch(n, batch)
+    return batch
+
+
+def _check_batch(n: int, batch: tuple[RookPlacement, ...]) -> None:
+    """Raise, for the first placement of the batch that breaks a rule of
+    RookPlacement.__post_init__, the error the constructor raises on its
+    roots, or RookError if they are valid but not the constructor's sorted
+    tuple of Roots.  The rules, checked over all root arrays at once: the
+    roots a tuple of Roots; 1 <= col < row <= n; rows strictly increasing,
+    i.e. the roots sorted and the rows distinct; the columns distinct."""
+    roots = list(map(attrgetter("roots"), batch))
+    if set(map(type, roots)) <= {tuple} and set(map(type, chain.from_iterable(roots))) <= {Root}:
+        rows, cols = root_arrays(batch)
+        live = rows > 0  # padding is row 0, which no Root has
+        on_board = (1 <= cols) & (cols < rows) & (rows <= n)
+        ordered = np.sort(cols, axis=1)  # the padding columns n + 1 sort last
+        bad = (
+            (live & ~on_board).any(axis=1)
+            | (live[:, 1:] & (rows[:, 1:] <= rows[:, :-1])).any(axis=1)
+            | ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] <= n)).any(axis=1)
+        )
+        if not bad.any():
+            return
+        del roots[: int(bad.argmax())]  # these break no rule
+    for r in roots:
+        # the constructor raises its own error; what it lets pass is
+        # refused here: roots out of order, not a tuple, or not a Root
+        # that its own checks built
+        checked = RookPlacement(n, r)
+        if checked.roots != r or type(r) is not tuple or any(
+            type(x) is not Root or not 0 < x[1] < x[0] for x in r
+        ):
+            raise RookError(f"roots {r!r} are not a sorted tuple of Roots on the board")
+
+
 def _board(n: object) -> int:
     if not _is_int(n) or n < 0:
         raise AmbientError(f"board size must be a non-negative int, got {n!r}")
@@ -272,23 +318,25 @@ def count_placements(n: int, kind: Kind = "general") -> int:
     return row[-1] if n >= 1 else 1
 
 
-def _search(n: int, orthogonal: bool) -> Iterator[tuple[Root, ...]]:
-    # Depth-first over the next root (Knuth, TAOCP 4A, 7.2.2).  A rook
-    # closes its column and, when orthogonal, its row: rows only grow past
-    # every column, so no other clash can occur.  A placement comes before
-    # its extensions, and those follow their next root: sorted order.
-    closed = [False] * (n + 1)
-
-    def rec(roots: tuple[Root, ...], last: int) -> Iterator[tuple[Root, ...]]:
-        yield roots
-        for row in range(last + 1, n + 1):
-            for col in range(1, row):
-                if not closed[col]:
-                    closed[col], closed[row] = True, orthogonal
-                    yield from rec(roots + (Root(row, col),), row)
-                    closed[col] = closed[row] = False
-
-    return rec((), 1)
+def _search(n: int, orthogonal: bool) -> list[tuple[Root, ...]]:
+    # Depth-first over the next root (Knuth, TAOCP 4A, 7.2.2), in pre-order
+    # off one stack: a placement comes before its extensions, and those
+    # follow their next root, so the list is sorted.  The extensions are
+    # pushed in reverse (row, col) order to pop in that order.  A rook
+    # closes its column and, when orthogonal, its row (bits of `closed`):
+    # rows only grow past every column, so no other clash can occur.  Each
+    # cell is one Root, shared by every placement that holds it.
+    cells = [[(1 << col, Root(row, col)) for col in range(row - 1, 0, -1)] for row in range(n + 1)]
+    found, stack = [], [((), 1, 0)]
+    while stack:
+        roots, last, closed = stack.pop()
+        found.append(roots)
+        for row in range(n, last, -1):
+            shut = orthogonal << row
+            for bit, cell in cells[row]:
+                if not closed & bit:
+                    stack.append((roots + (cell,), row, closed | bit | shut))
+    return found
 
 
 def enumerate_placements(
@@ -312,7 +360,7 @@ def enumerate_placements(
     exponent = n - 1 if general else n // 2
     if exponent >= cap.bit_length() or count_placements(n, kind) > cap:
         raise CapError(f"board {n} has more than {cap} placements of kind {kind!r}")
-    return tuple(RookPlacement(n, roots) for roots in _search(n, not general))
+    return _batch(n, _search(n, not general))
 
 
 def root_arrays(placements: Sequence[RookPlacement]) -> tuple[np.ndarray, np.ndarray]:
@@ -323,15 +371,21 @@ def root_arrays(placements: Sequence[RookPlacement]) -> tuple[np.ndarray, np.nda
     and rows >= i never includes them.  Raises RookError on anything but
     placements, and AmbientError unless all live on one board.
     """
-    placements = tuple(map(_placement, _as_tuple(placements, "placements")))
+    placements = _as_tuple(placements, "placements")
+    # the checks and the flattening iterate in C, not per placement in Python
+    if not all(issubclass(t, RookPlacement) for t in set(map(type, placements))):
+        for p in placements:
+            _placement(p)
     n = placements[0].n if placements else 0
-    for p in placements:
-        if p.n != n:
-            raise AmbientError(f"placements on boards of sizes {n} and {p.n}")
-    sizes = np.array([p.size for p in placements], dtype=np.intp)
+    if len(set(map(attrgetter("n"), placements))) > 1:
+        other = next(p.n for p in placements if p.n != n)
+        raise AmbientError(f"placements on boards of sizes {n} and {other}")
+    roots = list(map(attrgetter("roots"), placements))
+    sizes = np.fromiter(map(len, roots), dtype=np.intp, count=len(roots))
+    cells = np.fromiter(
+        chain.from_iterable(chain.from_iterable(roots)), dtype=np.intp, count=2 * int(sizes.sum())
+    ).reshape(-1, 2)
     filled = np.arange(sizes.max(initial=0)) < sizes[:, None]
-    cells = np.array([x for p in placements for r in p.roots for x in r], dtype=np.intp)
-    cells = cells.reshape(-1, 2)  # numpy reads flat ints faster than pairs or Roots
     rows = np.zeros(filled.shape, dtype=np.intp)
     cols = np.full(filled.shape, n + 1, dtype=np.intp)
     # a boolean mask assigns in row-major order, i.e. placement by placement

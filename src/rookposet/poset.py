@@ -238,9 +238,12 @@ def check_graded(poset: Poset) -> GradedReport:
     """Decide gradedness: unique extrema and no Hasse cover a < x that
     skips a level, i.e. the longest Hasse path from the minimum to x is
     one longer than the one to a (it then is the rank of x).  These
-    longest paths come from one sweep over a linear extension.  On
-    success the ranks are cross-checked against the closed formulas; on
-    failure a witness is produced.
+    longest paths come from numpy rounds over the lower covers: each
+    round sets every element but the minimum to one more than the most
+    of its lower covers, and after the round that changes nothing, one
+    round per level, they hold.  The skip test is then one compare over
+    all covers.  On success the ranks are cross-checked against the
+    closed formulas; on failure a witness is produced.
     """
     m = len(_poset(poset))
     # Poset has proved leq a partial order, so an element is minimal when
@@ -264,39 +267,39 @@ def check_graded(poset: Poset) -> GradedReport:
         )
     bottom, top = minimal[0], maximal[0]
 
-    # The scan's column order is a linear extension: it visits every
-    # lower cover of x before x.
-    order = poset._columns.tolist()
-    below, at = below.tolist(), at.tolist()
-    longest = [0] * m
-    parent = [-1] * m
-    for x in order:
-        for a in below[at[x] : at[x + 1]]:
-            if longest[a] + 1 > longest[x]:
-                longest[x], parent[x] = longest[a] + 1, a
-    skip = next(
-        (
-            (a, x)
-            for x in order
-            for a in below[at[x] : at[x + 1]]
-            if longest[a] + 1 < longest[x]
-        ),
-        None,
-    )
-    if skip is not None:
-        a, x = skip
+    longest = np.zeros(m, dtype=np.intp)
+    above = at[:-1] != at[1:]  # every element but the minimum
+    starts = at[:-1][above]
+    if len(below):  # reduceat needs a cover
+        while True:
+            step = np.maximum.reduceat(longest[below], starts) + 1
+            if np.array_equal(step, longest[above]):
+                break
+            longest[above] = step
+    upper = np.repeat(np.arange(m), np.diff(at))  # the upper end of each cover in below
+    skips = np.flatnonzero(longest[below] + 1 < longest[upper])
+    if len(skips):
+        # the skip a sweep along the linear extension meets first: least
+        # column position of x, then first in below order of a
+        k = skips[np.argmin(poset._pos[upper[skips]])]
+        a, x = int(below[k]), int(upper[k])
         # Both chains go on from x to the top the same way, through the
         # first upper cover of each element: hasse is sorted by lower index.
         tail = [x]
         while tail[-1] != top:
             tail.append(poset.hasse[bisect_left(poset.hasse, (tail[-1],))][1])
 
+        def parent(y: int) -> int:
+            # the first lower cover of y on a longest path to y
+            lower = below[at[y] : at[y + 1]]
+            return int(lower[(longest[lower] + 1 == longest[y]).argmax()])
+
         def _chain(path: list[int]) -> tuple[RookPlacement, ...]:
-            while parent[path[0]] != -1:
-                path.insert(0, parent[path[0]])
+            while path[0] != bottom:
+                path.insert(0, parent(path[0]))
             return tuple(poset.elements[i] for i in path + tail)
 
-        chain_long, chain_short = _chain([parent[x]]), _chain([a])
+        chain_long, chain_short = _chain([parent(x)]), _chain([a])
         return GradedReport(
             is_graded=False,
             min_element=poset.elements[bottom],
@@ -309,6 +312,7 @@ def check_graded(poset: Poset) -> GradedReport:
             witness_chains=(chain_long, chain_short),
         )
 
+    longest = longest.tolist()
     return GradedReport(
         is_graded=True,
         min_element=poset.elements[bottom],

@@ -392,6 +392,58 @@ def test_enumeration_text_is_pinned(n, kind, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "kind,largest", [("general", 8), ("orthogonal", 9)], ids=["general", "orthogonal"]
+)
+def test_enumerated_placements_are_their_checked_twins(kind, largest):
+    # enumeration builds its placements without the constructor's checks
+    for n in range(1, largest + 1):
+        elements = enumerate_placements(n, kind)
+        for e in elements:
+            twin = RookPlacement(n, e.roots)
+            assert e == twin and hash(e) == hash(twin) and vars(e) == vars(twin)
+            assert type(e.roots) is tuple and all(type(r) is Root for r in e.roots)
+        assert pickle.loads(pickle.dumps(elements)) == elements
+
+
+# one bad root tuple of a search on the board of size 6, after good ones
+BAD_SEARCH_RESULTS = {
+    "shared-row": (Root(4, 1), Root(4, 3)),
+    "shared-column": (Root(3, 2), Root(5, 2)),
+    "past-row-n": (Root(3, 1), Root(7, 2)),
+    "col-not-below-row": (Root(3, 1), (4, 4)),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_SEARCH_RESULTS.values(), ids=BAD_SEARCH_RESULTS)
+def test_enumeration_raises_what_the_constructor_raises(monkeypatch, bad):
+    good = placements_module._search(6, False)[:40]
+    later = (Root(5, 1), Root(5, 2))  # a second offence, not the first
+    monkeypatch.setattr(placements_module, "_search", lambda n, orthogonal: good + [bad, later])
+    with pytest.raises(RookError) as expected:
+        RookPlacement(6, bad)
+    with pytest.raises(RookError) as got:
+        enumerate_placements(6)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+    assert type(expected.value) in (AttackError, AmbientError, RookError)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        (Root(4, 1), Root(3, 2)),  # valid, but out of order
+        [Root(3, 1)],  # valid, but not a tuple
+        (tuple.__new__(Root, (4, 4)),),  # a Root built past its checks
+    ],
+    ids=["unsorted", "list", "forged-root"],
+)
+def test_enumeration_refuses_roots_the_constructor_would_mend(monkeypatch, bad):
+    monkeypatch.setattr(placements_module, "_search", lambda n, orthogonal: [(), bad])
+    with pytest.raises(RookError, match="are not a sorted tuple of Roots on the board"):
+        enumerate_placements(6)
+
+
 def test_smallest_board_has_only_the_empty_placement():
     assert enumerate_placements(1) == (RookPlacement(1, ()),)
     with pytest.raises(AmbientError):

@@ -239,21 +239,82 @@ def test_check_graded_witness_shares_a_tail_above_the_skipping_cover():
     )
 
 
+def test_check_graded_ranks_a_long_chain():
+    leq = np.triu(np.ones((70, 70), dtype=bool))  # rows of two words each
+    chain = Poset(6, "general", enumerate_placements(6)[:70], leq)
+    report = check_graded(chain)
+    assert report.is_graded and report.max_chain_length == 69
+    assert list(report.rank_of.values()) == list(range(70))
+
+
+def test_check_graded_witness_of_a_long_skip_is_pinned():
+    # the chain 0 < 1 < ... < 69, and 70 above 0..10 and below 60..69 only,
+    # so that its cover 70 < 60 skips 48 levels; the witness pinned is the
+    # one a Python sweep along a linear extension reports
+    leq = np.triu(np.ones((71, 71), dtype=bool))
+    leq[:, 70] = leq[70] = False
+    leq[:11, 70] = leq[70, 60:] = True
+    poset = Poset(6, "general", enumerate_placements(6)[:71], leq)
+    report = check_graded(poset)
+    assert not report.is_graded
+    assert report.witness == "maximal chains of lengths 69 and 21 both end at '3,1;4,3;5,4;6,2'"
+    assert report.witness_chains == (
+        tuple(poset.elements[i] for i in range(70)),
+        tuple(poset.elements[i] for i in (*range(11), 70, *range(60, 70))),
+    )
+
+
+def swept_longest_paths(poset: Poset) -> tuple[list[int], tuple[list[int], ...] | None]:
+    """The longest Hasse paths from the minimum and, if a cover a < x skips
+    a level, the two chains check_graded reports up to x, by indices: one
+    Python sweep along the scan's linear extension, each element taking its
+    first lower cover on a longest path, the first skip in that order."""
+    order = poset._columns.tolist()
+    below, at = poset._below.tolist(), poset._below_at.tolist()
+    longest, parent = [0] * len(poset), [-1] * len(poset)
+    for x in order:
+        for a in below[at[x] : at[x + 1]]:
+            if longest[a] + 1 > longest[x]:
+                longest[x], parent[x] = longest[a] + 1, a
+    skips = [(a, x) for x in order for a in below[at[x] : at[x + 1]] if longest[a] + 1 < longest[x]]
+    if not skips:
+        return longest, None
+
+    def down(path: list[int]) -> list[int]:
+        while parent[path[0]] != -1:
+            path.insert(0, parent[path[0]])
+        return path
+
+    a, x = skips[0]
+    return longest, (down([parent[x], x]), down([a, x]))
+
+
 @settings(max_examples=100)
-@given(st.integers(2, 40), st.lists(st.tuples(st.integers(0, 39), st.integers(1, 4)), max_size=80))
-def test_witness_chains_step_along_hasse_edges_from_bottom_to_top(m, steps):
-    # a < a + d only, closed up: an order with minimum 0 and maximum m - 1
+@given(
+    st.integers(2, 40),
+    st.lists(st.tuples(st.integers(0, 39), st.integers(1, 4)), max_size=80),
+    st.randoms(use_true_random=False),
+)
+def test_witness_chains_step_along_hasse_edges_from_bottom_to_top(m, steps, rnd):
+    # a < a + d only, closed up: an order with minimum 0 and maximum m - 1,
+    # its elements listed in a random order
     leq = np.eye(m, dtype=bool)
     leq[0], leq[:, -1] = True, True
     for a, d in steps:
         leq[a % m, min(a % m + d, m - 1)] = True
     for _ in range(m.bit_length()):
         leq = leq | (leq.astype(np.int64) @ leq.astype(np.int64) > 0)
-    poset = Poset(6, "general", enumerate_placements(6)[:m], leq)
+    order = list(range(m))
+    rnd.shuffle(order)
+    poset = Poset(6, "general", enumerate_placements(6)[:m], leq[np.ix_(order, order)])
     report = check_graded(poset)
-    for chain in report.witness_chains or ():
+    longest, swept = swept_longest_paths(poset)
+    assert (report.witness_chains is None) == (swept is None)
+    if swept is None:
+        assert report.is_graded and list(report.rank_of.values()) == longest
+    for chain, start in zip(report.witness_chains or (), swept or ()):
         path = [poset.index_of(e) for e in chain]
-        assert path[0] == 0 and path[-1] == m - 1
+        assert path[: len(start)] == start and path[-1] == order.index(m - 1)
         assert set(zip(path, path[1:])) <= set(poset.hasse)
 
 

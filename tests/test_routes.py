@@ -193,6 +193,23 @@ def test_each_input_rule_is_raised_from_one_guard(message):
     assert sites == [GUARDS[message]]
 
 
+def test_placements_skip_their_checks_only_in_the_checked_batch():
+    # enumeration builds placements past __post_init__, and one bulk check
+    # over the whole batch stands in for it
+    sites = [
+        (module, top.name)
+        for module, tree in TREES.items()
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and ast.unparse(node).endswith("__new__(RookPlacement)")
+    ]
+    assert sites == [("placements", "_batch")]
+    batch = DEFS["_batch"][1]
+    calls = {ast.unparse(node.func) for node in ast.walk(batch) if isinstance(node, ast.Call)}
+    assert "_check_batch" in calls
+    assert "root_arrays" in reaches("_check_batch")
+
+
 def _imported_names(tree: ast.Module) -> set[str]:
     names = set()
     for node in ast.walk(tree):
