@@ -1,13 +1,15 @@
 """Command-line interface.
 
-Exit codes: 0 on success (and on verified suites), 1 when a verify
-suite finds a discrepancy, 2 on usage or input errors.
+Exit codes: 0 on success (and on verified suites, and when the reader
+of stdout stops early), 1 when a verify suite finds a discrepancy, 2 on
+usage or input errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import get_args
 
@@ -194,10 +196,20 @@ def main(argv: list[str] | None = None) -> int:
         for key in ("a", "b", "d"):  # the placements, read on the board of --n
             if hasattr(args, key):
                 setattr(args, key, parse_placement(getattr(args, key), args.n))
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except RookError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader stopped early, as `rookposet enumerate | head` does:
+        # what is still buffered goes to devnull, so that the interpreter's
+        # final flush of stdout stays quiet too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
 
 if __name__ == "__main__":

@@ -19,10 +19,11 @@ board; order.inversion_length of order.involution_of is the dense route
 the tests compare it with.
 
 ranks_of takes L and X of a whole list at once from the padded (m, k)
-root arrays (placements.root_arrays), with one (m, k, k) comparison for
-the crossings.  The padding, row 0 and column n + 1, crosses nothing and
-the length sum skips it.  rank_general and rank_orthogonal, one
-placement at a time, are the oracles the tests compare it with.
+root arrays (placements.root_arrays; a materialized poset hands its own
+to _ranks), with one (m, k, k) comparison for the crossings.  The
+padding, row 0 and column n + 1, crosses nothing and the length sum
+skips it.  rank_general and rank_orthogonal, one placement at a time,
+are the oracles the tests compare it with.
 """
 
 from __future__ import annotations
@@ -32,7 +33,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import RookError
-from .placements import Kind, Root, RookPlacement, _kind, _orthogonal, _placement, root_arrays
+from .placements import (
+    Kind,
+    Root,
+    RookPlacement,
+    _as_tuple,
+    _kind,
+    _orthogonal,
+    _placement,
+    root_arrays,
+)
 
 
 def kerov_map(placement: RookPlacement) -> RookPlacement:
@@ -66,8 +76,18 @@ def ranks_of(placements: Sequence[RookPlacement], kind: Kind) -> list[int]:
     """rank_orthogonal (kind "orthogonal") or rank_general (kind "general")
     of each placement, which must all live on one board.  The first element
     that is not a placement, or not orthogonal for kind "orthogonal",
-    raises what the single-placement rank raises; another kind RookError."""
-    rows, cols = root_arrays(placements)
+    raises what the single-placement rank raises; another kind RookError.
+    A thin wrapper: _ranks reads them from the root arrays."""
+    placements = _as_tuple(placements, "placements")
+    return _ranks(placements, *root_arrays(placements), kind)
+
+
+def _ranks(
+    placements: tuple[RookPlacement, ...], rows: np.ndarray, cols: np.ndarray, kind: Kind
+) -> list[int]:
+    """ranks_of the placements whose padded root arrays
+    (placements.root_arrays) are rows and cols; the placements themselves
+    are read only to raise for the first one that is not orthogonal."""
     if _kind(kind) == "orthogonal":
         # padding never meets: row 0 is no column and column n + 1 no row
         clash = (rows[:, :, None] == cols[:, None, :]).any(axis=(1, 2))

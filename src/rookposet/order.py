@@ -5,9 +5,10 @@ with i > j counts the rooks of D weakly south-west of the cell, i.e.
 those in columns <= j and rows >= i.  D1 <= D2 holds exactly when the
 matrix of D1 is entrywise dominated by the matrix of D2.
 counting_entries reads the counts of all m placements from their padded
-root arrays (placements.root_arrays), one cell (i, j) at a time, as the
-number of rooks t with col_t <= j and row_t >= i; rank_matrix, one
-placement at a time in pure Python, is the dense oracle for them.
+root arrays (placements.root_arrays, or those enumeration hands on to
+_counting_entries), one cell (i, j) at a time, as the number of rooks t
+with col_t <= j and row_t >= i; rank_matrix, one placement at a time in
+pure Python, is the dense oracle for them.
 packed_dominance turns them into the relation as packed bit rows in a
 linear extension, the one form that the materialized poset keeps and
 dominance_matrix unpacks.
@@ -117,12 +118,18 @@ def counting_entries(placements: Sequence[RookPlacement]) -> np.ndarray:
     (n(n - 1)/2 x m) array, one row per cell (i, j), i > j, in row-major
     order.  Each entry is at most n // 2, so the array is int8 up to
     n = 255, every board the materialized poset reaches, and int16 past
-    it.  All placements must live on one board (AmbientError otherwise)."""
+    it.  All placements must live on one board (AmbientError otherwise).
+    A thin wrapper: _counting_entries reads them from the root arrays."""
     placements = _as_tuple(placements, "placements")
     rows, cols = root_arrays(placements)
-    n = placements[0].n if placements else 0
+    return _counting_entries(placements[0].n if placements else 0, rows, cols)
+
+
+def _counting_entries(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """counting_entries of the placements on the board of size n whose
+    padded root arrays (placements.root_arrays) are rows and cols."""
     dtype = np.int8 if n < 256 else np.int16
-    entries = np.empty((n * (n - 1) // 2, len(placements)), dtype=dtype)
+    entries = np.empty((n * (n - 1) // 2, len(rows)), dtype=dtype)
     e = 0
     for i in range(2, n + 1):
         below = rows >= i
@@ -160,9 +167,15 @@ def packed_dominance(
     the AND over the cells of the set at v = E[e, columns[p]], filled a
     block of rows at a time from the first position of its first row's sum
     on (only a repeat there can come first in an up-set), each seeded
-    first, in a zeroed m^2 / 8 byte array (CapError if refused).
+    first, in a zeroed m^2 / 8 byte array (CapError if refused).  A thin
+    wrapper over _packed_dominance, which takes the counting entries.
     """
-    entries = counting_entries(placements)
+    return _packed_dominance(counting_entries(placements))
+
+
+def _packed_dominance(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """packed_dominance of the placements whose counting entries
+    (counting_entries) are the columns of `entries`."""
     m = entries.shape[1]
     sums = entries.sum(axis=0)
     columns = np.argsort(sums, kind="stable")

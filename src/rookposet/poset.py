@@ -8,32 +8,33 @@ an oracle for them.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
 from . import order as order_module
 from .errors import AmbientError, RookError
-from .kerov import ranks_of
-from .order import pack_rows, packed_dominance, unpack_rows
+from .kerov import _ranks
+from .order import _counting_entries, _packed_dominance, unpack_rows
 from .placements import DEFAULT_CAP, Kind, RookPlacement, _as_tuple, _board, _kind, _placement
-from .placements import enumerate_placements
+from .placements import _enumerate, root_arrays
 
 
 class Poset:
     """A finite poset of placements with its Hasse diagram.
 
     `leq` is the order relation over `elements`, a partial order, given
-    as an m x m bool array or as the (bits, columns) pair of
-    order.packed_dominance: int columns, a permutation of range(m) in a
-    linear extension, and uint64 bits of shape (m, ceil(m / 64)), row p
-    the up-set of element columns[p], bit q for columns[q] (RookError
-    otherwise).  A bool array is packed once into such a pair, in
-    down-set-size order, and not kept: the pair is the only form of the
-    relation held.  `hasse` lists the cover edges as sorted (lower_index,
-    upper_index) pairs.  The elements must be distinct placements on the
-    board of size n (RookError, AmbientError).
+    as the (bits, columns) pair of order.packed_dominance: int columns, a
+    permutation of range(m) in a linear extension, and uint64 bits of
+    shape (m, ceil(m / 64)), row p the up-set of element columns[p], bit
+    q for columns[q] (RookError otherwise).  The pair is the only form of
+    the relation held.  `hasse` lists the cover edges as sorted
+    (lower_index, upper_index) pairs.  The elements must be distinct
+    placements on the board of size n (RookError, AmbientError).  Their
+    root arrays (placements.root_arrays), which the closed-form ranks
+    read, come from build_poset's enumeration, or are taken once, on
+    first need, for a poset built by hand.
 
     The covers are the transitive reduction (Aho, Garey and Ullman, "The
     transitive reduction of a directed graph", SIAM J. Comput. 1, 1972):
@@ -55,24 +56,24 @@ class Poset:
         n: int,
         kind: Kind,
         elements: tuple[RookPlacement, ...],
-        leq: np.ndarray | tuple[np.ndarray, np.ndarray],
+        leq: tuple[np.ndarray, np.ndarray],
     ) -> None:
         self.n, self.kind = _board(n), _kind(kind)
         self.elements = elements = _as_tuple(elements, "elements")
-        for e in elements:
-            if _placement(e).n != n:
-                raise AmbientError(f"placement {e.to_text()!r} is on board {e.n}, not {n}")
+        # the types and the boards as two sets; only if one fails, the
+        # loop that raises for the first offender
+        if not (
+            set(map(type, elements)) <= {RookPlacement}
+            and set(map(attrgetter("n"), elements)) <= {n}
+        ):
+            for e in elements:
+                if _placement(e).n != n:
+                    raise AmbientError(f"placement {e.to_text()!r} is on board {e.n}, not {n}")
         m = len(elements)
-        if isinstance(leq, tuple):
-            if len(leq) != 2:
-                raise RookError(f"packed leq must be a (bits, columns) pair, not {len(leq)}")
-            bits, columns = map(np.asarray, leq)
-        else:
-            leq = np.asarray(leq, dtype=bool)
-            if leq.shape != (m, m):
-                raise RookError(f"leq must be {m}x{m}, got {leq.shape}")
-            columns = np.argsort(leq.sum(axis=0), kind="stable")
-            bits = pack_rows(leq[np.ix_(columns, columns)])
+        if not (isinstance(leq, tuple) and len(leq) == 2):
+            what = len(leq) if isinstance(leq, tuple) else type(leq).__name__
+            raise RookError(f"packed leq must be a (bits, columns) pair, not {what}")
+        bits, columns = map(np.asarray, leq)
         if bits.dtype != np.uint64 or bits.shape != (m, -(-m // 64)):
             raise RookError(f"packed leq must cover {m} elements in uint64 words")
         if columns.dtype.kind not in "iu" or not np.array_equal(np.sort(columns), np.arange(m)):
@@ -81,14 +82,16 @@ class Poset:
         lower, upper = _cover_scan(bits, columns)
         self._bits, self._columns, self._pos = bits, columns, pos
         self.hasse: tuple[tuple[int, int], ...] = tuple(zip(lower.tolist(), upper.tolist()))
-        # lower covers of x: _below[_below_at[x] : _below_at[x + 1]], by index
-        by_upper = np.argsort(upper, kind="stable")
-        self._below = lower[by_upper]
-        self._below_at = np.searchsorted(upper[by_upper], np.arange(m + 1))
+        # covers of x by index, upper ones _above[_above_at[x] : _above_at[x + 1]]
+        # (hasse is sorted by lower index), lower ones likewise in _below
+        self._above, self._above_at = upper, _starts(lower, m)
+        self._below = np.sort(upper * m + lower) % max(m, 1)  # no % 0 when m = 0
+        self._below_at = _starts(upper, m)
         self._index = dict(zip(self.elements, range(m)))
         if len(self._index) < m:  # a repeat that leq orders both ways failed the scan
             twice = next(e for i, e in enumerate(self.elements) if self._index[e] != i)
             raise RookError(f"placement {twice.to_text()!r} is listed twice")
+        self._roots: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -106,6 +109,12 @@ class Poset:
         p, q = (int(self._pos[self.index_of(x)]) for x in (a, b))
         # a row has no bit before its own position
         return q >= p and bool(int(self._bits[p, q >> 6]) >> (q & 63) & 1)
+
+
+def _starts(keys: np.ndarray, m: int) -> np.ndarray:
+    """The offsets at[x] : at[x + 1] of the run of each x in range(m) in
+    the sorted `keys`, ints in range(m)."""
+    return np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=m))))
 
 
 def _poset(p: object) -> Poset:
@@ -199,9 +208,19 @@ def _raise_first_offence(
 
 def build_poset(n: int, kind: Kind = "general", cap: int = DEFAULT_CAP) -> Poset:
     """Enumerate all placements of the given kind and materialize their
-    dominance order."""
-    elements = enumerate_placements(n, kind, cap=cap)
-    return Poset(n, kind, elements, packed_dominance(elements))
+    dominance order; the root arrays of the enumeration's bulk check feed
+    the counting entries and stay with the poset for its ranks."""
+    elements, rows, cols = _enumerate(n, kind, cap)
+    poset = Poset(n, kind, elements, _packed_dominance(_counting_entries(n, rows, cols)))
+    poset._roots = rows, cols
+    return poset
+
+
+def _element_ranks(poset: Poset) -> list[int]:
+    """ranks_of the elements of the poset, from the root arrays it holds."""
+    if poset._roots is None:
+        poset._roots = root_arrays(poset.elements)
+    return _ranks(poset.elements, *poset._roots, poset.kind)
 
 
 def brute_force_covers(poset: Poset, placement: RookPlacement) -> set[RookPlacement]:
@@ -234,25 +253,46 @@ class GradedReport:
     rank_formula_ok: bool | None = None
 
 
+def _longest_paths(poset: Poset) -> np.ndarray:
+    """The length of the longest Hasse path from a minimal element to each
+    element, by the levels of Kahn's topological sort (CACM 5(11), 1962):
+    an element joins the frontier once its last lower cover has left it,
+    one level above that cover, so each cover is read once."""
+    m, above, at = len(poset), poset._above, poset._above_at
+    waiting = np.diff(poset._below_at)  # lower covers yet to leave the frontier
+    longest = np.zeros(m, dtype=np.intp)
+    frontier = np.flatnonzero(waiting == 0)
+    level = 0
+    while len(frontier):
+        longest[frontier] = level
+        # the upper covers of the frontier: one gather of their runs in above
+        starts = at[frontier]
+        runs = at[frontier + 1] - starts
+        ends = np.cumsum(runs)
+        ups = above[np.repeat(starts - ends + runs, runs) + np.arange(ends[-1])]
+        left = np.bincount(ups, minlength=m)
+        waiting -= left
+        frontier = np.flatnonzero((waiting == 0) & (left != 0))
+        level += 1
+    return longest
+
+
 def check_graded(poset: Poset) -> GradedReport:
     """Decide gradedness: unique extrema and no Hasse cover a < x that
     skips a level, i.e. the longest Hasse path from the minimum to x is
     one longer than the one to a (it then is the rank of x).  These
-    longest paths come from numpy rounds over the lower covers: each
-    round sets every element but the minimum to one more than the most
-    of its lower covers, and after the round that changes nothing, one
-    round per level, they hold.  The skip test is then one compare over
-    all covers.  On success the ranks are cross-checked against the
-    closed formulas; on failure a witness is produced.
+    longest paths come from Kahn's levels over the upper covers
+    (_longest_paths), and the skip test is then one compare over all
+    covers.  On success the ranks are cross-checked against the closed
+    formulas (kerov._ranks, over the root arrays the poset holds); on
+    failure a witness is produced.
     """
     m = len(_poset(poset))
     # Poset has proved leq a partial order, so an element is minimal when
     # it has no lower cover and maximal when it has no upper cover.
     below, at = poset._below, poset._below_at
     minimal = np.flatnonzero(at[1:] == at[:-1]).tolist()
-    covered = np.zeros(m, dtype=bool)
-    covered[below] = True
-    maximal = np.flatnonzero(~covered).tolist()
+    maximal = np.flatnonzero(poset._above_at[1:] == poset._above_at[:-1]).tolist()
     if len(minimal) != 1 or len(maximal) != 1:
         which = "minimal" if len(minimal) != 1 else "maximal"
         offenders = minimal if len(minimal) != 1 else maximal
@@ -267,15 +307,7 @@ def check_graded(poset: Poset) -> GradedReport:
         )
     bottom, top = minimal[0], maximal[0]
 
-    longest = np.zeros(m, dtype=np.intp)
-    above = at[:-1] != at[1:]  # every element but the minimum
-    starts = at[:-1][above]
-    if len(below):  # reduceat needs a cover
-        while True:
-            step = np.maximum.reduceat(longest[below], starts) + 1
-            if np.array_equal(step, longest[above]):
-                break
-            longest[above] = step
+    longest = _longest_paths(poset)
     upper = np.repeat(np.arange(m), np.diff(at))  # the upper end of each cover in below
     skips = np.flatnonzero(longest[below] + 1 < longest[upper])
     if len(skips):
@@ -284,10 +316,10 @@ def check_graded(poset: Poset) -> GradedReport:
         k = skips[np.argmin(poset._pos[upper[skips]])]
         a, x = int(below[k]), int(upper[k])
         # Both chains go on from x to the top the same way, through the
-        # first upper cover of each element: hasse is sorted by lower index.
+        # first upper cover of each element.
         tail = [x]
         while tail[-1] != top:
-            tail.append(poset.hasse[bisect_left(poset.hasse, (tail[-1],))][1])
+            tail.append(int(poset._above[poset._above_at[tail[-1]]]))
 
         def parent(y: int) -> int:
             # the first lower cover of y on a longest path to y
@@ -319,7 +351,7 @@ def check_graded(poset: Poset) -> GradedReport:
         max_element=poset.elements[top],
         rank_of=dict(zip(poset.elements, longest)),
         max_chain_length=longest[top],
-        rank_formula_ok=ranks_of(poset.elements, poset.kind) == longest,
+        rank_formula_ok=_element_ranks(poset) == longest,
     )
 
 
@@ -331,7 +363,7 @@ def export_dot(poset: Poset, include_ranks: bool = False) -> str:
     into one layer.
     """
     lines = [f'digraph "{_poset(poset).kind}_{poset.n}" {{', "  rankdir=BT;"]
-    ranks = ranks_of(poset.elements, poset.kind) if include_ranks else None
+    ranks = _element_ranks(poset) if include_ranks else None
     same: dict[int, list[str]] = {}
     for i, e in enumerate(poset.elements):
         if ranks is None:
@@ -355,5 +387,5 @@ def poset_to_json(poset: Poset) -> dict:
         "kind": poset.kind,
         "elements": [e.to_json()["roots"] for e in poset.elements],
         "hasse": [list(edge) for edge in poset.hasse],
-        "ranks": ranks_of(poset.elements, poset.kind),
+        "ranks": _element_ranks(poset),
     }

@@ -86,7 +86,7 @@ def test_readme_python_blocks_run():
 
 
 _D = rookposet.parse_placement("2,1", 2)
-_EMPTY = np.zeros((0, 0), dtype=bool)
+_EMPTY = (np.zeros((0, 0), dtype=np.uint64), np.zeros(0, dtype=np.intp))
 # calls that leaked AttributeError or TypeError on input of the wrong type;
 # each batch kernel gets the bad value as its whole argument and in a list
 LEAKS = {

@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rookposet
 import rookposet.order as order_module
 from rookposet import CapError, build_poset
 from rookposet.cli import build_parser, main
@@ -31,6 +35,23 @@ def test_enumerate_json(capsys):
     payload = json.loads(out)
     assert payload["count"] == 4
     assert payload["placements"][0] == []
+
+
+def test_enumerate_into_a_pipe_closed_after_one_line_exits_quietly():
+    # as `rookposet enumerate --n 9 | head -1`: 382 kB of text, far more
+    # than a pipe holds, so the writes go on after the reader has gone
+    src = os.path.dirname(os.path.dirname(rookposet.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "rookposet.cli", "enumerate", "--n", "9"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 0
+    assert first == b"\n" and err == b""  # the empty placement comes first
 
 
 def test_compare_prints_verdict_and_matrices(capsys):

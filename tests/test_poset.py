@@ -10,11 +10,12 @@ from typing import Iterator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rookposet.kerov
 import rookposet.order as order_module
+import rookposet.placements
 import rookposet.poset
 from rookposet import (
     AmbientError,
@@ -196,6 +197,13 @@ def test_all_maximal_chains_share_one_length(n, kind):
     assert lengths == {report.max_chain_length}
 
 
+def _as_pair(leq):
+    """A bool relation packed as the (bits, columns) pair Poset takes, its
+    columns in down-set-size order."""
+    columns = np.argsort(leq.sum(axis=0), kind="stable")
+    return pack_rows(leq[np.ix_(columns, columns)]), columns
+
+
 def _fake_leq(relations, count):
     leq = np.eye(count, dtype=bool)
     for a, b in relations:
@@ -206,7 +214,7 @@ def _fake_leq(relations, count):
 def _fake_poset(relations, count):
     # handcrafted order over distinct real placements, used as labels only
     labels = enumerate_placements(4)[:count]
-    return Poset(4, "general", labels, _fake_leq(relations, count))
+    return Poset(4, "general", labels, _as_pair(_fake_leq(relations, count)))
 
 
 def test_check_graded_reports_unequal_chains():
@@ -241,7 +249,7 @@ def test_check_graded_witness_shares_a_tail_above_the_skipping_cover():
 
 def test_check_graded_ranks_a_long_chain():
     leq = np.triu(np.ones((70, 70), dtype=bool))  # rows of two words each
-    chain = Poset(6, "general", enumerate_placements(6)[:70], leq)
+    chain = Poset(6, "general", enumerate_placements(6)[:70], _as_pair(leq))
     report = check_graded(chain)
     assert report.is_graded and report.max_chain_length == 69
     assert list(report.rank_of.values()) == list(range(70))
@@ -254,7 +262,7 @@ def test_check_graded_witness_of_a_long_skip_is_pinned():
     leq = np.triu(np.ones((71, 71), dtype=bool))
     leq[:, 70] = leq[70] = False
     leq[:11, 70] = leq[70, 60:] = True
-    poset = Poset(6, "general", enumerate_placements(6)[:71], leq)
+    poset = Poset(6, "general", enumerate_placements(6)[:71], _as_pair(leq))
     report = check_graded(poset)
     assert not report.is_graded
     assert report.witness == "maximal chains of lengths 69 and 21 both end at '3,1;4,3;5,4;6,2'"
@@ -306,7 +314,7 @@ def test_witness_chains_step_along_hasse_edges_from_bottom_to_top(m, steps, rnd)
         leq = leq | (leq.astype(np.int64) @ leq.astype(np.int64) > 0)
     order = list(range(m))
     rnd.shuffle(order)
-    poset = Poset(6, "general", enumerate_placements(6)[:m], leq[np.ix_(order, order)])
+    poset = Poset(6, "general", enumerate_placements(6)[:m], _as_pair(leq[np.ix_(order, order)]))
     report = check_graded(poset)
     longest, swept = swept_longest_paths(poset)
     assert (report.witness_chains is None) == (swept is None)
@@ -331,7 +339,7 @@ def test_poset_keeps_the_callers_array_writable():
     # and keeps no reference to it: a later write changes nothing
     labels = enumerate_placements(4)[:2]
     leq = np.eye(2, dtype=bool)
-    poset = Poset(4, "general", labels, leq)
+    poset = Poset(4, "general", labels, _as_pair(leq))
     assert not any(
         isinstance(v, np.ndarray) and np.shares_memory(v, leq)
         for v in vars(poset).values()
@@ -346,7 +354,7 @@ def test_poset_keeps_the_callers_array_writable():
 def test_check_graded_rejects_a_non_orthogonal_element_like_rank_orthogonal():
     # a chain '' < '2,1;3,2' labelled as orthogonal, though its top is not
     labels = (parse_placement("", 3), parse_placement("2,1;3,2", 3))
-    poset = Poset(3, "orthogonal", labels, np.array([[True, True], [False, True]]))
+    poset = Poset(3, "orthogonal", labels, _as_pair(np.array([[True, True], [False, True]])))
     with pytest.raises(OrthogonalityError) as err:
         check_graded(poset)
     assert str(err.value) == "placement '2,1;3,2' is not orthogonal"
@@ -374,11 +382,11 @@ def test_check_graded_lists_every_maximal_element():
 def test_poset_rejects_non_orders():
     labels = enumerate_placements(4)[:2]
     with pytest.raises(RookError, match="not antisymmetric"):
-        Poset(4, "general", labels, np.ones((2, 2), dtype=bool))
+        Poset(4, "general", labels, _as_pair(np.ones((2, 2), dtype=bool)))
     with pytest.raises(RookError, match="not reflexive"):
-        Poset(4, "general", labels, np.zeros((2, 2), dtype=bool))
+        Poset(4, "general", labels, _as_pair(np.zeros((2, 2), dtype=bool)))
     with pytest.raises(RookError, match="not antisymmetric"):
-        Poset(4, "general", enumerate_placements(4)[:3], np.ones((3, 3), dtype=bool))
+        Poset(4, "general", enumerate_placements(4)[:3], _as_pair(np.ones((3, 3), dtype=bool)))
 
 
 @pytest.mark.parametrize("relations,count,message", [
@@ -399,7 +407,7 @@ def test_poset_names_the_first_offence(relations, count, message):
         per_row_covers(leq)
     assert str(err.value) == message
     with pytest.raises(RookError) as err:
-        Poset(4, "general", enumerate_placements(4)[:count], leq)
+        Poset(4, "general", enumerate_placements(4)[:count], _as_pair(leq))
     assert str(err.value) == message
 
 
@@ -453,14 +461,14 @@ def test_leq_elements_agrees_with_the_relation_on_every_pair(n, kind):
 def test_poset_refuses_a_repeated_element_its_relation_allows():
     d = parse_placement("2,1", 3)
     with pytest.raises(RookError) as err:
-        Poset(3, "general", (d, d), np.eye(2, dtype=bool))
+        Poset(3, "general", (d, d), _as_pair(np.eye(2, dtype=bool)))
     assert str(err.value) == "placement '2,1' is listed twice"
 
 
 @pytest.mark.parametrize("n", [True, -1, 3.0, "3", None])
 def test_poset_refuses_a_board_size_that_is_not_a_non_negative_int(n):
     with pytest.raises(AmbientError, match="board size must be a non-negative int"):
-        Poset(n, "general", (), np.zeros((0, 0), dtype=bool))
+        Poset(n, "general", (), _as_pair(np.zeros((0, 0), dtype=bool)))
 
 
 def test_poset_refuses_elements_of_another_board():
@@ -470,12 +478,29 @@ def test_poset_refuses_elements_of_another_board():
     assert str(err.value) == "placement '' is on board 3, not 5"
     mixed = (parse_placement("", 3), parse_placement("4,1", 4))
     with pytest.raises(AmbientError, match="'4,1' is on board 4, not 3"):
-        Poset(3, "general", mixed, np.eye(2, dtype=bool))
+        Poset(3, "general", mixed, _as_pair(np.eye(2, dtype=bool)))
+
+
+@pytest.mark.parametrize("stranger_first", [False, True])
+def test_poset_names_the_first_of_a_wrong_board_and_a_non_placement(stranger_first):
+    # the two checks run over all elements at once; the error is still
+    # that of the first offender in index order
+    offenders = [parse_placement("4,1", 4), "a"]
+    if stranger_first:
+        offenders.reverse()
+    elements = (parse_placement("", 3), *offenders)
+    with pytest.raises(RookError) as err:
+        Poset(3, "general", elements, _as_pair(np.eye(3, dtype=bool)))
+    if stranger_first:
+        assert type(err.value) is RookError and str(err.value) == "'a' is not a RookPlacement"
+    else:
+        assert type(err.value) is AmbientError
+        assert str(err.value) == "placement '4,1' is on board 4, not 3"
 
 
 def test_poset_refuses_elements_that_are_not_placements():
     with pytest.raises(RookError) as err:
-        Poset(3, "general", ("a", "b"), np.eye(2, dtype=bool))
+        Poset(3, "general", ("a", "b"), _as_pair(np.eye(2, dtype=bool)))
     assert str(err.value) == "'a' is not a RookPlacement"
 
 
@@ -495,10 +520,12 @@ def test_packed_pair_must_fit_the_elements():
         Poset(4, "general", elements[:14], packed_dominance(elements))
 
 
-def test_bool_relation_must_fit_the_elements():
+def test_a_bool_relation_is_refused():
+    # Poset takes the packed pair only; _as_pair packs a bool relation
     elements = enumerate_placements(4)
-    with pytest.raises(RookError, match=re.escape("leq must be 15x15, got (14, 14)")):
-        Poset(4, "general", elements, np.eye(14, dtype=bool))
+    with pytest.raises(RookError) as err:
+        Poset(4, "general", elements, dominance_matrix(elements))
+    assert str(err.value) == "packed leq must be a (bits, columns) pair, not ndarray"
 
 
 @pytest.mark.parametrize(
@@ -592,13 +619,13 @@ def per_row_covers(leq: np.ndarray) -> list[tuple[int, int]]:
 
 
 def test_poset_of_no_element_and_of_one():
-    empty = Poset(3, "general", (), np.zeros((0, 0), dtype=bool))
+    empty = Poset(3, "general", (), _as_pair(np.zeros((0, 0), dtype=bool)))
     assert len(empty) == 0 and empty.hasse == ()
     report = check_graded(empty)
     assert not report.is_graded and report.rank_of == {}
     assert report.witness == "expected exactly one minimal element, found []"
     labels = enumerate_placements(3)[:1]
-    one = Poset(3, "general", labels, np.ones((1, 1), dtype=bool))
+    one = Poset(3, "general", labels, _as_pair(np.ones((1, 1), dtype=bool)))
     assert one.hasse == () and brute_force_covers(one, labels[0]) == set()
     report = check_graded(one)
     assert report.is_graded and report.rank_formula_ok
@@ -616,7 +643,7 @@ def test_hasse_does_not_depend_on_the_block_size(monkeypatch, n, kind, block_byt
     whole = build_poset(n, kind)
     leq = dominance_matrix(whole.elements)
     monkeypatch.setattr(order_module, "_BLOCK_BYTES", block_bytes)
-    poset = Poset(n, kind, whole.elements, leq)
+    poset = Poset(n, kind, whole.elements, _as_pair(leq))
     assert poset.hasse == whole.hasse
     assert list(poset.hasse) == matmul_covers(leq)
     assert check_graded(poset) == check_graded(whole)
@@ -660,34 +687,44 @@ def test_block_scan_matches_the_per_row_loop(leq, block_bytes):
         if block_bytes is not None:
             mp.setattr(order_module, "_BLOCK_BYTES", block_bytes)
         if message is None:
-            poset = Poset(6, "general", labels, leq)
+            poset = Poset(6, "general", labels, _as_pair(leq))
             assert list(poset.hasse) == want == matmul_covers(leq)
         else:
             with pytest.raises(RookError) as err:
-                Poset(6, "general", labels, leq)
+                Poset(6, "general", labels, _as_pair(leq))
             assert str(err.value) == message
-
-
-def _as_pair(leq):
-    columns = np.argsort(leq.sum(axis=0), kind="stable")
-    return pack_rows(leq[np.ix_(columns, columns)]), columns
 
 
 @settings(max_examples=100)
 @given(relations())
-def test_a_relation_given_as_a_pair_acts_as_its_bool_form(leq):
-    labels = enumerate_placements(6)[: len(leq)]
+def test_longest_paths_match_the_sweep_on_random_orders(leq):
+    # graded or not, with any number of minimal elements
     try:
-        want, message = Poset(6, "general", labels, leq), None
-    except RookError as err:
-        want, message = None, str(err)
-    if message is None:
-        got = Poset(6, "general", labels, _as_pair(leq))
-        assert got.hasse == want.hasse and check_graded(got) == check_graded(want)
-    else:
-        with pytest.raises(RookError) as err:
-            Poset(6, "general", labels, _as_pair(leq))
-        assert str(err.value) == message
+        per_row_covers(leq)
+    except RookError:
+        assume(False)
+    poset = Poset(6, "general", enumerate_placements(6)[: len(leq)], _as_pair(leq))
+    longest, _ = swept_longest_paths(poset)
+    assert rookposet.poset._longest_paths(poset).tolist() == longest
+
+
+@settings(max_examples=100)
+@given(
+    st.sampled_from([(5, "general"), (6, "orthogonal")]),
+    st.lists(st.integers(0, 75), max_size=40, unique=True),
+)
+def test_a_packed_bool_relation_acts_as_packed_dominance(board, picks):
+    # any list of distinct placements, not only a whole board in order
+    n, kind = board
+    everything = enumerate_placements(n, kind)
+    elements = tuple(dict.fromkeys(everything[i % len(everything)] for i in picks))
+    want = Poset(n, kind, elements, packed_dominance(elements))
+    got = Poset(n, kind, elements, _as_pair(dominance_matrix(elements)))
+    assert got.hasse == want.hasse
+    assert np.array_equal(
+        rookposet.poset._longest_paths(got), rookposet.poset._longest_paths(want)
+    )
+    assert check_graded(got).is_graded == check_graded(want).is_graded
 
 
 @pytest.mark.parametrize("n,kind", [(n, "general") for n in range(1, 7)]
@@ -744,8 +781,47 @@ def test_materialized_poset_does_not_touch_the_per_element_routes(monkeypatch, n
     assert poset_to_json(poset)["ranks"] == list(report.rank_of.values())
 
 
+def _count_root_arrays(monkeypatch) -> list[int]:
+    """Wrap root_arrays in every module that binds it; the list returned
+    grows by one entry a call."""
+    calls, real = [], rookposet.placements.root_arrays
+
+    def counted(placements):
+        calls.append(1)
+        return real(placements)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("rookposet") and getattr(module, "root_arrays", None) is real:
+            monkeypatch.setattr(module, "root_arrays", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n,kind", [(n, "general") for n in (6, 7, 8)]
+                         + [(n, "orthogonal") for n in (7, 8, 9)])
+def test_a_build_and_its_graded_check_take_the_root_arrays_once(monkeypatch, n, kind):
+    calls = _count_root_arrays(monkeypatch)
+    poset = build_poset(n, kind)
+    assert check_graded(poset).rank_formula_ok
+    export_dot(poset, include_ranks=True)
+    poset_to_json(poset)
+    assert len(calls) == 1
+
+
+def test_a_poset_built_by_hand_takes_its_root_arrays_once_on_first_need(monkeypatch):
+    elements = enumerate_placements(5)
+    leq = packed_dominance(elements)
+    calls = _count_root_arrays(monkeypatch)
+    poset = Poset(5, "general", elements, leq)
+    assert not calls
+    assert check_graded(poset).rank_formula_ok
+    dumped = poset_to_json(poset)
+    export_dot(poset, include_ranks=True)
+    assert len(calls) == 1
+    assert dumped == poset_to_json(build_poset(5))
+
+
 def test_export_dot_of_no_element_with_ranks():
-    empty = Poset(3, "general", (), np.zeros((0, 0), dtype=bool))
+    empty = Poset(3, "general", (), _as_pair(np.zeros((0, 0), dtype=bool)))
     text = export_dot(empty, include_ranks=True)
     assert text == 'digraph "general_3" {\n  rankdir=BT;\n}\n'
     assert parse_dot(text) == ({}, [])

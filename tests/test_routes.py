@@ -51,11 +51,15 @@ ORACLES = {
 # oracle of packed_dominance, and a kernel in its own right elsewhere
 KERNELS = {
     ("order", "counting_entries"): ORACLES,
+    ("order", "_counting_entries"): ORACLES,
     ("order", "packed_dominance"): ORACLES | {"leq_placement"},
+    ("order", "_packed_dominance"): ORACLES | {"leq_placement"},
     ("order", "leq_placement"): ORACLES,
     ("kerov", "ranks_of"): ORACLES,
+    ("kerov", "_ranks"): ORACLES,
     ("poset", "Poset"): ORACLES,
     ("poset", "_cover_scan"): ORACLES,
+    ("poset", "_longest_paths"): ORACLES,
     ("poset", "check_graded"): ORACLES,
     ("cli", "cmd_compare"): ORACLES,
 }
@@ -68,15 +72,16 @@ KERNELS.update(
 )
 
 # verify suite -> (fast route, oracle route).  graded: check_graded
-# compares the longest Hasse paths of build_poset's diagram with ranks_of.
+# compares the longest Hasse paths of build_poset's diagram with the rank
+# kernel of ranks_of, _ranks, over the root arrays the poset keeps.
 PAIRS = {
     "verify_counts": ("enumerate_placements", "subset_filter_placements"),
     "verify_covers_general": ("predecessors_general", "brute_force_covers"),
     "verify_covers_orthogonal": ("predecessors_orthogonal", "brute_force_covers"),
     "verify_kerov_order": ("dominance_matrix", "bruhat_matrix"),
     "verify_kerov_covers": ("predecessors_general", "predecessors_orthogonal"),
-    "verify_graded_general": ("build_poset", "ranks_of"),
-    "verify_graded_orthogonal": ("build_poset", "ranks_of"),
+    "verify_graded_general": ("build_poset", "_ranks"),
+    "verify_graded_orthogonal": ("build_poset", "_ranks"),
     "verify_bruhat": ("dominance_matrix", "bruhat_matrix"),
 }
 # kerov-covers checks the general move rule against the orthogonal one, so
