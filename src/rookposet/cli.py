@@ -91,12 +91,12 @@ def cmd_hasse(args) -> int:
     else:
         text = export_dot(poset, include_ranks=args.ranks)
     if args.out:
+        # a full device fails the write or the close, not the open
         try:
-            fh = open(args.out, "w", encoding="utf-8")
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
         except OSError as exc:
             raise RookError(f"cannot write {args.out}: {exc.strerror}") from exc
-        with fh:
-            fh.write(text)
     else:
         print(text, end="")
     return 0

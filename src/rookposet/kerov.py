@@ -19,11 +19,11 @@ board; order.inversion_length of order.involution_of is the dense route
 the tests compare it with.
 
 ranks_of takes L and X of a whole list at once from the padded (m, k)
-root arrays (placements.root_arrays; a materialized poset hands its own
-to _ranks), with one (m, k, k) comparison for the crossings.  The
-padding, row 0 and column n + 1, crosses nothing and the length sum
-skips it.  rank_general and rank_orthogonal, one placement at a time,
-are the oracles the tests compare it with.
+root arrays (placements.root_arrays; a materialized poset passes to
+_ranks those it built its relation from), with one (m, k, k) comparison
+for the crossings.  The padding, row 0 and column n + 1, crosses nothing
+and the length sum skips it.  rank_general and rank_orthogonal, one
+placement at a time, are the oracles the tests compare it with.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ with i > j counts the rooks of D weakly south-west of the cell, i.e.
 those in columns <= j and rows >= i.  D1 <= D2 holds exactly when the
 matrix of D1 is entrywise dominated by the matrix of D2.
 counting_entries reads the counts of all m placements from their padded
-root arrays (placements.root_arrays, or those enumeration hands on to
-_counting_entries), one cell (i, j) at a time, as the number of rooks t
-with col_t <= j and row_t >= i; rank_matrix, one placement at a time in
+root arrays (placements.root_arrays; a materialized poset passes its own
+to _counting_entries), one cell (i, j) at a time, as the number of rooks
+t with col_t <= j and row_t >= i; rank_matrix, one placement at a time in
 pure Python, is the dense oracle for them.
 packed_dominance turns them into the relation as packed bit rows in a
 linear extension, the one form that the materialized poset keeps and
@@ -230,16 +230,6 @@ class Permutation:
     @property
     def n(self) -> int:
         return len(self.images)
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def is_involution(self) -> bool:
-        return all(self.images[v - 1] == i for i, v in enumerate(self.images, 1))
 
     def to_json(self) -> list[int]:
         return list(self.images)

@@ -151,29 +151,28 @@ class RookPlacement:
         return self.to_text()
 
 
-def _batch(
-    n: int, found: list[tuple[Root, ...]]
-) -> tuple[tuple[RookPlacement, ...], np.ndarray, np.ndarray]:
+def _batch(n: int, found: list[tuple[Root, ...]]) -> tuple[RookPlacement, ...]:
     """The placements of the board of size n with the given root tuples,
-    built in place of `found` without a __post_init__ each, and their root
-    arrays: one check over all of them (_check_batch) stands in for it."""
+    built in place of `found` without a __post_init__ each: one check over
+    all of them (_check_batch) stands in for it."""
     for i, roots in enumerate(found):
         found[i] = p = object.__new__(RookPlacement)
         object.__setattr__(p, "n", n)
         object.__setattr__(p, "roots", roots)
     batch = tuple(found)
     found.clear()
-    return (batch, *_check_batch(n, batch))
+    _check_batch(n, batch)
+    return batch
 
 
-def _check_batch(n: int, batch: tuple[RookPlacement, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The root arrays of the batch (root_arrays) once it passes the rules
-    of RookPlacement.__post_init__.  Otherwise raise, for its first
-    placement that breaks one, the error the constructor raises on its
-    roots, or RookError if they are valid but not the constructor's sorted
-    tuple of Roots.  The rules, checked over all root arrays at once: the
-    roots a tuple of Roots; 1 <= col < row <= n; rows strictly increasing,
-    i.e. the roots sorted and the rows distinct; the columns distinct."""
+def _check_batch(n: int, batch: tuple[RookPlacement, ...]) -> None:
+    """Pass if the batch keeps the rules of RookPlacement.__post_init__.
+    Otherwise raise, for its first placement that breaks one, the error
+    the constructor raises on its roots, or RookError if they are valid
+    but not the constructor's sorted tuple of Roots.  The rules, checked
+    over all root arrays (root_arrays) at once: the roots a tuple of
+    Roots; 1 <= col < row <= n; rows strictly increasing, i.e. the roots
+    sorted and the rows distinct; the columns distinct."""
     roots = list(map(attrgetter("roots"), batch))
     if set(map(type, roots)) <= {tuple} and set(map(type, chain.from_iterable(roots))) <= {Root}:
         rows, cols = root_arrays(batch)
@@ -186,7 +185,7 @@ def _check_batch(n: int, batch: tuple[RookPlacement, ...]) -> tuple[np.ndarray, 
             | ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] <= n)).any(axis=1)
         )
         if not bad.any():
-            return rows, cols
+            return
         del roots[: int(bad.argmax())]  # these break no rule
     for r in roots:
         # the constructor raises its own error; what it lets pass is
@@ -342,10 +341,14 @@ def _search(n: int, orthogonal: bool) -> list[tuple[Root, ...]]:
     return found
 
 
-def _enumerate(
-    n: int, kind: Kind, cap: int
-) -> tuple[tuple[RookPlacement, ...], np.ndarray, np.ndarray]:
-    """enumerate_placements, with the root arrays of its bulk check."""
+def enumerate_placements(
+    n: int, kind: Kind = "general", cap: int = DEFAULT_CAP
+) -> tuple[RookPlacement, ...]:
+    """All placements on the size-n board, sorted by their root sequences:
+    the search extends each placement by its next root in (row, col)
+    order, so it yields them in that order.  Raises CapError up front
+    when the count would exceed `cap`.
+    """
     _board(n)
     general = _kind(kind) == "general"
     if n < 1:
@@ -360,17 +363,6 @@ def _enumerate(
     if exponent >= cap.bit_length() or count_placements(n, kind) > cap:
         raise CapError(f"board {n} has more than {cap} placements of kind {kind!r}")
     return _batch(n, _search(n, not general))
-
-
-def enumerate_placements(
-    n: int, kind: Kind = "general", cap: int = DEFAULT_CAP
-) -> tuple[RookPlacement, ...]:
-    """All placements on the size-n board, sorted by their root sequences:
-    the search extends each placement by its next root in (row, col)
-    order, so it yields them in that order.  Raises CapError up front
-    when the count would exceed `cap`.
-    """
-    return _enumerate(n, kind, cap)[0]
 
 
 def root_arrays(placements: Sequence[RookPlacement]) -> tuple[np.ndarray, np.ndarray]:

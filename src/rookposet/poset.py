@@ -1,9 +1,9 @@
 """Materialized posets of placements: Hasse diagrams, gradedness, export.
 
-build_poset computes the full order relation of R(n) or I(n) from the
-counting matrices alone (order.packed_dominance), so everything here
-is independent of the move generators in covers.py and can serve as
-an oracle for them.
+A Poset computes the dominance order of its elements, R(n) or I(n) in
+build_poset, from their counting matrices alone (order.packed_dominance),
+so everything here is independent of the move generators in covers.py
+and can serve as an oracle for them.
 """
 
 from __future__ import annotations
@@ -16,48 +16,36 @@ import numpy as np
 from . import order as order_module
 from .errors import AmbientError, RookError
 from .kerov import _ranks
-from .order import _counting_entries, _packed_dominance, unpack_rows
+from .order import _counting_entries, _packed_dominance
 from .placements import DEFAULT_CAP, Kind, RookPlacement, _as_tuple, _board, _kind, _placement
-from .placements import _enumerate, root_arrays
+from .placements import enumerate_placements, root_arrays
 
 
 class Poset:
-    """A finite poset of placements with its Hasse diagram.
+    """A finite poset of placements with its Hasse diagram: the dominance
+    order of `elements`, which must be distinct placements on the board of
+    size n (RookError, AmbientError otherwise).
 
-    `leq` is the order relation over `elements`, a partial order, given
-    as the (bits, columns) pair of order.packed_dominance: int columns, a
-    permutation of range(m) in a linear extension, and uint64 bits of
-    shape (m, ceil(m / 64)), row p the up-set of element columns[p], bit
-    q for columns[q] (RookError otherwise).  The pair is the only form of
-    the relation held.  `hasse` lists the cover edges as sorted
-    (lower_index, upper_index) pairs.  The elements must be distinct
-    placements on the board of size n (RookError, AmbientError).  Their
-    root arrays (placements.root_arrays), which the closed-form ranks
-    read, come from build_poset's enumeration, or are taken once, on
-    first need, for a poset built by hand.
+    The relation is built from the elements alone: their root arrays
+    (placements.root_arrays), kept for the closed-form ranks, give their
+    counting entries, and order._packed_dominance packs those in a linear
+    extension, the (bits, columns) pair the poset holds.  Row p of bits is
+    the up-set of element columns[p], bit q for columns[q]; distinct
+    placements have distinct counting matrices, so no row has a bit before
+    its own.  `hasse` lists the cover edges as sorted (lower_index,
+    upper_index) pairs.
 
     The covers are the transitive reduction (Aho, Garey and Ullman, "The
     transitive reduction of a directed graph", SIAM J. Comput. 1, 1972):
     the upper covers of a are the minimal elements of its strict up-set,
     and in a linear extension the first element left of it is one.  The
-    packed rows are scanned a block at a time; in each step every row
-    not yet empty takes its lowest set bit as a cover c and clears c's
-    row from itself, so a block takes as many steps as its most upper
-    covers.  Each cover a < c is checked for c not <= a and up(c) a
-    subset of up(a); with reflexivity these checks prove `leq`
-    antisymmetric and transitive, so a relation that is not a partial
-    order raises RookError, naming the first offending a in index order.
-    Once no row is seen to have a bit before its own, as in an order, a
-    block is scanned from its first row's word on, and c <= a cannot hold.
+    packed rows are scanned a block at a time, each block from its first
+    row's word on; in each step every row not yet empty takes its lowest
+    set bit as a cover c and clears c's row from itself, so a block takes
+    as many steps as its most upper covers.
     """
 
-    def __init__(
-        self,
-        n: int,
-        kind: Kind,
-        elements: tuple[RookPlacement, ...],
-        leq: tuple[np.ndarray, np.ndarray],
-    ) -> None:
+    def __init__(self, n: int, kind: Kind, elements: tuple[RookPlacement, ...]) -> None:
         self.n, self.kind = _board(n), _kind(kind)
         self.elements = elements = _as_tuple(elements, "elements")
         # the types and the boards as two sets; only if one fails, the
@@ -70,14 +58,13 @@ class Poset:
                 if _placement(e).n != n:
                     raise AmbientError(f"placement {e.to_text()!r} is on board {e.n}, not {n}")
         m = len(elements)
-        if not (isinstance(leq, tuple) and len(leq) == 2):
-            what = len(leq) if isinstance(leq, tuple) else type(leq).__name__
-            raise RookError(f"packed leq must be a (bits, columns) pair, not {what}")
-        bits, columns = map(np.asarray, leq)
-        if bits.dtype != np.uint64 or bits.shape != (m, -(-m // 64)):
-            raise RookError(f"packed leq must cover {m} elements in uint64 words")
-        if columns.dtype.kind not in "iu" or not np.array_equal(np.sort(columns), np.arange(m)):
-            raise RookError(f"packed leq columns must be ints, a permutation of range({m})")
+        self._index = dict(zip(elements, range(m)))
+        # a repeat would give a row a bit before its own, and the scan wrong covers
+        if len(self._index) < m:
+            twice = next(e for i, e in enumerate(elements) if self._index[e] != i)
+            raise RookError(f"placement {twice.to_text()!r} is listed twice")
+        self._roots = root_arrays(elements)
+        bits, columns = _packed_dominance(_counting_entries(n, *self._roots))
         pos = np.argsort(columns)  # row and bit pos[x] stand for element x
         lower, upper = _cover_scan(bits, columns)
         self._bits, self._columns, self._pos = bits, columns, pos
@@ -87,11 +74,6 @@ class Poset:
         self._above, self._above_at = upper, _starts(lower, m)
         self._below = np.sort(upper * m + lower) % max(m, 1)  # no % 0 when m = 0
         self._below_at = _starts(upper, m)
-        self._index = dict(zip(self.elements, range(m)))
-        if len(self._index) < m:  # a repeat that leq orders both ways failed the scan
-            twice = next(e for i, e in enumerate(self.elements) if self._index[e] != i)
-            raise RookError(f"placement {twice.to_text()!r} is listed twice")
-        self._roots: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -124,26 +106,19 @@ def _poset(p: object) -> Poset:
 
 
 def _cover_scan(bits: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cover edges as sorted (lower, upper) index arrays, by the block
-    scan of the Poset docstring; RookError if the relation is no order."""
+    """The cover edges as sorted (lower, upper) index arrays of the partial
+    order packed as (bits, columns) (order.packed_dominance: no row has a
+    bit before its own), by the block scan of the Poset docstring."""
     m, width = bits.shape
     p = np.arange(m)
     own = np.left_shift(np.uint64(1), (p & 63).astype(np.uint64))
-    if not (bits[p, p >> 6] & own).all():
-        raise RookError("order relation is not reflexive")
-    # if some row has a bit before its own (a non-order, or a repeated
-    # element), every block is scanned from word 0, with the check c <= a
-    triangular = not (bits[p, p >> 6] & (own - np.uint64(1))).any() and not any(
-        bits[r : r + 64, : r >> 6].any() for r in range(64, m, 64)
-    )
-    steps, offences = [(np.empty(0, dtype=np.intp),) * 2], []
+    steps = [(np.empty(0, dtype=np.intp),) * 2]
     p0 = 0
     while p0 < m:
-        w0 = p0 >> 6 if triangular else 0
-        # left, outside, up and escape share the byte budget of one block
-        rows = max(1, order_module._BLOCK_BYTES // (32 * (width - w0)))
+        w0 = p0 >> 6
+        # left and up share the byte budget of one block
+        rows = max(1, order_module._BLOCK_BYTES // (16 * (width - w0)))
         ids = p[p0 : p0 + rows]
-        outside = ~bits[p0 : p0 + rows, w0:]
         # the strict up-sets still to scan: clear each row's own bit
         left = bits[p0 : p0 + rows, w0:].copy()
         left[ids - p0, (ids >> 6) - w0] ^= own[ids]
@@ -155,7 +130,7 @@ def _cover_scan(bits: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.n
             live = nonzero[np.arange(len(ids)), word]
             if not live.all():
                 keep = np.flatnonzero(live)
-                ids, word, left, outside = (x.take(keep, 0) for x in (ids, word, left, outside))
+                ids, word, left = (x.take(keep, 0) for x in (ids, word, left))
             if not len(ids):
                 break
             w = left[np.arange(len(ids)), word]
@@ -163,63 +138,22 @@ def _cover_scan(bits: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.n
             covers = 64 * (w0 + word) + low
             steps.append((ids, covers))
             up = bits[covers, w0:]
-            escape = up & outside
-            back = np.zeros(len(ids), dtype=bool)
-            if not triangular:
-                back = (bits[covers, ids >> 6] & own[ids]) != 0
-            if back.any() or escape.max():
-                offences.append((ids, covers, back, escape.any(axis=1)))
             np.invert(up, out=up)
             left &= up
-    if offences:
-        _raise_first_offence(bits, columns, offences)
     ids, covers = map(np.concatenate, zip(*steps))
-    if (ids > covers).any():
-        raise RookError("columns are not a linear extension of the order relation")
     # sorted by lower, then upper index, through one key
     index = columns.astype(np.intp)
     return np.divmod(np.sort(index[ids] * m + index[covers]), m)
 
 
-def _raise_first_offence(
-    bits: np.ndarray, columns: np.ndarray, offences: list[tuple[np.ndarray, ...]]
-) -> None:
-    """Given the scan's steps that hold an offence, in the order taken, as
-    (rows, covers, c <= a, up(c) not in up(a)) arrays, rows and covers by
-    position, raise the RookError of the offending row a of least index:
-    for its first cover c <= a if there is one, else for its first cover
-    c with some x >= c but not x >= a, the smallest such x."""
-    ids, covers, back, escaped = map(np.concatenate, zip(*offences))
-    a = int(columns[ids[back | escaped]].min())
-    mine = columns[ids] == a
-    if back[mine].any():
-        c = int(columns[covers[mine][back[mine].argmax()]])
-        raise RookError(
-            f"order relation is not antisymmetric: elements {a} and "
-            f"{c} are each <= the other"
-        )
-    pa, pc = ids[mine][0], covers[mine][escaped[mine].argmax()]
-    x = int(columns[np.flatnonzero(unpack_rows(bits[pc] & ~bits[pa], len(columns)))].min())
-    raise RookError(
-        f"order relation is not transitive: elements {a} <= "
-        f"{columns[pc]} <= {x} but not {a} <= {x}"
-    )
-
-
 def build_poset(n: int, kind: Kind = "general", cap: int = DEFAULT_CAP) -> Poset:
     """Enumerate all placements of the given kind and materialize their
-    dominance order; the root arrays of the enumeration's bulk check feed
-    the counting entries and stay with the poset for its ranks."""
-    elements, rows, cols = _enumerate(n, kind, cap)
-    poset = Poset(n, kind, elements, _packed_dominance(_counting_entries(n, rows, cols)))
-    poset._roots = rows, cols
-    return poset
+    dominance order."""
+    return Poset(n, kind, enumerate_placements(n, kind, cap))
 
 
 def _element_ranks(poset: Poset) -> list[int]:
     """ranks_of the elements of the poset, from the root arrays it holds."""
-    if poset._roots is None:
-        poset._roots = root_arrays(poset.elements)
     return _ranks(poset.elements, *poset._roots, poset.kind)
 
 
@@ -288,8 +222,6 @@ def check_graded(poset: Poset) -> GradedReport:
     failure a witness is produced.
     """
     m = len(_poset(poset))
-    # Poset has proved leq a partial order, so an element is minimal when
-    # it has no lower cover and maximal when it has no upper cover.
     below, at = poset._below, poset._below_at
     minimal = np.flatnonzero(at[1:] == at[:-1]).tolist()
     maximal = np.flatnonzero(poset._above_at[1:] == poset._above_at[:-1]).tolist()

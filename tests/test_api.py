@@ -4,7 +4,6 @@ import importlib
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import rookposet
@@ -86,7 +85,6 @@ def test_readme_python_blocks_run():
 
 
 _D = rookposet.parse_placement("2,1", 2)
-_EMPTY = (np.zeros((0, 0), dtype=np.uint64), np.zeros(0, dtype=np.intp))
 # calls that leaked AttributeError or TypeError on input of the wrong type;
 # each batch kernel gets the bad value as its whole argument and in a list
 LEAKS = {
@@ -94,7 +92,7 @@ LEAKS = {
     "export_dot": rookposet.export_dot,
     "poset_to_json": rookposet.poset_to_json,
     "brute_force_covers": lambda p: brute_force_covers(p, _D),
-    "Poset": lambda elements: rookposet.Poset(3, "general", elements, _EMPTY),
+    "Poset": lambda elements: rookposet.Poset(3, "general", elements),
     "Permutation": rookposet.Permutation,
     "bruhat_leq": lambda w: bruhat_leq(w, rookposet.Permutation((1,))),
     "rank_matrix": rank_matrix,

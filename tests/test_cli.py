@@ -174,6 +174,15 @@ def test_hasse_to_an_unwritable_path_exits_2(tmp_path, capsys):
     assert str(target) in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_hasse_to_a_full_device_exits_2(capsys):
+    # the open succeeds; the write or the close fails
+    code, out, err = run(capsys, "hasse", "--n", "3", "--out", "/dev/full")
+    assert code == 2
+    assert out == ""
+    assert err == "error: cannot write /dev/full: No space left on device\n"
+
+
 def test_verify_suite_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "counts", "--max-n", "4")
     assert code == 0

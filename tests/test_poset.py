@@ -36,7 +36,7 @@ from rookposet import (
     rank_orthogonal,
     validate_placement,
 )
-from rookposet.order import dominance_matrix, pack_rows, packed_dominance
+from rookposet.order import dominance_matrix, pack_rows
 from rookposet.poset import brute_force_covers
 
 NODE_RE = re.compile(r'^  (\d+) \[label="([0-9,;]*)"(?:, rank=(\d+))?\];$')
@@ -198,10 +198,15 @@ def test_all_maximal_chains_share_one_length(n, kind):
 
 
 def _as_pair(leq):
-    """A bool relation packed as the (bits, columns) pair Poset takes, its
-    columns in down-set-size order."""
+    """A bool partial order packed as the (bits, columns) pair that
+    _cover_scan takes, its columns in down-set-size order."""
     columns = np.argsort(leq.sum(axis=0), kind="stable")
     return pack_rows(leq[np.ix_(columns, columns)]), columns
+
+
+def _scan(leq):
+    """The cover edges of a bool partial order by the packed block scan."""
+    return list(zip(*map(np.ndarray.tolist, rookposet.poset._cover_scan(*_as_pair(leq)))))
 
 
 def _fake_leq(relations, count):
@@ -211,16 +216,48 @@ def _fake_leq(relations, count):
     return leq
 
 
-def _fake_poset(relations, count):
-    # handcrafted order over distinct real placements, used as labels only
-    labels = enumerate_placements(4)[:count]
-    return Poset(4, "general", labels, _as_pair(_fake_leq(relations, count)))
+def _subposet(relations, count, n=5):
+    """An induced subposet of R(n) of a hand-built shape: `count` distinct
+    placements, the first a depth-first search in enumeration order finds,
+    whose dominance order is the reflexive closure of `relations`, pairs
+    a < b of positions that the caller closes under transitivity."""
+    everything = enumerate_placements(n)
+    leq, want = dominance_matrix(everything), _fake_leq(relations, count)
+    picked: list[int] = []
+
+    def extend() -> bool:
+        k = len(picked)
+        if k == count:
+            return True
+        for e in sorted(set(range(len(everything))) - set(picked)):
+            if (leq[picked, e] == want[:k, k]).all() and (leq[e, picked] == want[k, :k]).all():
+                picked.append(e)
+                if extend():
+                    return True
+                picked.pop()
+        return False
+
+    assert extend(), "no placements of R(n) have this order"
+    return Poset(n, "general", tuple(everything[i] for i in picked))
+
+
+def _walk_down(top):
+    """A saturated chain of R(n) from the empty placement to `top`, bottom
+    up, each step down taking the least lower cover by roots."""
+    chain = [top]
+    while chain[-1].roots:
+        chain.append(min(predecessors_general(chain[-1]), key=lambda d: d.roots))
+    return tuple(reversed(chain))
+
+
+# ranks 0..69 of a chain of R(13) below its top, the staircase of rank 78
+LONG_CHAIN = _walk_down(parse_placement("8,6;9,5;10,4;11,3;12,2;13,1", 13))[:70]
 
 
 def test_check_graded_reports_unequal_chains():
     # 0 < 1 < 2 < 3 and 0 < 4 < 3: two maximal chains of lengths 3 and 2
     relations = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 3), (4, 3)]
-    report = check_graded(_fake_poset(relations, 5))
+    report = check_graded(_subposet(relations, 5))
     assert not report.is_graded
     assert report.witness_chains is not None
     c1, c2 = report.witness_chains
@@ -234,7 +271,7 @@ def test_check_graded_witness_shares_a_tail_above_the_skipping_cover():
     # and both chains go on through 4 and 5 to the maximum
     relations = [(a, b) for a in range(6) for b in range(a + 1, 6)]
     relations += [(0, 6), (6, 3), (6, 4), (6, 5)]
-    poset = _fake_poset(relations, 7)
+    poset = _subposet(relations, 7)
     report = check_graded(poset)
     assert not report.is_graded
     labels = poset.elements
@@ -248,28 +285,27 @@ def test_check_graded_witness_shares_a_tail_above_the_skipping_cover():
 
 
 def test_check_graded_ranks_a_long_chain():
-    leq = np.triu(np.ones((70, 70), dtype=bool))  # rows of two words each
-    chain = Poset(6, "general", enumerate_placements(6)[:70], _as_pair(leq))
+    chain = Poset(13, "general", LONG_CHAIN)  # rows of two words each
     report = check_graded(chain)
     assert report.is_graded and report.max_chain_length == 69
     assert list(report.rank_of.values()) == list(range(70))
+    assert report.rank_formula_ok
 
 
 def test_check_graded_witness_of_a_long_skip_is_pinned():
-    # the chain 0 < 1 < ... < 69, and 70 above 0..10 and below 60..69 only,
-    # so that its cover 70 < 60 skips 48 levels; the witness pinned is the
-    # one a Python sweep along a linear extension reports
-    leq = np.triu(np.ones((71, 71), dtype=bool))
-    leq[:, 70] = leq[70] = False
-    leq[:11, 70] = leq[70, 60:] = True
-    poset = Poset(6, "general", enumerate_placements(6)[:71], _as_pair(leq))
+    # the chain 0 < 1 < ... < 69, and 70, a lower cover of 67 in R(13)
+    # beside the chain and above 0 alone, so that its cover 70 < 67 skips
+    # 66 levels; the witness pinned is the one a Python sweep along a
+    # linear extension reports
+    beside = parse_placement("8,7;9,6;10,5;11,4;12,3;13,2", 13)
+    assert beside in predecessors_general(LONG_CHAIN[67])
+    poset = Poset(13, "general", LONG_CHAIN + (beside,))
     report = check_graded(poset)
     assert not report.is_graded
-    assert report.witness == "maximal chains of lengths 69 and 21 both end at '3,1;4,3;5,4;6,2'"
-    assert report.witness_chains == (
-        tuple(poset.elements[i] for i in range(70)),
-        tuple(poset.elements[i] for i in (*range(11), 70, *range(60, 70))),
+    assert report.witness == (
+        "maximal chains of lengths 69 and 4 both end at '3,2;8,7;9,6;10,5;11,4;12,3;13,1'"
     )
+    assert report.witness_chains == (LONG_CHAIN, (LONG_CHAIN[0], beside, *LONG_CHAIN[67:]))
 
 
 def swept_longest_paths(poset: Poset) -> tuple[list[int], tuple[list[int], ...] | None]:
@@ -297,24 +333,29 @@ def swept_longest_paths(poset: Poset) -> tuple[list[int], tuple[list[int], ...] 
     return longest, (down([parent[x], x]), down([a, x]))
 
 
+def _distinct(board, picks):
+    """The placements of R(5) or I(6) at the picked positions, modulo the
+    board's count, without repeats, in the order picked."""
+    n, kind = board
+    everything = enumerate_placements(n, kind)
+    return tuple(dict.fromkeys(everything[i % len(everything)] for i in picks))
+
+
+BOARDS = st.sampled_from([(5, "general"), (6, "orthogonal")])
+TOPS = {(5, "general"): "4,2;5,1", (6, "orthogonal"): "4,3;5,2;6,1"}
+PICKS = st.lists(st.integers(0, 75), max_size=40, unique=True)
+
+
 @settings(max_examples=100)
-@given(
-    st.integers(2, 40),
-    st.lists(st.tuples(st.integers(0, 39), st.integers(1, 4)), max_size=80),
-    st.randoms(use_true_random=False),
-)
-def test_witness_chains_step_along_hasse_edges_from_bottom_to_top(m, steps, rnd):
-    # a < a + d only, closed up: an order with minimum 0 and maximum m - 1,
-    # its elements listed in a random order
-    leq = np.eye(m, dtype=bool)
-    leq[0], leq[:, -1] = True, True
-    for a, d in steps:
-        leq[a % m, min(a % m + d, m - 1)] = True
-    for _ in range(m.bit_length()):
-        leq = leq | (leq.astype(np.int64) @ leq.astype(np.int64) > 0)
-    order = list(range(m))
-    rnd.shuffle(order)
-    poset = Poset(6, "general", enumerate_placements(6)[:m], _as_pair(leq[np.ix_(order, order)]))
+@given(BOARDS, PICKS, st.randoms(use_true_random=False))
+def test_witness_chains_step_along_hasse_edges_from_bottom_to_top(board, picks, rnd):
+    # a random subset with the board's minimum and maximum, so with unique
+    # extrema, its elements listed in a random order
+    n, kind = board
+    bottom, top = parse_placement("", n), parse_placement(TOPS[board], n)
+    elements = list(dict.fromkeys((bottom, top, *_distinct(board, picks))))
+    rnd.shuffle(elements)
+    poset = Poset(n, kind, elements)
     report = check_graded(poset)
     longest, swept = swept_longest_paths(poset)
     assert (report.witness_chains is None) == (swept is None)
@@ -322,39 +363,24 @@ def test_witness_chains_step_along_hasse_edges_from_bottom_to_top(m, steps, rnd)
         assert report.is_graded and list(report.rank_of.values()) == longest
     for chain, start in zip(report.witness_chains or (), swept or ()):
         path = [poset.index_of(e) for e in chain]
-        assert path[: len(start)] == start and path[-1] == order.index(m - 1)
+        assert path[: len(start)] == start and path[-1] == poset.index_of(top)
         assert set(zip(path, path[1:])) <= set(poset.hasse)
 
 
 def test_check_graded_ranks_a_chain_listed_out_of_order():
-    # the chain 0 < 2 < 1: its Hasse ranks 0, 2, 1 are not the formula
-    # ranks 0, 1, 2 of the labels '', '2,1' and '2,1;3,2'
-    report = check_graded(_fake_poset([(0, 1), (0, 2), (2, 1)], 3))
+    # the chain '' < '2,1' < '3,1', listed as '', '3,1', '2,1': its Hasse
+    # ranks 0, 2, 1 are not the formula ranks 0, 3, 1
+    labels = tuple(parse_placement(text, 3) for text in ("", "3,1", "2,1"))
+    report = check_graded(Poset(3, "general", labels))
     assert report.is_graded and report.max_chain_length == 2
     assert list(report.rank_of.values()) == [0, 2, 1]
     assert report.rank_formula_ok is False
 
 
-def test_poset_keeps_the_callers_array_writable():
-    # and keeps no reference to it: a later write changes nothing
-    labels = enumerate_placements(4)[:2]
-    leq = np.eye(2, dtype=bool)
-    poset = Poset(4, "general", labels, _as_pair(leq))
-    assert not any(
-        isinstance(v, np.ndarray) and np.shares_memory(v, leq)
-        for v in vars(poset).values()
-    )
-    leq[0, 1] = True
-    assert not poset.leq_elements(labels[0], labels[1])
-    assert poset.hasse == () and check_graded(poset).witness == (
-        f"expected exactly one minimal element, found {[e.to_text() for e in labels]}"
-    )
-
-
 def test_check_graded_rejects_a_non_orthogonal_element_like_rank_orthogonal():
     # a chain '' < '2,1;3,2' labelled as orthogonal, though its top is not
     labels = (parse_placement("", 3), parse_placement("2,1;3,2", 3))
-    poset = Poset(3, "orthogonal", labels, _as_pair(np.array([[True, True], [False, True]])))
+    poset = Poset(3, "orthogonal", labels)
     with pytest.raises(OrthogonalityError) as err:
         check_graded(poset)
     assert str(err.value) == "placement '2,1;3,2' is not orthogonal"
@@ -363,7 +389,7 @@ def test_check_graded_rejects_a_non_orthogonal_element_like_rank_orthogonal():
 def test_check_graded_reports_missing_extremum():
     # two minimal elements: 0 and 1, both below 2
     relations = [(0, 2), (1, 2)]
-    report = check_graded(_fake_poset(relations, 3))
+    report = check_graded(_subposet(relations, 3))
     assert not report.is_graded
     assert "minimal" in report.witness
     assert report.witness_chains is None
@@ -371,7 +397,7 @@ def test_check_graded_reports_missing_extremum():
 
 def test_check_graded_lists_every_maximal_element():
     # 0 below both 1 and 2, which are maximal
-    poset = _fake_poset([(0, 1), (0, 2)], 3)
+    poset = _subposet([(0, 1), (0, 2)], 3)
     report = check_graded(poset)
     assert not report.is_graded
     assert report.min_element == poset.elements[0] and report.max_element is None
@@ -379,75 +405,37 @@ def test_check_graded_lists_every_maximal_element():
     assert report.witness == f"expected exactly one maximal element, found {tops}"
 
 
-def test_poset_rejects_non_orders():
-    labels = enumerate_placements(4)[:2]
-    with pytest.raises(RookError, match="not antisymmetric"):
-        Poset(4, "general", labels, _as_pair(np.ones((2, 2), dtype=bool)))
-    with pytest.raises(RookError, match="not reflexive"):
-        Poset(4, "general", labels, _as_pair(np.zeros((2, 2), dtype=bool)))
-    with pytest.raises(RookError, match="not antisymmetric"):
-        Poset(4, "general", enumerate_placements(4)[:3], _as_pair(np.ones((3, 3), dtype=bool)))
-
-
-@pytest.mark.parametrize("relations,count,message", [
-    # 0 and 1 are each <= the other, and 0 <= 2 <= 3 but not 0 <= 3: the
-    # antisymmetry of row 0 is reported before its transitivity
-    ([(0, 1), (1, 0), (0, 2), (2, 3)], 4,
-     "order relation is not antisymmetric: elements 0 and 1 are each <= the other"),
-    # covers 1 and 2 of row 0 are both <= 0; the first one chosen is named
-    ([(0, 1), (1, 0), (0, 2), (2, 0)], 3,
-     "order relation is not antisymmetric: elements 0 and 1 are each <= the other"),
-    # covers 1 and 2 of row 0 both escape its up-set; again the first
-    ([(0, 1), (0, 2), (1, 3), (2, 4)], 5,
-     "order relation is not transitive: elements 0 <= 1 <= 3 but not 0 <= 3"),
-])
-def test_poset_names_the_first_offence(relations, count, message):
-    leq = _fake_leq(relations, count)
-    with pytest.raises(RookError) as err:
-        per_row_covers(leq)
-    assert str(err.value) == message
-    with pytest.raises(RookError) as err:
-        Poset(4, "general", enumerate_placements(4)[:count], _as_pair(leq))
-    assert str(err.value) == message
-
-
-@pytest.mark.parametrize("a", [0, 17, 51])
-def test_packed_pair_without_a_diagonal_bit_is_not_reflexive(a):
-    elements = enumerate_placements(5)
-    bits, columns = packed_dominance(elements)
-    p = int(np.argsort(columns)[a])  # row p and its bit p stand for a
-    bits[p, p >> 6] ^= np.uint64(1 << (p & 63))
-    with pytest.raises(RookError) as err:
-        Poset(5, "general", elements, (bits, columns))
-    assert str(err.value) == "order relation is not reflexive"
-
-
 def test_packed_pair_of_a_repeated_placement_is_not_antisymmetric():
+    # packed_dominance orders a repeat and its first copy both ways, so
+    # Poset refuses the repeat before it builds the relation
     elements = enumerate_placements(4)
     twice = elements + elements[7:8]
-    with pytest.raises(RookError, match="not antisymmetric: elements 7 and 15"):
-        Poset(4, "general", twice, packed_dominance(twice))
+    leq = dominance_matrix(twice)
+    assert leq[7, 15] and leq[15, 7]
+    with pytest.raises(RookError) as err:
+        Poset(4, "general", twice)
+    assert str(err.value) == f"placement {elements[7].to_text()!r} is listed twice"
 
 
 @pytest.mark.parametrize("block_bytes", [1, 96, 416])
 def test_repeat_in_a_later_block_and_word_is_not_antisymmetric(monkeypatch, block_bytes):
     # the first placement of a sum group whose last position lies in a
-    # later word, so that its repeat, which sorts last in the group, has a
-    # row whose first block starts past the word of the first copy
+    # later word, so that its repeat, which would sort last in the group,
+    # would have a row with a bit before its own in a block the scan starts
+    # past it: the covers would come out wrong without an error, so the
+    # repeat is refused before the relation is built, at any block size
     elements = enumerate_placements(6)
     sums = order_module.counting_entries(elements).sum(axis=0)
     order = np.argsort(sums, kind="stable")
     firsts = np.searchsorted(sums[order], sums[order])
     lasts = np.searchsorted(sums[order], sums[order], side="right") - 1
     p = next(p for p in range(len(order)) if firsts[p] == p and p >> 6 < lasts[p] >> 6)
-    a, m = int(order[p]), len(elements)
+    a = int(order[p])
     monkeypatch.setattr(order_module, "_BLOCK_BYTES", block_bytes)
     twice = elements + elements[a : a + 1]
     with pytest.raises(RookError) as err:
-        Poset(6, "general", twice, packed_dominance(twice))
-    assert str(err.value) == (
-        f"order relation is not antisymmetric: elements {a} and {m} are each <= the other"
-    )
+        Poset(6, "general", twice)
+    assert str(err.value) == f"placement {elements[a].to_text()!r} is listed twice"
 
 
 @pytest.mark.parametrize("n,kind", [(5, "general"), (6, "orthogonal")])
@@ -461,24 +449,24 @@ def test_leq_elements_agrees_with_the_relation_on_every_pair(n, kind):
 def test_poset_refuses_a_repeated_element_its_relation_allows():
     d = parse_placement("2,1", 3)
     with pytest.raises(RookError) as err:
-        Poset(3, "general", (d, d), _as_pair(np.eye(2, dtype=bool)))
+        Poset(3, "general", (d, d))
     assert str(err.value) == "placement '2,1' is listed twice"
 
 
 @pytest.mark.parametrize("n", [True, -1, 3.0, "3", None])
 def test_poset_refuses_a_board_size_that_is_not_a_non_negative_int(n):
     with pytest.raises(AmbientError, match="board size must be a non-negative int"):
-        Poset(n, "general", (), _as_pair(np.zeros((0, 0), dtype=bool)))
+        Poset(n, "general", ())
 
 
 def test_poset_refuses_elements_of_another_board():
     elements = enumerate_placements(3)
     with pytest.raises(AmbientError) as err:
-        Poset(5, "general", elements, packed_dominance(elements))
+        Poset(5, "general", elements)
     assert str(err.value) == "placement '' is on board 3, not 5"
     mixed = (parse_placement("", 3), parse_placement("4,1", 4))
     with pytest.raises(AmbientError, match="'4,1' is on board 4, not 3"):
-        Poset(3, "general", mixed, _as_pair(np.eye(2, dtype=bool)))
+        Poset(3, "general", mixed)
 
 
 @pytest.mark.parametrize("stranger_first", [False, True])
@@ -490,7 +478,7 @@ def test_poset_names_the_first_of_a_wrong_board_and_a_non_placement(stranger_fir
         offenders.reverse()
     elements = (parse_placement("", 3), *offenders)
     with pytest.raises(RookError) as err:
-        Poset(3, "general", elements, _as_pair(np.eye(3, dtype=bool)))
+        Poset(3, "general", elements)
     if stranger_first:
         assert type(err.value) is RookError and str(err.value) == "'a' is not a RookPlacement"
     else:
@@ -500,65 +488,16 @@ def test_poset_names_the_first_of_a_wrong_board_and_a_non_placement(stranger_fir
 
 def test_poset_refuses_elements_that_are_not_placements():
     with pytest.raises(RookError) as err:
-        Poset(3, "general", ("a", "b"), _as_pair(np.eye(2, dtype=bool)))
+        Poset(3, "general", ("a", "b"))
     assert str(err.value) == "'a' is not a RookPlacement"
-
-
-def test_packed_pair_must_list_its_columns_in_a_linear_extension():
-    # the reverse of the enumeration order, which starts at the minimum
-    elements = enumerate_placements(4)
-    columns = np.arange(len(elements))[::-1].copy()
-    bits = pack_rows(dominance_matrix(elements)[np.ix_(columns, columns)])
-    with pytest.raises(RookError) as err:
-        Poset(4, "general", elements, (bits, columns))
-    assert str(err.value) == "columns are not a linear extension of the order relation"
-
-
-def test_packed_pair_must_fit_the_elements():
-    elements = enumerate_placements(4)
-    with pytest.raises(RookError, match="packed leq must cover 14 elements"):
-        Poset(4, "general", elements[:14], packed_dominance(elements))
-
-
-def test_a_bool_relation_is_refused():
-    # Poset takes the packed pair only; _as_pair packs a bool relation
-    elements = enumerate_placements(4)
-    with pytest.raises(RookError) as err:
-        Poset(4, "general", elements, dominance_matrix(elements))
-    assert str(err.value) == "packed leq must be a (bits, columns) pair, not ndarray"
-
-
-@pytest.mark.parametrize(
-    "bad,message",
-    [
-        (lambda bits, columns: (bits, columns + 1), "permutation of range(15)"),
-        (lambda bits, columns: (bits.astype(np.int64), columns), "uint64"),
-        (lambda bits, columns: (bits, columns.astype(float)), "permutation of range(15)"),
-        (lambda bits, columns: (bits, columns, columns), "pair, not 3"),
-    ],
-    ids=["columns-not-a-permutation", "signed-bits", "float-columns", "three-parts"],
-)
-def test_packed_pair_of_the_wrong_form_is_refused(bad, message):
-    elements = enumerate_placements(4)
-    with pytest.raises(RookError, match=re.escape(message)):
-        Poset(4, "general", elements, bad(*packed_dominance(elements)))
 
 
 def test_poset_and_batch_ranks_refuse_an_unknown_kind():
     elements = enumerate_placements(4)
     with pytest.raises(RookError, match="unknown kind 'bogus'"):
-        Poset(4, "bogus", elements, packed_dominance(elements))
+        Poset(4, "bogus", elements)
     with pytest.raises(RookError, match="unknown kind 'Orthogonal'"):
         rookposet.kerov.ranks_of(elements, "Orthogonal")
-
-
-def test_poset_rejects_non_transitive_relations():
-    # 0 < 1 and 1 < 2 but not 0 < 2
-    with pytest.raises(RookError, match="not transitive"):
-        _fake_poset([(0, 1), (1, 2)], 3)
-    # the same with the elements listed in another order
-    with pytest.raises(RookError, match="not transitive"):
-        _fake_poset([(2, 0), (0, 1)], 3)
 
 
 def matmul_covers(leq: np.ndarray) -> list[tuple[int, int]]:
@@ -578,13 +517,15 @@ HAND_BUILT = [
 
 @pytest.mark.parametrize("relations,count", HAND_BUILT)
 def test_hasse_matches_the_definition_on_hand_built_posets(relations, count):
-    poset = _fake_poset(relations, count)
+    poset = _subposet(relations, count)
     assert list(poset.hasse) == matmul_covers(_fake_leq(relations, count))
 
 
 def per_row_covers(leq: np.ndarray) -> list[tuple[int, int]]:
-    """The cover scan as one Python loop over the rows of leq, with the
-    RookError messages of Poset: the reference for its packed block scan."""
+    """The cover scan as one Python loop over the rows of leq: the
+    reference for the packed block scan, and RookError if leq is not a
+    partial order (with reflexivity, the checks on the covers of each a
+    prove it antisymmetric and transitive)."""
     m = len(leq)
     if not leq.diagonal().all():
         raise RookError("order relation is not reflexive")
@@ -599,33 +540,21 @@ def per_row_covers(leq: np.ndarray) -> list[tuple[int, int]]:
             c = int(above[0])
             covers.append(c)
             above = above[~leq[c][above]]
-        if not covers:
-            continue
-        back = leq[covers, a]
-        if back.any():
-            raise RookError(
-                f"order relation is not antisymmetric: elements {a} and "
-                f"{covers[back.argmax()]} are each <= the other"
-            )
-        escaped = leq[covers] > up
-        if escaped.any():
-            k, x = np.unravel_index(int(escaped.argmax()), escaped.shape)
-            raise RookError(
-                f"order relation is not transitive: elements {a} <= "
-                f"{covers[k]} <= {x} but not {a} <= {x}"
-            )
+        # a cover c <= a, or an x >= c but not x >= a, breaks the order
+        if leq[covers, a].any() or (leq[covers] > up).any():
+            raise RookError(f"order relation fails at element {a}")
         edges += [(a, c) for c in sorted(covers)]
     return edges
 
 
 def test_poset_of_no_element_and_of_one():
-    empty = Poset(3, "general", (), _as_pair(np.zeros((0, 0), dtype=bool)))
+    empty = Poset(3, "general", ())
     assert len(empty) == 0 and empty.hasse == ()
     report = check_graded(empty)
     assert not report.is_graded and report.rank_of == {}
     assert report.witness == "expected exactly one minimal element, found []"
     labels = enumerate_placements(3)[:1]
-    one = Poset(3, "general", labels, _as_pair(np.ones((1, 1), dtype=bool)))
+    one = Poset(3, "general", labels)
     assert one.hasse == () and brute_force_covers(one, labels[0]) == set()
     report = check_graded(one)
     assert report.is_graded and report.rank_formula_ok
@@ -633,22 +562,22 @@ def test_poset_of_no_element_and_of_one():
     assert report.rank_of == {labels[0]: 0} and report.max_chain_length == 0
 
 
-# Budgets of 1, 3, 6 and 13 scan rows for m = 52, which packs to one 8-byte
-# word a row (four block arrays share the budget), and of 1, 1, 3 and 6 for
-# m = 76, which packs to two: 3 and 6 rows leave a short last block, and 13
-# rows none.  The fill's blocks hold twice as many rows.
+# Budgets of 1, 6, 12 and 26 rows a block for m = 52, which packs to one
+# 8-byte word a row (a scan block's two arrays share the budget), and of 1,
+# 3, 6 and 13 rows for m = 76, which packs to two, until the blocks start in
+# the second word, where they hold twice as many.  The fill's blocks are
+# sized alike.
 @pytest.mark.parametrize("block_bytes", [1, 96, 200, 416])
 @pytest.mark.parametrize("n,kind", [(5, "general"), (6, "orthogonal")])
 def test_hasse_does_not_depend_on_the_block_size(monkeypatch, n, kind, block_bytes):
     whole = build_poset(n, kind)
     leq = dominance_matrix(whole.elements)
     monkeypatch.setattr(order_module, "_BLOCK_BYTES", block_bytes)
-    poset = Poset(n, kind, whole.elements, _as_pair(leq))
+    poset = Poset(n, kind, whole.elements)
     assert poset.hasse == whole.hasse
-    assert list(poset.hasse) == matmul_covers(leq)
+    # the scan of another linear extension, by down-set size
+    assert list(poset.hasse) == matmul_covers(leq) == _scan(leq)
     assert check_graded(poset) == check_graded(whole)
-    packed = Poset(n, kind, whole.elements, packed_dominance(whole.elements))
-    assert packed.hasse == whole.hasse
 
 
 @st.composite
@@ -678,53 +607,34 @@ def relations(draw):
 @settings(max_examples=200)
 @given(relations(), st.sampled_from([1, 96, 416, None]))
 def test_block_scan_matches_the_per_row_loop(leq, block_bytes):
-    labels = enumerate_placements(6)[: len(leq)]
+    # on the partial orders drawn; the scan is given no other relation
     try:
-        want, message = per_row_covers(leq), None
-    except RookError as err:
-        want, message = None, str(err)
+        want = per_row_covers(leq)
+    except RookError:
+        assume(False)
     with pytest.MonkeyPatch.context() as mp:
         if block_bytes is not None:
             mp.setattr(order_module, "_BLOCK_BYTES", block_bytes)
-        if message is None:
-            poset = Poset(6, "general", labels, _as_pair(leq))
-            assert list(poset.hasse) == want == matmul_covers(leq)
-        else:
-            with pytest.raises(RookError) as err:
-                Poset(6, "general", labels, _as_pair(leq))
-            assert str(err.value) == message
+        assert _scan(leq) == want == matmul_covers(leq)
 
 
 @settings(max_examples=100)
-@given(relations())
-def test_longest_paths_match_the_sweep_on_random_orders(leq):
-    # graded or not, with any number of minimal elements
-    try:
-        per_row_covers(leq)
-    except RookError:
-        assume(False)
-    poset = Poset(6, "general", enumerate_placements(6)[: len(leq)], _as_pair(leq))
+@given(BOARDS, PICKS)
+def test_longest_paths_match_the_sweep_on_random_orders(board, picks):
+    # induced subposets, graded or not, with any number of minimal elements
+    poset = Poset(*board, _distinct(board, picks))
     longest, _ = swept_longest_paths(poset)
     assert rookposet.poset._longest_paths(poset).tolist() == longest
 
 
 @settings(max_examples=100)
-@given(
-    st.sampled_from([(5, "general"), (6, "orthogonal")]),
-    st.lists(st.integers(0, 75), max_size=40, unique=True),
-)
+@given(BOARDS, PICKS)
 def test_a_packed_bool_relation_acts_as_packed_dominance(board, picks):
-    # any list of distinct placements, not only a whole board in order
-    n, kind = board
-    everything = enumerate_placements(n, kind)
-    elements = tuple(dict.fromkeys(everything[i % len(everything)] for i in picks))
-    want = Poset(n, kind, elements, packed_dominance(elements))
-    got = Poset(n, kind, elements, _as_pair(dominance_matrix(elements)))
-    assert got.hasse == want.hasse
-    assert np.array_equal(
-        rookposet.poset._longest_paths(got), rookposet.poset._longest_paths(want)
-    )
-    assert check_graded(got).is_graded == check_graded(want).is_graded
+    # any list of distinct placements, not only a whole board in order: the
+    # scan of their dominance order in another linear extension, by
+    # down-set size, gives the poset's covers
+    elements = _distinct(board, picks)
+    assert _scan(dominance_matrix(elements)) == list(Poset(*board, elements).hasse)
 
 
 @pytest.mark.parametrize("n,kind", [(n, "general") for n in range(1, 7)]
@@ -799,20 +709,23 @@ def _count_root_arrays(monkeypatch) -> list[int]:
 @pytest.mark.parametrize("n,kind", [(n, "general") for n in (6, 7, 8)]
                          + [(n, "orthogonal") for n in (7, 8, 9)])
 def test_a_build_and_its_graded_check_take_the_root_arrays_once(monkeypatch, n, kind):
+    # once in the enumeration's bulk check and once in Poset, which keeps
+    # them: the graded check and the exports take none
     calls = _count_root_arrays(monkeypatch)
     poset = build_poset(n, kind)
+    assert len(calls) == 2
     assert check_graded(poset).rank_formula_ok
     export_dot(poset, include_ranks=True)
     poset_to_json(poset)
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_a_poset_built_by_hand_takes_its_root_arrays_once_on_first_need(monkeypatch):
+    # the first need is its relation, in the constructor
     elements = enumerate_placements(5)
-    leq = packed_dominance(elements)
     calls = _count_root_arrays(monkeypatch)
-    poset = Poset(5, "general", elements, leq)
-    assert not calls
+    poset = Poset(5, "general", elements)
+    assert len(calls) == 1
     assert check_graded(poset).rank_formula_ok
     dumped = poset_to_json(poset)
     export_dot(poset, include_ranks=True)
@@ -821,7 +734,7 @@ def test_a_poset_built_by_hand_takes_its_root_arrays_once_on_first_need(monkeypa
 
 
 def test_export_dot_of_no_element_with_ranks():
-    empty = Poset(3, "general", (), _as_pair(np.zeros((0, 0), dtype=bool)))
+    empty = Poset(3, "general", ())
     text = export_dot(empty, include_ranks=True)
     assert text == 'digraph "general_3" {\n  rankdir=BT;\n}\n'
     assert parse_dot(text) == ({}, [])

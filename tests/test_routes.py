@@ -215,6 +215,34 @@ def test_placements_skip_their_checks_only_in_the_checked_batch():
     assert "root_arrays" in reaches("_check_batch")
 
 
+def _sites(match) -> list[tuple[str, str | None]]:
+    """(module, top-level definition) of each node of the package that matches."""
+    return [
+        (module, getattr(top, "name", None))
+        for module, tree in TREES.items()
+        for top in tree.body
+        for node in ast.walk(top)
+        if match(node)
+    ]
+
+
+def test_a_poset_builds_its_relation_from_its_own_elements():
+    # Poset takes no relation: its one route to one is the dominance order
+    # of its elements, from the root arrays it builds and keeps itself
+    init = next(node for node in DEFS["Poset"][1].body if getattr(node, "name", None) == "__init__")
+    assert [arg.arg for arg in init.args.args] == ["self", "n", "kind", "elements"]
+    relation = {"root_arrays", "_counting_entries", "_packed_dominance", "_cover_scan"}
+    assert relation <= reaches("Poset")
+    assert _sites(
+        lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "Poset"
+    ) == [("poset", "build_poset")]
+    assert _sites(
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr == "_roots"
+        and isinstance(node.ctx, ast.Store)
+    ) == [("poset", "Poset")]
+
+
 def _imported_names(tree: ast.Module) -> set[str]:
     names = set()
     for node in ast.walk(tree):
