@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success (and on verified suites, and when the reader
 of stdout stops early), 1 when a verify suite finds a discrepancy, 2 on
-usage or input errors.
+usage or input errors, a stdout that cannot be written included.
 """
 
 from __future__ import annotations
@@ -202,14 +202,18 @@ def main(argv: list[str] | None = None) -> int:
     except RookError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # the reader stopped early, as `rookposet enumerate | head` does:
-        # what is still buffered goes to devnull, so that the interpreter's
-        # final flush of stdout stays quiet too
+    except OSError as exc:
+        # the reader stopped early, as `rookposet enumerate | head` does
+        # (exit 0), or stdout cannot take the output, as on a full device
+        # (an input error): either way what is still buffered goes to
+        # devnull, so that the interpreter's final flush stays quiet too
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return 0
+        if isinstance(exc, BrokenPipeError):
+            return 0
+        print(f"error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -38,6 +38,7 @@ from .placements import (
     Root,
     RookPlacement,
     _as_tuple,
+    _check_orthogonal,
     _kind,
     _orthogonal,
     _placement,
@@ -79,20 +80,16 @@ def ranks_of(placements: Sequence[RookPlacement], kind: Kind) -> list[int]:
     raises what the single-placement rank raises; another kind RookError.
     A thin wrapper: _ranks reads them from the root arrays."""
     placements = _as_tuple(placements, "placements")
-    return _ranks(placements, *root_arrays(placements), kind)
-
-
-def _ranks(
-    placements: tuple[RookPlacement, ...], rows: np.ndarray, cols: np.ndarray, kind: Kind
-) -> list[int]:
-    """ranks_of the placements whose padded root arrays
-    (placements.root_arrays) are rows and cols; the placements themselves
-    are read only to raise for the first one that is not orthogonal."""
+    rows, cols = root_arrays(placements)
     if _kind(kind) == "orthogonal":
-        # padding never meets: row 0 is no column and column n + 1 no row
-        clash = (rows[:, :, None] == cols[:, None, :]).any(axis=(1, 2))
-        if clash.any():
-            _orthogonal(placements[int(clash.argmax())])
+        _check_orthogonal(placements, rows, cols)
+    return _ranks(rows, cols, kind)
+
+
+def _ranks(rows: np.ndarray, cols: np.ndarray, kind: Kind) -> list[int]:
+    """ranks_of the placements whose padded root arrays
+    (placements.root_arrays) are rows and cols, of a known kind; for kind
+    "orthogonal" they must be orthogonal (placements._check_orthogonal)."""
     real = rows > 0
     length = np.where(real, rows - cols, 0).sum(axis=1)
     crossings = (

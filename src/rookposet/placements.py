@@ -12,7 +12,6 @@ of the symmetric group written as products of disjoint transpositions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Iterable, Literal, Sequence, get_args
@@ -34,7 +33,7 @@ def _is_int(value: object) -> bool:
 
 def _as_tuple(items: object, what: str = "roots") -> tuple:
     try:
-        if isinstance(items, Root):  # one pair, not a collection of roots
+        if isinstance(items, (Root, RookPlacement)):  # one item, not a collection
             raise TypeError
         return tuple(items)
     except TypeError:
@@ -76,52 +75,51 @@ def roots_to_text(roots: Iterable[Root]) -> str:
     return ";".join(map("%d,%d".__mod__, roots))
 
 
-@dataclass(frozen=True)
-class RookPlacement:
-    """An immutable placement on the board of size n.
-
-    Roots are stored sorted ascending by (row, col), the order of every
-    serialization and enumeration; pickle and copy rebuild it checked.
+class RookPlacement(tuple):
+    """An immutable placement on the board of size n: the pair (n, roots),
+    which hashes and compares as the plain tuple.  Roots are stored sorted
+    ascending by (row, col), the order of every serialization and
+    enumeration; pickle and copy rebuild it through the checks of __new__.
     """
 
-    n: int
-    roots: tuple[Root, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, n: int, roots: tuple[Root, ...]) -> RookPlacement:
         # each check tests the exact type first, which is all it takes on
         # the hot paths, and falls back to the subclass-aware test
-        n = self.n
         if not (type(n) is int and n >= 0):
             _board(n)
-        roots = self.roots if type(self.roots) is tuple else _as_tuple(self.roots)
+        roots = roots if type(roots) is tuple else _as_tuple(roots)
         for r in roots:
             if type(r) is not Root and not isinstance(r, Root):
                 raise RookError(f"{r!r} is not a Root")
         ordered = tuple(sorted(roots))
-        object.__setattr__(self, "roots", ordered)
+        self = tuple.__new__(cls, (n, ordered))
         if not ordered:
-            return
+            return self
         # zip transposes in C: unpacking a Root, a tuple subclass, is slow
         rows, cols = zip(*ordered)
         if len(set(rows)) == len(set(cols)) == len(ordered) and rows[-1] <= n:
-            return  # the last root has the largest row
+            return self  # the last root has the largest row
         seen_rows: dict[int, Root] = {}
         seen_cols: dict[int, Root] = {}
         for r in ordered:  # find the first violation, for the message
-            if r.row > self.n:
-                raise AmbientError(f"root ({r}) outside board of size {self.n}")
+            if r.row > n:
+                raise AmbientError(f"root ({r}) outside board of size {n}")
             if r.row in seen_rows:
-                raise AttackError(
-                    f"rooks ({seen_rows[r.row]}) and ({r}) share row {r.row}"
-                )
+                raise AttackError(f"rooks ({seen_rows[r.row]}) and ({r}) share row {r.row}")
             if r.col in seen_cols:
-                raise AttackError(
-                    f"rooks ({seen_cols[r.col]}) and ({r}) share column {r.col}"
-                )
+                raise AttackError(f"rooks ({seen_cols[r.col]}) and ({r}) share column {r.col}")
             seen_rows[r.row] = seen_cols[r.col] = r
 
+    n = property(itemgetter(0))
+    roots = property(itemgetter(1))
+
     def __reduce__(self) -> tuple:
-        return type(self), (self.n, self.roots)
+        return type(self), tuple(self)
+
+    def __repr__(self) -> str:
+        return f"RookPlacement(n={self[0]!r}, roots={self[1]!r})"
 
     @property
     def rows(self) -> frozenset[int]:
@@ -153,12 +151,10 @@ class RookPlacement:
 
 def _batch(n: int, found: list[tuple[Root, ...]]) -> tuple[RookPlacement, ...]:
     """The placements of the board of size n with the given root tuples,
-    built in place of `found` without a __post_init__ each: one check over
-    all of them (_check_batch) stands in for it."""
+    built in place of `found` without a __new__ each: one check over all
+    of them (_check_batch) stands in for it."""
     for i, roots in enumerate(found):
-        found[i] = p = object.__new__(RookPlacement)
-        object.__setattr__(p, "n", n)
-        object.__setattr__(p, "roots", roots)
+        found[i] = tuple.__new__(RookPlacement, (n, roots))
     batch = tuple(found)
     found.clear()
     _check_batch(n, batch)
@@ -166,7 +162,7 @@ def _batch(n: int, found: list[tuple[Root, ...]]) -> tuple[RookPlacement, ...]:
 
 
 def _check_batch(n: int, batch: tuple[RookPlacement, ...]) -> None:
-    """Pass if the batch keeps the rules of RookPlacement.__post_init__.
+    """Pass if the batch keeps the rules of RookPlacement.__new__.
     Otherwise raise, for its first placement that breaks one, the error
     the constructor raises on its roots, or RookError if they are valid
     but not the constructor's sorted tuple of Roots.  The rules, checked
@@ -221,6 +217,18 @@ def _orthogonal(d: object) -> RookPlacement:
     if not _placement(d).is_orthogonal():
         raise OrthogonalityError(f"placement {d.to_text()!r} is not orthogonal")
     return d
+
+
+def _check_orthogonal(
+    placements: Sequence[RookPlacement], rows: np.ndarray, cols: np.ndarray
+) -> None:
+    """Raise what _orthogonal raises for the first of the placements that is
+    not orthogonal, i.e. has a row that is also a column, read off their
+    padded root arrays rows and cols (root_arrays)."""
+    # padding never meets: row 0 is no column and column n + 1 no row
+    clash = (rows[:, :, None] == cols[:, None, :]).any(axis=(1, 2))
+    if clash.any():
+        _orthogonal(placements[int(clash.argmax())])
 
 
 def _as_root(r: object) -> Root:

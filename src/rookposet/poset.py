@@ -17,14 +17,15 @@ from . import order as order_module
 from .errors import AmbientError, RookError
 from .kerov import _ranks
 from .order import _counting_entries, _packed_dominance
-from .placements import DEFAULT_CAP, Kind, RookPlacement, _as_tuple, _board, _kind, _placement
-from .placements import enumerate_placements, root_arrays
+from .placements import DEFAULT_CAP, Kind, RookPlacement, _as_tuple, _board, _check_orthogonal
+from .placements import _kind, _placement, enumerate_placements, root_arrays
 
 
 class Poset:
     """A finite poset of placements with its Hasse diagram: the dominance
     order of `elements`, which must be distinct placements on the board of
-    size n (RookError, AmbientError otherwise).
+    size n (RookError, AmbientError otherwise), orthogonal ones for kind
+    "orthogonal" (OrthogonalityError).
 
     The relation is built from the elements alone: their root arrays
     (placements.root_arrays), kept for the closed-form ranks, give their
@@ -64,6 +65,8 @@ class Poset:
             twice = next(e for i, e in enumerate(elements) if self._index[e] != i)
             raise RookError(f"placement {twice.to_text()!r} is listed twice")
         self._roots = root_arrays(elements)
+        if kind == "orthogonal":
+            _check_orthogonal(elements, *self._roots)
         bits, columns = _packed_dominance(_counting_entries(n, *self._roots))
         pos = np.argsort(columns)  # row and bit pos[x] stand for element x
         lower, upper = _cover_scan(bits, columns)
@@ -154,7 +157,7 @@ def build_poset(n: int, kind: Kind = "general", cap: int = DEFAULT_CAP) -> Poset
 
 def _element_ranks(poset: Poset) -> list[int]:
     """ranks_of the elements of the poset, from the root arrays it holds."""
-    return _ranks(poset.elements, *poset._roots, poset.kind)
+    return _ranks(*poset._roots, poset.kind)
 
 
 def brute_force_covers(poset: Poset, placement: RookPlacement) -> set[RookPlacement]:

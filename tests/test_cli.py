@@ -37,15 +37,21 @@ def test_enumerate_json(capsys):
     assert payload["placements"][0] == []
 
 
+def _child(*argv, stdout) -> subprocess.Popen:
+    """The CLI in a process of its own, writing to `stdout`: main() in
+    this process writes to a capture, not to a file descriptor."""
+    src = os.path.dirname(os.path.dirname(rookposet.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.Popen(
+        [sys.executable, "-m", "rookposet.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env,
+    )
+
+
 def test_enumerate_into_a_pipe_closed_after_one_line_exits_quietly():
     # as `rookposet enumerate --n 9 | head -1`: 382 kB of text, far more
     # than a pipe holds, so the writes go on after the reader has gone
-    src = os.path.dirname(os.path.dirname(rookposet.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    child = subprocess.Popen(
-        [sys.executable, "-m", "rookposet.cli", "enumerate", "--n", "9"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
+    child = _child("enumerate", "--n", "9", stdout=subprocess.PIPE)
     first = child.stdout.readline()
     child.stdout.close()
     err = child.stderr.read()
@@ -181,6 +187,25 @@ def test_hasse_to_a_full_device_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: cannot write /dev/full: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--n", "8"),
+        ("hasse", "--n", "3"),
+        # exit 1 would report a discrepancy that the suite did not find
+        ("verify", "--suite", "counts", "--max-n", "3"),
+    ],
+    ids=["enumerate", "hasse", "verify"],
+)
+def test_a_stdout_that_cannot_be_written_exits_2(argv):
+    with open("/dev/full", "w") as full:
+        child = _child(*argv, stdout=full)
+    _, err = child.communicate(timeout=60)
+    assert child.returncode == 2
+    assert err == b"error: cannot write to stdout: No space left on device\n"
 
 
 def test_verify_suite_passes(capsys):

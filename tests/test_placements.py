@@ -18,6 +18,7 @@ from rookposet import (
     AttackError,
     CapError,
     Permutation,
+    Poset,
     Root,
     RookError,
     RookPlacement,
@@ -35,6 +36,7 @@ from rookposet import (
     validate_placement,
 )
 import rookposet.placements as placements_module
+from rookposet.kerov import ranks_of
 from rookposet.poset import brute_force_covers
 from rookposet.verify import subset_filter_placements
 
@@ -94,14 +96,19 @@ def test_root_repr_and_text():
     assert repr(Root(6, 2)) == "Root(row=6, col=2)"
     assert str(Root(6, 2)) == "6,2"
     assert repr((Root(3, 1),)) == "(Root(row=3, col=1),)"
+    assert repr(parse_placement("2,1", 3)) == "RookPlacement(n=3, roots=(Root(row=2, col=1),))"
+    assert repr(RookPlacement(3, ())) == "RookPlacement(n=3, roots=())"
 
 
-@pytest.mark.parametrize("attribute", ["row", "col", "other"])
+@pytest.mark.parametrize("attribute", ["row", "col", "n", "roots", "other"])
 def test_root_is_immutable(attribute):
+    # and so is a placement: neither has a setter or a __dict__
     r = Root(6, 2)
-    with pytest.raises(AttributeError):
-        setattr(r, attribute, 3)
-    assert r == (6, 2)
+    d = RookPlacement(6, (r,))
+    for value in (r, d):
+        with pytest.raises(AttributeError):
+            setattr(value, attribute, 3)
+    assert r == (6, 2) and d == (6, (r,))
 
 
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
@@ -150,22 +157,33 @@ def test_a_pickle_edited_to_an_invalid_value_is_refused(protocol, cls, args, old
 
 
 class _Forged:
-    """Pickles as the reduction of a Root, but with coordinates of no root."""
+    """Pickles as the reduction `cls(*args)`, with arguments cls refuses."""
+
+    def __init__(self, cls, *args):
+        self.reduction = cls, args
 
     def __reduce__(self):
-        return Root, (2, 2)
+        return self.reduction
 
 
 def test_no_route_builds_a_root_that_is_not_one():
-    assert not hasattr(Root, "_make") and not hasattr(Root, "_replace")
+    # nor a placement
+    for cls in (Root, RookPlacement):
+        assert not hasattr(cls, "_make") and not hasattr(cls, "_replace")
     with pytest.raises(RookError, match="not a root"):
         Root.__new__(Root, 2, 2)
     with pytest.raises(RookError, match="int coordinates"):
         Root.__new__(Root, 2.0, 1)
     with pytest.raises(RookError, match="not a root"):
-        pickle.loads(pickle.dumps(_Forged()))
+        pickle.loads(pickle.dumps(_Forged(Root, 2, 2)))
     with pytest.raises(TypeError):
         Root((6, 2))
+    with pytest.raises(AttackError, match=r"rooks \(2,1\) and \(3,1\) share column 1"):
+        RookPlacement.__new__(RookPlacement, 3, (Root(2, 1), Root(3, 1)))
+    with pytest.raises(AmbientError, match="outside board of size 2"):
+        pickle.loads(pickle.dumps(_Forged(RookPlacement, 2, (Root(3, 1),))))
+    with pytest.raises(TypeError):
+        RookPlacement((3, ()))
 
 
 def test_enumeration_refuses_an_unknown_kind():
@@ -182,6 +200,21 @@ def test_a_single_root_is_not_an_iterable_of_roots():
         RookPlacement(3, Root(2, 1))
     with pytest.raises(RookError, match="roots must be an iterable"):
         validate_placement(Root(2, 1), 3)
+
+
+def test_a_single_placement_is_not_a_collection():
+    # a placement is an (n, roots) tuple, but no collection of roots or placements
+    d = parse_placement("2,1", 3)
+    got = re.escape(f"must be an iterable, got {d!r}")
+    for what, call in [
+        ("roots", lambda: RookPlacement(3, d)),
+        ("roots", lambda: validate_placement(d, 3)),
+        ("elements", lambda: Poset(3, "general", d)),
+        ("placements", lambda: placements_module.root_arrays(d)),
+        ("placements", lambda: ranks_of(d, "general")),
+    ]:
+        with pytest.raises(RookError, match=f"^{what} {got}$"):
+            call()
 
 
 @pytest.mark.parametrize("roots,n", [([(2, True)], 2), ([(2.5, 1)], 3)])
@@ -401,8 +434,11 @@ def test_enumerated_placements_are_their_checked_twins(kind, largest):
         elements = enumerate_placements(n, kind)
         for e in elements:
             twin = RookPlacement(n, e.roots)
-            assert e == twin and hash(e) == hash(twin) and vars(e) == vars(twin)
+            assert e == twin and hash(e) == hash(twin) and tuple(e) == tuple(twin)
+            assert type(e) is type(twin) is RookPlacement and type(e.n) is int
             assert type(e.roots) is tuple and all(type(r) is Root for r in e.roots)
+            # the pair a placement is, and so the hash it always had
+            assert e == (n, e.roots) and hash(e) == hash((e.n, e.roots))
         assert pickle.loads(pickle.dumps(elements)) == elements
 
 

@@ -377,12 +377,11 @@ def test_check_graded_ranks_a_chain_listed_out_of_order():
     assert report.rank_formula_ok is False
 
 
-def test_check_graded_rejects_a_non_orthogonal_element_like_rank_orthogonal():
+def test_an_orthogonal_poset_rejects_a_non_orthogonal_element_like_rank_orthogonal():
     # a chain '' < '2,1;3,2' labelled as orthogonal, though its top is not
     labels = (parse_placement("", 3), parse_placement("2,1;3,2", 3))
-    poset = Poset(3, "orthogonal", labels)
     with pytest.raises(OrthogonalityError) as err:
-        check_graded(poset)
+        Poset(3, "orthogonal", labels)
     assert str(err.value) == "placement '2,1;3,2' is not orthogonal"
 
 

@@ -198,17 +198,22 @@ def test_each_input_rule_is_raised_from_one_guard(message):
     assert sites == [GUARDS[message]]
 
 
+def _tuple_new(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and ast.unparse(node.func) == "tuple.__new__"
+
+
 def test_placements_skip_their_checks_only_in_the_checked_batch():
-    # enumeration builds placements past __post_init__, and one bulk check
-    # over the whole batch stands in for it
-    sites = [
-        (module, top.name)
-        for module, tree in TREES.items()
-        for top in tree.body
-        for node in ast.walk(top)
-        if isinstance(node, ast.Call) and ast.unparse(node).endswith("__new__(RookPlacement)")
+    # Root and RookPlacement build themselves with tuple.__new__ after the
+    # checks of their __new__; enumeration builds placements past those,
+    # and one bulk check over the whole batch stands in for them
+    assert _sites(_tuple_new) == [
+        ("placements", "Root"),
+        ("placements", "RookPlacement"),
+        ("placements", "_batch"),
     ]
-    assert sites == [("placements", "_batch")]
+    assert _sites(
+        lambda node: _tuple_new(node) and ast.unparse(node.args[0]) == "RookPlacement"
+    ) == [("placements", "_batch")]
     batch = DEFS["_batch"][1]
     calls = {ast.unparse(node.func) for node in ast.walk(batch) if isinstance(node, ast.Call)}
     assert "_check_batch" in calls
@@ -224,6 +229,14 @@ def _sites(match) -> list[tuple[str, str | None]]:
         for node in ast.walk(top)
         if match(node)
     ]
+
+
+def test_no_value_is_built_or_changed_past_its_class():
+    # the only route past a constructor is the checked batch above
+    assert _sites(
+        lambda node: isinstance(node, ast.Call)
+        and ast.unparse(node.func) in {"object.__new__", "object.__setattr__"}
+    ) == []
 
 
 def test_a_poset_builds_its_relation_from_its_own_elements():
