@@ -293,12 +293,14 @@ def placement_from_json(data: dict) -> RookPlacement:
 def render_board(placement: RookPlacement, symbol: str = "X") -> str:
     """ASCII picture of the full n-by-n board, one row per line.
 
-    Occupied cells show `symbol` ('X' by default, pass '⊗' for the
-    circled-times look), empty cells show '.'.
+    Occupied cells show `symbol`, one character other than '.' ('X' by
+    default, '⊗' for the circled-times look); empty cells show '.'.
     """
     occupied = set(_placement(placement).roots)
     if not isinstance(symbol, str):
         raise RookError(f"symbol must be a str, got {symbol!r}")
+    if len(symbol) != 1 or symbol == ".":
+        raise RookError(f"symbol must be one character other than '.', got {symbol!r}")
     lines = [
         "".join(symbol if (i, j) in occupied else "." for j in range(1, placement.n + 1))
         for i in range(1, placement.n + 1)

@@ -30,11 +30,11 @@ class Poset:
     The relation is built from the elements alone: their root arrays
     (placements.root_arrays), kept for the closed-form ranks, give their
     counting entries, and order._packed_dominance packs those in a linear
-    extension, the (bits, columns) pair the poset holds.  Row p of bits is
-    the up-set of element columns[p], bit q for columns[q]; distinct
-    placements have distinct counting matrices, so no row has a bit before
-    its own.  `hasse` lists the cover edges as sorted (lower_index,
-    upper_index) pairs.
+    extension, a (bits, columns) pair.  Row p of bits is the up-set of
+    element columns[p], bit q for columns[q]; distinct placements have
+    distinct counting matrices, so no row has a bit before its own.
+    `hasse` holds the covers as a read-only (E, 2) integer array of sorted
+    (lower_index, upper_index) rows; `.tolist()` gives the pairs.
 
     The covers are the transitive reduction (Aho, Garey and Ullman, "The
     transitive reduction of a directed graph", SIAM J. Comput. 1, 1972):
@@ -70,11 +70,12 @@ class Poset:
         bits, columns = _packed_dominance(_counting_entries(n, *self._roots))
         pos = np.argsort(columns)  # row and bit pos[x] stand for element x
         lower, upper = _cover_scan(bits, columns)
-        self._bits, self._columns, self._pos = bits, columns, pos
-        self.hasse: tuple[tuple[int, int], ...] = tuple(zip(lower.tolist(), upper.tolist()))
-        # covers of x by index, upper ones _above[_above_at[x] : _above_at[x + 1]]
+        self._bits, self._pos = bits, pos
+        self.hasse = np.stack((lower, upper), axis=1)
+        self.hasse.flags.writeable = False  # check_graded reads views of it
+        # covers of x by index, upper ones hasse[_above_at[x] : _above_at[x + 1], 1]
         # (hasse is sorted by lower index), lower ones likewise in _below
-        self._above, self._above_at = upper, _starts(lower, m)
+        self._above_at = _starts(lower, m)
         self._below = np.sort(upper * m + lower) % max(m, 1)  # no % 0 when m = 0
         self._below_at = _starts(upper, m)
 
@@ -155,11 +156,6 @@ def build_poset(n: int, kind: Kind = "general", cap: int = DEFAULT_CAP) -> Poset
     return Poset(n, kind, enumerate_placements(n, kind, cap))
 
 
-def _element_ranks(poset: Poset) -> list[int]:
-    """ranks_of the elements of the poset, from the root arrays it holds."""
-    return _ranks(*poset._roots, poset.kind)
-
-
 def brute_force_covers(poset: Poset, placement: RookPlacement) -> set[RookPlacement]:
     """Lower covers of an element, read off the materialized relation only."""
     idx = _poset(poset).index_of(placement)
@@ -195,7 +191,7 @@ def _longest_paths(poset: Poset) -> np.ndarray:
     element, by the levels of Kahn's topological sort (CACM 5(11), 1962):
     an element joins the frontier once its last lower cover has left it,
     one level above that cover, so each cover is read once."""
-    m, above, at = len(poset), poset._above, poset._above_at
+    m, above, at = len(poset), poset.hasse[:, 1], poset._above_at
     waiting = np.diff(poset._below_at)  # lower covers yet to leave the frontier
     longest = np.zeros(m, dtype=np.intp)
     frontier = np.flatnonzero(waiting == 0)
@@ -254,7 +250,7 @@ def check_graded(poset: Poset) -> GradedReport:
         # first upper cover of each element.
         tail = [x]
         while tail[-1] != top:
-            tail.append(int(poset._above[poset._above_at[tail[-1]]]))
+            tail.append(int(poset.hasse[poset._above_at[tail[-1]], 1]))
 
         def parent(y: int) -> int:
             # the first lower cover of y on a longest path to y
@@ -286,7 +282,7 @@ def check_graded(poset: Poset) -> GradedReport:
         max_element=poset.elements[top],
         rank_of=dict(zip(poset.elements, longest)),
         max_chain_length=longest[top],
-        rank_formula_ok=_element_ranks(poset) == longest,
+        rank_formula_ok=_ranks(*poset._roots, poset.kind) == longest,
     )
 
 
@@ -298,7 +294,7 @@ def export_dot(poset: Poset, include_ranks: bool = False) -> str:
     into one layer.
     """
     lines = [f'digraph "{_poset(poset).kind}_{poset.n}" {{', "  rankdir=BT;"]
-    ranks = _element_ranks(poset) if include_ranks else None
+    ranks = _ranks(*poset._roots, poset.kind) if include_ranks else None
     same: dict[int, list[str]] = {}
     for i, e in enumerate(poset.elements):
         if ranks is None:
@@ -308,7 +304,7 @@ def export_dot(poset: Poset, include_ranks: bool = False) -> str:
             same.setdefault(ranks[i], []).append(str(i))
     for level in sorted(same):
         lines.append("  { rank=same; " + "; ".join(same[level]) + "; }")
-    for a, b in poset.hasse:
+    for a, b in poset.hasse.tolist():
         lines.append(f"  {a} -> {b};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -321,6 +317,6 @@ def poset_to_json(poset: Poset) -> dict:
         "n": _poset(poset).n,
         "kind": poset.kind,
         "elements": [e.to_json()["roots"] for e in poset.elements],
-        "hasse": [list(edge) for edge in poset.hasse],
-        "ranks": _element_ranks(poset),
+        "hasse": poset.hasse.tolist(),
+        "ranks": _ranks(*poset._roots, poset.kind),
     }

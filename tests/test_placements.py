@@ -549,6 +549,13 @@ def test_render_board_refuses_a_symbol_that_is_not_a_str(symbol):
         render_board(parse_placement("2,1", 2), symbol=symbol)
 
 
+@pytest.mark.parametrize("symbol", ["", "XX", "."])
+def test_render_board_refuses_a_symbol_that_is_not_one_other_character(symbol):
+    # "" and "XX" would change the width of a row, "." would hide the rook
+    with pytest.raises(RookError, match="symbol must be one character other than '.'"):
+        render_board(parse_placement("2,1", 2), symbol=symbol)
+
+
 @pytest.mark.parametrize(
     "value", [None, "x", Root(2, 1), [1, 2]], ids=["None", "str", "Root", "list"]
 )

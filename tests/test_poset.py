@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -63,6 +64,11 @@ def parse_dot(text):
         assert SAME_RE.match(line), f"unparseable line: {line!r}"
     assert all(a in nodes and b in nodes for a, b in edges)
     return nodes, edges
+
+
+def hasse_pairs(poset: Poset) -> list[tuple[int, int]]:
+    """The rows of poset.hasse as (lower_index, upper_index) int tuples."""
+    return list(map(tuple, poset.hasse.tolist()))
 
 
 @pytest.mark.parametrize(
@@ -313,7 +319,7 @@ def swept_longest_paths(poset: Poset) -> tuple[list[int], tuple[list[int], ...] 
     a level, the two chains check_graded reports up to x, by indices: one
     Python sweep along the scan's linear extension, each element taking its
     first lower cover on a longest path, the first skip in that order."""
-    order = poset._columns.tolist()
+    order = np.argsort(poset._pos).tolist()
     below, at = poset._below.tolist(), poset._below_at.tolist()
     longest, parent = [0] * len(poset), [-1] * len(poset)
     for x in order:
@@ -364,7 +370,7 @@ def test_witness_chains_step_along_hasse_edges_from_bottom_to_top(board, picks, 
     for chain, start in zip(report.witness_chains or (), swept or ()):
         path = [poset.index_of(e) for e in chain]
         assert path[: len(start)] == start and path[-1] == poset.index_of(top)
-        assert set(zip(path, path[1:])) <= set(poset.hasse)
+        assert set(zip(path, path[1:])) <= set(hasse_pairs(poset))
 
 
 def test_check_graded_ranks_a_chain_listed_out_of_order():
@@ -517,7 +523,7 @@ HAND_BUILT = [
 @pytest.mark.parametrize("relations,count", HAND_BUILT)
 def test_hasse_matches_the_definition_on_hand_built_posets(relations, count):
     poset = _subposet(relations, count)
-    assert list(poset.hasse) == matmul_covers(_fake_leq(relations, count))
+    assert hasse_pairs(poset) == matmul_covers(_fake_leq(relations, count))
 
 
 def per_row_covers(leq: np.ndarray) -> list[tuple[int, int]]:
@@ -548,17 +554,31 @@ def per_row_covers(leq: np.ndarray) -> list[tuple[int, int]]:
 
 def test_poset_of_no_element_and_of_one():
     empty = Poset(3, "general", ())
-    assert len(empty) == 0 and empty.hasse == ()
+    assert len(empty) == 0 and empty.hasse.shape == (0, 2)
     report = check_graded(empty)
     assert not report.is_graded and report.rank_of == {}
     assert report.witness == "expected exactly one minimal element, found []"
     labels = enumerate_placements(3)[:1]
     one = Poset(3, "general", labels)
-    assert one.hasse == () and brute_force_covers(one, labels[0]) == set()
+    assert one.hasse.shape == (0, 2) and brute_force_covers(one, labels[0]) == set()
     report = check_graded(one)
     assert report.is_graded and report.rank_formula_ok
     assert report.min_element == report.max_element == labels[0]
     assert report.rank_of == {labels[0]: 0} and report.max_chain_length == 0
+    # hasse is an (E, 2) integer array that refuses writes, through itself
+    # and through its views, so a caller cannot change what a later
+    # check_graded reads
+    whole = build_poset(3)
+    report = check_graded(whole)
+    edges = sum(len(brute_force_covers(whole, e)) for e in whole.elements)
+    for poset in (empty, one, whole):
+        assert isinstance(poset.hasse, np.ndarray) and poset.hasse.dtype.kind == "i"
+        assert poset.hasse.shape == ((edges if poset is whole else 0), 2)
+        with pytest.raises(ValueError, match="read-only"):
+            poset.hasse[:] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        whole.hasse[:, 1][0] = 0
+    assert check_graded(whole) == report
 
 
 # Budgets of 1, 6, 12 and 26 rows a block for m = 52, which packs to one
@@ -573,9 +593,9 @@ def test_hasse_does_not_depend_on_the_block_size(monkeypatch, n, kind, block_byt
     leq = dominance_matrix(whole.elements)
     monkeypatch.setattr(order_module, "_BLOCK_BYTES", block_bytes)
     poset = Poset(n, kind, whole.elements)
-    assert poset.hasse == whole.hasse
+    assert poset.hasse.tolist() == whole.hasse.tolist()
     # the scan of another linear extension, by down-set size
-    assert list(poset.hasse) == matmul_covers(leq) == _scan(leq)
+    assert hasse_pairs(poset) == matmul_covers(leq) == _scan(leq)
     assert check_graded(poset) == check_graded(whole)
 
 
@@ -633,14 +653,14 @@ def test_a_packed_bool_relation_acts_as_packed_dominance(board, picks):
     # scan of their dominance order in another linear extension, by
     # down-set size, gives the poset's covers
     elements = _distinct(board, picks)
-    assert _scan(dominance_matrix(elements)) == list(Poset(*board, elements).hasse)
+    assert _scan(dominance_matrix(elements)) == hasse_pairs(Poset(*board, elements))
 
 
 @pytest.mark.parametrize("n,kind", [(n, "general") for n in range(1, 7)]
                          + [(n, "orthogonal") for n in range(1, 8)])
 def test_hasse_matches_the_definition(n, kind):
     poset = build_poset(n, kind)
-    assert list(poset.hasse) == matmul_covers(dominance_matrix(poset.elements))
+    assert hasse_pairs(poset) == matmul_covers(dominance_matrix(poset.elements))
 
 
 @pytest.mark.parametrize("n,kind,edges", [
@@ -751,7 +771,7 @@ def test_export_dot_matches_the_hasse_diagram(n, kind):
     poset = build_poset(n, kind)
     nodes, edges = parse_dot(export_dot(poset))
     assert len(nodes) == len(poset)
-    assert sorted(edges) == list(poset.hasse)
+    assert sorted(edges) == hasse_pairs(poset)
     for idx, label in nodes.items():
         assert parse_placement(label, n) == poset.elements[idx]
     # deterministic output
@@ -762,7 +782,7 @@ def test_export_dot_rank_annotations():
     poset = build_poset(4, "orthogonal")
     text = export_dot(poset, include_ranks=True)
     nodes, edges = parse_dot(text)
-    assert sorted(edges) == list(poset.hasse)
+    assert sorted(edges) == hasse_pairs(poset)
     for line in text.split("\n"):
         m = NODE_RE.match(line)
         if m:
@@ -776,11 +796,39 @@ def test_poset_json_dump():
     blob = json.loads(json.dumps(poset_to_json(poset)))
     assert blob["n"] == 4 and blob["kind"] == "orthogonal"
     assert len(blob["elements"]) == len(poset)
-    assert [tuple(e) for e in blob["hasse"]] == list(poset.hasse)
+    assert blob["hasse"] == poset.hasse.tolist()
     report = check_graded(poset)
     for element, rank in zip(blob["elements"], blob["ranks"]):
         placement = placement_from_json({"n": 4, "roots": element})
         assert rank == report.rank_of[placement]
+
+
+@pytest.mark.parametrize(
+    "n,kind,json_digest,dot_digest",
+    [
+        (
+            6,
+            "general",
+            "ada79c78c4fec940f5fd5857b05f05bc055226461d828c68a68faf13f9e34a0a",
+            "f3ca414a24cbf6a6d5040697e0471cda0a253d40a8475bf453c1c0a26ee40d8d",
+        ),
+        (
+            7,
+            "orthogonal",
+            "1d104b86e3326f1ec9e4999a4792a9f84ea63ce68fb79dd5d8da4984babe95e3",
+            "e56f2a10fbe23ed474648909d1bc3b24c0b1914434421c256ad548903d0a6747",
+        ),
+    ],
+    ids=["general-6", "orthogonal-7"],
+)
+def test_export_bytes_are_pinned(n, kind, json_digest, dot_digest):
+    # sha256 of what `rookposet hasse --format json` and `--format dot
+    # --ranks` write, so any drift in how the covers are written shows
+    poset = build_poset(n, kind)
+    blob = json.dumps(poset_to_json(poset)) + "\n"
+    assert hashlib.sha256(blob.encode()).hexdigest() == json_digest
+    text = export_dot(poset, include_ranks=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == dot_digest
 
 
 @pytest.mark.slow
