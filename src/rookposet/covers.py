@@ -39,10 +39,16 @@ a root below (i, j) is below (i, b), which leaves the roots strictly
 between the pair; for an interleaved swap no root is below both (i, j)
 and (a, i), nor below both (a, b) and (b, j); a split is unchanged.
 
-A move that passes is built without a search: D's roots are sorted, so
-the kept roots are the slices of D around the one or two source
-indices, and RookPlacement(n, kept + target), the one checked
-constructor, sorts and checks the result like any other placement.
+One pass over D's sorted roots runs the families in turn: each proposes
+its candidates, tests them by the rule, and builds the target Roots of a
+move that passes, so the kept roots are D's roots without the one or two
+source indices.  placements._replaced builds the result: it puts the
+targets into the kept roots by bisect and checks only them, in O(1).
+That check is complete, as D is a valid placement and only a target can
+break a rule: a target must lie on the board, its row and its column
+must not be D's unless a source root frees them, and two targets must not
+share a row or a column.  Any failure goes to RookPlacement, the checked
+constructor, which raises its own error.
 
 The anti-transpose phi(i, j) = (n+1-j, n+1-i) is an order automorphism
 that maps the moves of D onto those of phi(D) with the slide directions
@@ -55,10 +61,10 @@ from __future__ import annotations
 
 from itertools import accumulate
 from operator import or_
-from typing import Iterator, Literal, NamedTuple
+from typing import Literal, NamedTuple
 
 from .errors import OrthogonalityError
-from .placements import Root, RookPlacement, _orthogonal, _placement, roots_to_text
+from .placements import Root, RookPlacement, _orthogonal, _placement, _replaced, roots_to_text
 
 MoveKind = Literal[
     "remove",
@@ -88,80 +94,72 @@ class CoverMove(NamedTuple):
         }
 
 
-def _candidates(
-    d: RookPlacement, orthogonal: bool
-) -> Iterator[tuple[MoveKind, tuple[Root, ...], tuple[tuple[int, int], ...]]]:
-    """(kind, source, target) for every move the full-index and endpoint
-    rules allow, in family order and then in the order of D's roots;
-    source holds D's roots and target bare (row, col) pairs, both sorted."""
+def _cover_moves(d: RookPlacement, orthogonal: bool) -> list[CoverMove]:
+    """Every cover move of D for one kind, in family order and then in the
+    order of D's roots: each family proposes its candidates, the one rule
+    tests them, and only a move that passes builds its target Roots."""
+    n, roots = d
     rows, cols = d.rows, d.cols
     full = (rows | cols) if orthogonal else (rows & cols)
-    rooks = [(r, *r) for r in d.roots]  # each root with its row and column
-    # the non-full indices strictly between the column and the row of each root
-    gaps = [(r, i, j, [k for k in range(j + 1, i) if k not in full]) for r, i, j in rooks]
-    for r, i, j, free in gaps:
-        if not free:
-            yield "remove", (r,), ()
-    for r, i, j, free in gaps:
-        if free:
-            m = free[0]
-            if orthogonal or (m in rows and m not in cols):
-                yield "slide_right", (r,), ((i, m),)
-    for r, i, j, free in gaps:
-        if free:
-            m = free[-1]
-            if orthogonal or (m in cols and m not in rows):
-                yield "slide_up", (r,), ((m, j),)
-    for r, i, j in rooks:
-        for q, a, b in rooks:
-            if i < a and b < j:
-                yield "cross_general", (r, q), ((i, b), (a, j))
-    if orthogonal:
-        for r, i, j in rooks:
-            for q, a, b in rooks:
-                if j < b < i < a and all(k in full for k in range(b + 1, i)):
-                    yield "cross_orthogonal", (r, q), ((b, j), (a, i))
-    split = "split_orthogonal" if orthogonal else "split_general"
-    for r, i, j, free in gaps:
-        for x, a in enumerate(free):
-            if not orthogonal and a not in rows and a not in cols:
-                yield split, (r,), ((a, j), (i, a))
-            if x + 1 < len(free):
-                b = free[x + 1]
-                if orthogonal or (
-                    a in cols and a not in rows and b in rows and b not in cols
-                ):
-                    yield split, (r,), ((a, j), (i, b))
-
-
-def _cover_moves(d: RookPlacement, orthogonal: bool) -> list[CoverMove]:
-    """Every cover move of D for one kind, in family order."""
-    roots = d.roots
-    # at[i] is the index in D of the root in row i, and bit k stands for
-    # the root at index k; the roots weakly below a cell (i, j) are
-    # row_le[i] & col_ge[j], those with row <= i and col >= j
-    row_le, col_ge, at = [0] * (d.n + 1), [0] * (d.n + 1), {}
+    # bit k stands for the root at index k; the roots weakly below a cell
+    # (i, j) are row_le[i] & col_ge[j], those with row <= i and col >= j
+    row_le, col_ge = [0] * (n + 1), [0] * (n + 1)
     for k, (i, j) in enumerate(roots):
         row_le[i] = col_ge[j] = 1 << k
-        at[i] = k
     row_le = list(accumulate(row_le, or_))
     col_ge = list(accumulate(reversed(col_ge), or_))[::-1]
+    # each root with its index, its cell, the other roots below it and the
+    # non-full indices strictly between its column and its row
+    rooks = []
+    for k, r in enumerate(roots):
+        i, j = r
+        free = [m for m in range(j + 1, i) if m not in full]
+        rooks.append((k, r, i, j, row_le[i] & col_ge[j] & ~(1 << k), free))
     moves = []
-    for kind, source, target in _candidates(d, orthogonal):
-        # the kept roots below the one or two source roots...
-        (i, j), (a, b) = source[0], source[-1]
-        k, x = at[i], at[a]  # k == x for one source root, else k < x
-        below = (row_le[i] & col_ge[j] | row_le[a] & col_ge[b]) & ~(1 << k | 1 << x)
-        for i, j in target:  # ...each need a target above them
-            below &= ~(row_le[i] & col_ge[j])
-        if below:
-            continue
-        # tuple() of a list, not of a generator: CPython builds the latter
-        # at a guessed size and shrinks it, which bypasses its tuple free
-        # lists on allocation but refills them on release, growing memory
-        added = tuple([Root(i, j) for i, j in target])
-        kept = roots[:k] + roots[k + 1 : x] + roots[x + 1 :]
-        moves.append(CoverMove(kind, source, added, RookPlacement(d.n, kept + added)))
+
+    def move(kind: MoveKind, source: tuple[Root, ...], k: int, x: int, *added: Root) -> None:
+        moves.append(CoverMove(kind, source, added, _replaced(d, k, x, added, rows, cols)))
+
+    # a move is a cover iff each kept root below a source is below a target
+    for k, r, i, j, below, free in rooks:
+        if not free and not below:
+            move("remove", (r,), k, k)
+    for k, r, i, j, below, free in rooks:
+        if free and (orthogonal or (free[0] in rows and free[0] not in cols)):
+            m = free[0]
+            if not below & ~(row_le[i] & col_ge[m]):
+                move("slide_right", (r,), k, k, Root(i, m))
+    for k, r, i, j, below, free in rooks:
+        if free and (orthogonal or (free[-1] in cols and free[-1] not in rows)):
+            m = free[-1]
+            if not below & ~(row_le[m] & col_ge[j]):
+                move("slide_up", (r,), k, k, Root(m, j))
+    # the roots are sorted by row, so the pairs with i < a are those x > k;
+    # the source (i, j) lies below (a, b), but also below the target (i, b)
+    for k, r, i, j, below, free in rooks:
+        for x, q, a, b, over, _ in rooks[k + 1 :]:
+            if b < j and not (below | over) & ~(row_le[i] & col_ge[b] | row_le[a] & col_ge[j]):
+                move("cross_general", (r, q), k, x, Root(i, b), Root(a, j))
+    if orthogonal:
+        for k, r, i, j, below, free in rooks:
+            for x, q, a, b, over, _ in rooks[k + 1 :]:
+                # b is a column, so full: the indices strictly between b and
+                # i are full iff no free index of (i, j) lies above b; neither
+                # source lies below the other
+                if j < b < i and not (free and free[-1] > b):
+                    if not (below | over) & ~(row_le[b] & col_ge[j] | row_le[a] & col_ge[i]):
+                        move("cross_orthogonal", (r, q), k, x, Root(b, j), Root(a, i))
+    split = "split_orthogonal" if orthogonal else "split_general"
+    for k, r, i, j, below, free in rooks:
+        for y, a in enumerate(free):
+            if not orthogonal and a not in rows and a not in cols:
+                if not below & ~(row_le[a] & col_ge[j] | row_le[i] & col_ge[a]):
+                    move(split, (r,), k, k, Root(a, j), Root(i, a))
+            if y + 1 < len(free):
+                b = free[y + 1]
+                if orthogonal or (a in cols and a not in rows and b in rows and b not in cols):
+                    if not below & ~(row_le[a] & col_ge[j] | row_le[i] & col_ge[b]):
+                        move(split, (r,), k, k, Root(a, j), Root(i, b))
     return moves
 
 

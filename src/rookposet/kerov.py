@@ -20,9 +20,11 @@ the tests compare it with.
 
 ranks_of takes L and X of a whole list at once from the padded (m, k)
 root arrays (placements.root_arrays; a materialized poset passes to
-_ranks those it built its relation from), with one (m, k, k) comparison
-for the crossings.  The padding, row 0 and column n + 1, crosses nothing
-and the length sum skips it.  rank_general and rank_orthogonal, one
+_ranks those it built its relation from).  The crossings are counted
+over the k(k - 1)/2 index pairs a < b, each an (m,) comparison: the roots
+are sorted by row, so only a root a can cross a later root b.  The
+padding, row 0 and column n + 1, sits last and crosses nothing, and the
+length sum skips it.  rank_general and rank_orthogonal, one
 placement at a time, are the oracles the tests compare it with.
 """
 
@@ -92,11 +94,12 @@ def _ranks(rows: np.ndarray, cols: np.ndarray, kind: Kind) -> list[int]:
     "orthogonal" they must be orthogonal (placements._check_orthogonal)."""
     real = rows > 0
     length = np.where(real, rows - cols, 0).sum(axis=1)
-    crossings = (
-        (cols[:, :, None] < cols[:, None, :])
-        & (cols[:, None, :] < rows[:, :, None])
-        & (rows[:, :, None] < rows[:, None, :])
-    ).sum(axis=(1, 2))
+    # the rows of each placement are sorted, so only a root a before a
+    # root b can cross it: j_a < j_b < i_a (and i_a < i_b holds)
+    crossings = np.zeros(len(rows), dtype=np.intp)
+    for b in range(rows.shape[1]):
+        for a in range(b):
+            crossings += (cols[:, a] < cols[:, b]) & (cols[:, b] < rows[:, a])
     if kind == "general":  # the arc length of the Kerov image
         length = 2 * length - real.sum(axis=1)
     return (length - crossings).tolist()

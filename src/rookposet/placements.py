@@ -12,6 +12,7 @@ of the symmetric group written as products of disjoint transpositions.
 
 from __future__ import annotations
 
+from bisect import insort
 from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Iterable, Literal, Sequence, get_args
@@ -159,6 +160,37 @@ def _batch(n: int, found: list[tuple[Root, ...]]) -> tuple[RookPlacement, ...]:
     found.clear()
     _check_batch(n, batch)
     return batch
+
+
+def _replaced(
+    d: RookPlacement,
+    k: int,
+    x: int,
+    added: tuple[Root, ...],
+    rows: frozenset[int],
+    cols: frozenset[int],
+) -> RookPlacement:
+    """D with its roots at indices k <= x (k == x for one) replaced by the
+    Roots `added`, at most two, for D's sets of rows and cols: the targets
+    go into the kept roots by bisect, and the result is built without a
+    __new__.  D keeps every rule, so only a target can break one, and these
+    tests are complete: each target on the board, its row and its column
+    not D's unless a source root frees it, and no row or column shared by
+    two targets.  On a failure RookPlacement raises its own error."""
+    n, roots = d
+    (i, j), (a, b) = roots[k], roots[x]
+    kept = list(roots)
+    del kept[x]
+    if x != k:
+        del kept[k]
+    for p, q in added:
+        if p > n or (p in rows and p != i and p != a) or (q in cols and q != j and q != b):
+            return RookPlacement(n, tuple(kept) + added)
+    if len(added) == 2 and (added[0][0] == added[1][0] or added[0][1] == added[1][1]):
+        return RookPlacement(n, tuple(kept) + added)
+    for t in added:
+        insort(kept, t)
+    return tuple.__new__(RookPlacement, (n, tuple(kept)))
 
 
 def _check_batch(n: int, batch: tuple[RookPlacement, ...]) -> None:

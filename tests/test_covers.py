@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 import rookposet.covers
 from conftest import orthogonal_placements, placements
 from rookposet import (
+    AmbientError,
+    AttackError,
     CoverMove,
     OrthogonalityError,
     Root,
@@ -29,6 +32,8 @@ from rookposet import (
     rank_orthogonal,
     validate_placement,
 )
+from rookposet.covers import MoveKind
+from rookposet.placements import _replaced
 from rookposet.poset import brute_force_covers
 
 BIG = "3,1;6,2;7,3;5,4;8,5"  # a well-trodden 8-board placement
@@ -63,13 +68,61 @@ def _pairwise_blocked(cells, source, target):
     )
 
 
+# The candidate proposer of the earlier two-loop engine, kept here so that
+# the reference below shares no code with the one-pass engine.
+def _candidates(
+    d: RookPlacement, orthogonal: bool
+) -> Iterator[tuple[MoveKind, tuple[Root, ...], tuple[tuple[int, int], ...]]]:
+    """(kind, source, target) for every move the full-index and endpoint
+    rules allow, in family order and then in the order of D's roots;
+    source holds D's roots and target bare (row, col) pairs, both sorted."""
+    rows, cols = d.rows, d.cols
+    full = (rows | cols) if orthogonal else (rows & cols)
+    rooks = [(r, *r) for r in d.roots]  # each root with its row and column
+    # the non-full indices strictly between the column and the row of each root
+    gaps = [(r, i, j, [k for k in range(j + 1, i) if k not in full]) for r, i, j in rooks]
+    for r, i, j, free in gaps:
+        if not free:
+            yield "remove", (r,), ()
+    for r, i, j, free in gaps:
+        if free:
+            m = free[0]
+            if orthogonal or (m in rows and m not in cols):
+                yield "slide_right", (r,), ((i, m),)
+    for r, i, j, free in gaps:
+        if free:
+            m = free[-1]
+            if orthogonal or (m in cols and m not in rows):
+                yield "slide_up", (r,), ((m, j),)
+    for r, i, j in rooks:
+        for q, a, b in rooks:
+            if i < a and b < j:
+                yield "cross_general", (r, q), ((i, b), (a, j))
+    if orthogonal:
+        for r, i, j in rooks:
+            for q, a, b in rooks:
+                if j < b < i < a and all(k in full for k in range(b + 1, i)):
+                    yield "cross_orthogonal", (r, q), ((b, j), (a, i))
+    split = "split_orthogonal" if orthogonal else "split_general"
+    for r, i, j, free in gaps:
+        for x, a in enumerate(free):
+            if not orthogonal and a not in rows and a not in cols:
+                yield split, (r,), ((a, j), (i, a))
+            if x + 1 < len(free):
+                b = free[x + 1]
+                if orthogonal or (
+                    a in cols and a not in rows and b in rows and b not in cols
+                ):
+                    yield split, (r,), ((a, j), (i, b))
+
+
 def pairwise_cover_moves(d, orthogonal):
     """The cover rule root by root, and every result through the public
     constructor: the reference for the bitmask test of the engine."""
     by_cell = {(r.row, r.col): r for r in d.roots}
     cells = list(by_cell)
     moves = []
-    for kind, source, target in rookposet.covers._candidates(d, orthogonal):
+    for kind, source, target in _candidates(d, orthogonal):
         if _pairwise_blocked(cells, source, target):
             continue
         kept = tuple([r for c, r in by_cell.items() if c not in source])
@@ -433,3 +486,51 @@ def test_bitmask_cover_rule_matches_the_pairwise_one_on_sparse_orthogonal_boards
 def test_move_functions_refuse_what_is_not_a_placement(entry, value):
     with pytest.raises(RookError, match=f"^{re.escape(repr(value))} is not a RookPlacement$"):
         entry(value)
+
+
+def _outcome(build, *args):
+    """What build(*args) returns, or the class and message of its error."""
+    try:
+        return build(*args)
+    except RookError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "k,x,added,error,message",
+    [
+        (4, 4, (Root(6, 5),), AttackError, "rooks (6,2) and (6,5) share row 6"),
+        (4, 4, (Root(8, 2),), AttackError, "rooks (6,2) and (8,2) share column 2"),
+        (4, 4, (Root(9, 5),), AmbientError, "root (9,5) outside board of size 8"),
+        (0, 1, (Root(4, 1), Root(4, 2)), AttackError, "rooks (4,1) and (4,2) share row 4"),
+        (0, 1, (Root(4, 1), Root(5, 1)), AttackError, "rooks (4,1) and (5,1) share column 1"),
+        (2, 2, (Root(5, 2), Root(6, 4)), AttackError, "rooks (5,2) and (5,4) share row 5"),
+    ],
+    ids=["row-taken", "column-taken", "off-board", "targets-share-a-row",
+         "targets-share-a-column", "one-freed-one-taken"],
+)
+def test_a_move_result_that_breaks_a_rule_raises_the_constructors_error(
+    k, x, added, error, message
+):
+    d = parse_placement(BIG, 8)  # 3,1;5,4;6,2;7,3;8,5
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        _replaced(d, k, x, added, d.rows, d.cols)
+
+
+def test_a_move_result_is_the_constructors_placement_or_error_exhaustive():
+    # every one of up to two targets, on the board or one row past it, in
+    # place of every one or two roots of each placement of R(4) and I(5)
+    for n, kind in ((4, "general"), (5, "orthogonal")):
+        cells = [Root(i, j) for i in range(2, n + 2) for j in range(1, i)]
+        targets = [()] + [(t,) for t in cells]
+        targets += [(s, t) for s in cells for t in cells if s < t]
+        for d in enumerate_placements(n, kind):
+            roots = d.roots
+            for k in range(len(roots)):
+                for x in range(k, len(roots)):
+                    kept = roots[:k] + roots[k + 1 : x] + roots[x + 1 :]
+                    for added in targets:
+                        result = _outcome(_replaced, d, k, x, added, d.rows, d.cols)
+                        assert result == _outcome(RookPlacement, n, kept + added)
+                        if type(result) is RookPlacement:
+                            assert all(type(r) is Root for r in result.roots)

@@ -202,22 +202,31 @@ def _tuple_new(node: ast.AST) -> bool:
     return isinstance(node, ast.Call) and ast.unparse(node.func) == "tuple.__new__"
 
 
+def _calls(name: str) -> set[str]:
+    """What the top-level definition `name` calls, as written."""
+    nodes = ast.walk(DEFS[name][1])
+    return {ast.unparse(node.func) for node in nodes if isinstance(node, ast.Call)}
+
+
 def test_placements_skip_their_checks_only_in_the_checked_batch():
     # Root and RookPlacement build themselves with tuple.__new__ after the
     # checks of their __new__; enumeration builds placements past those,
-    # and one bulk check over the whole batch stands in for them
+    # and one bulk check over the whole batch stands in for them; a cover
+    # move builds its result past them, after the checks of the targets
+    # that are all a valid placement needs, and falls back to the
+    # constructor for its error when one fails
     assert _sites(_tuple_new) == [
         ("placements", "Root"),
         ("placements", "RookPlacement"),
         ("placements", "_batch"),
+        ("placements", "_replaced"),
     ]
     assert _sites(
         lambda node: _tuple_new(node) and ast.unparse(node.args[0]) == "RookPlacement"
-    ) == [("placements", "_batch")]
-    batch = DEFS["_batch"][1]
-    calls = {ast.unparse(node.func) for node in ast.walk(batch) if isinstance(node, ast.Call)}
-    assert "_check_batch" in calls
+    ) == [("placements", "_batch"), ("placements", "_replaced")]
+    assert "_check_batch" in _calls("_batch")
     assert "root_arrays" in reaches("_check_batch")
+    assert "RookPlacement" in _calls("_replaced")
 
 
 def _sites(match) -> list[tuple[str, str | None]]:
