@@ -6,9 +6,11 @@ those in columns <= j and rows >= i.  D1 <= D2 holds exactly when the
 matrix of D1 is entrywise dominated by the matrix of D2.
 counting_entries reads the counts of all m placements from their padded
 root arrays (placements.root_arrays; a materialized poset passes its own
-to _counting_entries), one cell (i, j) at a time, as the number of rooks
-t with col_t <= j and row_t >= i; rank_matrix, one placement at a time in
-pure Python, is the dense oracle for them.
+to _counting_entries), one board row i at a time: entry (i, j) is the
+number of rooks t with col_t <= j and row_t >= i, a prefix sum over the
+columns c <= j of whether the rook in column c has row >= i.
+rank_matrix, one placement at a time in pure Python, is the dense oracle
+for them.
 packed_dominance turns them into the relation as packed bit rows in a
 linear extension, the one form that the materialized poset keeps and
 dominance_matrix unpacks.
@@ -127,15 +129,20 @@ def counting_entries(placements: Sequence[RookPlacement]) -> np.ndarray:
 
 def _counting_entries(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """counting_entries of the placements on the board of size n whose
-    padded root arrays (placements.root_arrays) are rows and cols."""
+    padded root arrays (placements.root_arrays) are rows and cols.  The
+    rows are scattered by column, at[c, t] the row of the rook of
+    placement t in column c (0 for none; padding lands in column n + 1),
+    so board row i is one prefix sum down the columns 1..i - 1 of
+    at >= i."""
+    m = len(rows)
     dtype = np.int8 if n < 256 else np.int16
-    entries = np.empty((n * (n - 1) // 2, len(rows)), dtype=dtype)
+    entries = np.empty((n * (n - 1) // 2, m), dtype=dtype)
+    at = np.zeros((n + 2, m), dtype=np.min_scalar_type(n))  # holds rows up to n
+    at[cols, np.arange(m)[:, None]] = rows
     e = 0
     for i in range(2, n + 1):
-        below = rows >= i
-        for j in range(1, i):
-            np.sum(below & (cols <= j), axis=1, dtype=dtype, out=entries[e])
-            e += 1
+        np.cumsum(at[1:i] >= i, axis=0, dtype=dtype, out=entries[e : e + i - 1])
+        e += i - 1
     return entries
 
 

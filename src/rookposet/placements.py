@@ -150,16 +150,17 @@ class RookPlacement(tuple):
         return self.to_text()
 
 
-def _batch(n: int, found: list[tuple[Root, ...]]) -> tuple[RookPlacement, ...]:
+def _batch(
+    n: int, found: list[tuple[Root, ...]]
+) -> tuple[tuple[RookPlacement, ...], np.ndarray, np.ndarray]:
     """The placements of the board of size n with the given root tuples,
-    built in place of `found` without a __new__ each: one check over all
-    of them (_check_batch) stands in for it."""
+    built in place of `found` without a __new__ each, and their root
+    arrays: one check over all of them (_check_batch) stands in for it."""
     for i, roots in enumerate(found):
         found[i] = tuple.__new__(RookPlacement, (n, roots))
     batch = tuple(found)
     found.clear()
-    _check_batch(n, batch)
-    return batch
+    return (batch, *_check_batch(n, batch))
 
 
 def _replaced(
@@ -193,14 +194,14 @@ def _replaced(
     return tuple.__new__(RookPlacement, (n, tuple(kept)))
 
 
-def _check_batch(n: int, batch: tuple[RookPlacement, ...]) -> None:
-    """Pass if the batch keeps the rules of RookPlacement.__new__.
-    Otherwise raise, for its first placement that breaks one, the error
-    the constructor raises on its roots, or RookError if they are valid
-    but not the constructor's sorted tuple of Roots.  The rules, checked
-    over all root arrays (root_arrays) at once: the roots a tuple of
-    Roots; 1 <= col < row <= n; rows strictly increasing, i.e. the roots
-    sorted and the rows distinct; the columns distinct."""
+def _check_batch(n: int, batch: tuple[RookPlacement, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The root arrays of the batch (root_arrays) if it keeps the rules of
+    RookPlacement.__new__.  Otherwise raise, for its first placement that
+    breaks one, the error the constructor raises on its roots, or
+    RookError if they are valid but not the constructor's sorted tuple of
+    Roots.  The rules, checked over all root arrays at once: the roots a
+    tuple of Roots; 1 <= col < row <= n; rows strictly increasing, i.e.
+    the roots sorted and the rows distinct; the columns distinct."""
     roots = list(map(attrgetter("roots"), batch))
     if set(map(type, roots)) <= {tuple} and set(map(type, chain.from_iterable(roots))) <= {Root}:
         rows, cols = root_arrays(batch)
@@ -213,7 +214,7 @@ def _check_batch(n: int, batch: tuple[RookPlacement, ...]) -> None:
             | ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] <= n)).any(axis=1)
         )
         if not bad.any():
-            return
+            return rows, cols
         del roots[: int(bad.argmax())]  # these break no rule
     for r in roots:
         # the constructor raises its own error; what it lets pass is
@@ -383,14 +384,10 @@ def _search(n: int, orthogonal: bool) -> list[tuple[Root, ...]]:
     return found
 
 
-def enumerate_placements(
-    n: int, kind: Kind = "general", cap: int = DEFAULT_CAP
-) -> tuple[RookPlacement, ...]:
-    """All placements on the size-n board, sorted by their root sequences:
-    the search extends each placement by its next root in (row, col)
-    order, so it yields them in that order.  Raises CapError up front
-    when the count would exceed `cap`.
-    """
+def _enumerate(
+    n: int, kind: Kind, cap: int
+) -> tuple[tuple[RookPlacement, ...], np.ndarray, np.ndarray]:
+    """enumerate_placements, with the root arrays of its bulk check."""
     _board(n)
     general = _kind(kind) == "general"
     if n < 1:
@@ -405,6 +402,17 @@ def enumerate_placements(
     if exponent >= cap.bit_length() or count_placements(n, kind) > cap:
         raise CapError(f"board {n} has more than {cap} placements of kind {kind!r}")
     return _batch(n, _search(n, not general))
+
+
+def enumerate_placements(
+    n: int, kind: Kind = "general", cap: int = DEFAULT_CAP
+) -> tuple[RookPlacement, ...]:
+    """All placements on the size-n board, sorted by their root sequences:
+    the search extends each placement by its next root in (row, col)
+    order, so it yields them in that order.  Raises CapError up front
+    when the count would exceed `cap`.
+    """
+    return _enumerate(n, kind, cap)[0]
 
 
 def root_arrays(placements: Sequence[RookPlacement]) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,7 @@ from .errors import AmbientError, RookError
 from .kerov import _ranks
 from .order import _counting_entries, _packed_dominance
 from .placements import DEFAULT_CAP, Kind, RookPlacement, _as_tuple, _board, _check_orthogonal
-from .placements import _kind, _placement, enumerate_placements, root_arrays
+from .placements import _enumerate, _kind, _placement, root_arrays
 
 
 class Poset:
@@ -33,6 +33,9 @@ class Poset:
     extension, a (bits, columns) pair.  Row p of bits is the up-set of
     element columns[p], bit q for columns[q]; distinct placements have
     distinct counting matrices, so no row has a bit before its own.
+    build_poset passes, as the private `_roots`, the arrays that the
+    enumeration's bulk check built, so a build flattens its placements
+    once; the element checks run on either path.
     `hasse` holds the covers as a read-only (E, 2) integer array of sorted
     (lower_index, upper_index) rows; `.tolist()` gives the pairs.
 
@@ -46,7 +49,14 @@ class Poset:
     as many steps as its most upper covers.
     """
 
-    def __init__(self, n: int, kind: Kind, elements: tuple[RookPlacement, ...]) -> None:
+    def __init__(
+        self,
+        n: int,
+        kind: Kind,
+        elements: tuple[RookPlacement, ...],
+        *,
+        _roots: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> None:
         self.n, self.kind = _board(n), _kind(kind)
         self.elements = elements = _as_tuple(elements, "elements")
         # the types and the boards as two sets; only if one fails, the
@@ -64,7 +74,7 @@ class Poset:
         if len(self._index) < m:
             twice = next(e for i, e in enumerate(elements) if self._index[e] != i)
             raise RookError(f"placement {twice.to_text()!r} is listed twice")
-        self._roots = root_arrays(elements)
+        self._roots = root_arrays(elements) if _roots is None else _roots
         if kind == "orthogonal":
             _check_orthogonal(elements, *self._roots)
         bits, columns = _packed_dominance(_counting_entries(n, *self._roots))
@@ -152,8 +162,9 @@ def _cover_scan(bits: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.n
 
 def build_poset(n: int, kind: Kind = "general", cap: int = DEFAULT_CAP) -> Poset:
     """Enumerate all placements of the given kind and materialize their
-    dominance order."""
-    return Poset(n, kind, enumerate_placements(n, kind, cap))
+    dominance order, from the root arrays of the enumeration's bulk check."""
+    elements, rows, cols = _enumerate(n, kind, cap)
+    return Poset(n, kind, elements, _roots=(rows, cols))
 
 
 def brute_force_covers(poset: Poset, placement: RookPlacement) -> set[RookPlacement]:

@@ -461,6 +461,14 @@ def test_counting_entries_widen_past_int8_on_large_boards():
     assert entries[cell, 0] == entries.max() == 150
 
 
+@pytest.mark.parametrize("n", [127, 128, 255, 256])
+def test_counting_entries_read_a_rook_in_the_last_row(n):
+    # the kernel scatters rook rows, up to n, into an array of its own: one
+    # too narrow for n drops the rook in row n from every count
+    items = [validate_placement([(n, 1)], n), validate_placement([(n, n - 1)], n)]
+    assert counting_entries(items).T.tolist() == [_dense_entries(d) for d in items]
+
+
 def test_counting_entries_match_rank_matrix_off_the_enumeration():
     # Kerov images of R(6): 203 placements on the board of size 10, in the
     # order of R(6), which is not the enumeration order of that board

@@ -250,9 +250,17 @@ def test_no_value_is_built_or_changed_past_its_class():
 
 def test_a_poset_builds_its_relation_from_its_own_elements():
     # Poset takes no relation: its one route to one is the dominance order
-    # of its elements, from the root arrays it builds and keeps itself
+    # of its elements, from the root arrays it keeps: built by itself or,
+    # in build_poset alone, by the enumeration's bulk check
     init = next(node for node in DEFS["Poset"][1].body if getattr(node, "name", None) == "__init__")
     assert [arg.arg for arg in init.args.args] == ["self", "n", "kind", "elements"]
+    assert [arg.arg for arg in init.args.kwonlyargs] == ["_roots"]
+    assert not init.args.vararg and not init.args.kwarg
+    assert _sites(
+        lambda node: isinstance(node, ast.keyword) and node.arg == "_roots"
+    ) == [("poset", "build_poset")]
+    assert "_enumerate" in _calls("build_poset")
+    assert "_check_batch" in reaches("_enumerate")
     relation = {"root_arrays", "_counting_entries", "_packed_dominance", "_cover_scan"}
     assert relation <= reaches("Poset")
     assert _sites(
