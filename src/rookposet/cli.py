@@ -8,6 +8,7 @@ usage or input errors, a stdout that cannot be written included.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -186,10 +187,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on the first call of main, not at
+    import, and reused by every later call in the process; parsing leaves
+    it as it was, so each call reads as the first."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import rookposet
+import rookposet.cli as cli_module
 import rookposet.order as order_module
 from rookposet import CapError, build_poset
 from rookposet.cli import build_parser, main
@@ -402,3 +403,50 @@ def test_each_subcommand_help_exits_0(capsys, command):
     code, out, _ = run(capsys, command, "--help")
     assert code == 0
     assert out.startswith(f"usage: rookposet {command}")
+
+
+def test_calls_in_one_process_print_what_fresh_processes_print(monkeypatch, capsys):
+    # one parser serves every call after the first, a usage error and
+    # --help among them; COLUMNS fixes the help's width on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ("enumerate",),
+        ("--help",),
+        ("verify", "--suite", "counts", "--max-n", "3"),
+        ("rank", "--n", "8", "--kind", "general", "--d", "3,1;6,2;7,3;5,4;8,5"),
+    ]
+    built = []
+    monkeypatch.setattr(cli_module, "build_parser", lambda: built.append(1) or build_parser())
+    cli_module._parser.cache_clear()
+    try:
+        got = [run(capsys, *argv) for argv in calls]
+    finally:
+        cli_module._parser.cache_clear()
+    assert built == [1]
+    want = []
+    for argv in calls:
+        child = _child(*argv, stdout=subprocess.PIPE)
+        out, err = child.communicate(timeout=60)
+        want.append((child.returncode, out.decode(), err.decode()))
+    assert got == want
+    assert [code for code, _, _ in got] == [2, 0, 0, 0]
+    assert got[3][1] == "19\n"
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import rookposet.cli\n"
+        "print(len(built))\n"
+    )
+    src = os.path.dirname(os.path.dirname(rookposet.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                          timeout=60, check=True)
+    assert done.stdout == b"0\n"

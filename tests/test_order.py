@@ -306,6 +306,81 @@ def test_bruhat_prefix_counts_do_not_overflow_on_large_boards():
     assert not bruhat_leq(reverse, ident)
 
 
+def test_bruhat_leq_on_a_board_of_two_thousand():
+    # about two million cells i <= j (both are involutions), compared a
+    # chunk of cells per step
+    ident = Permutation(tuple(range(1, 2001)))
+    reverse = Permutation(tuple(range(2000, 0, -1)))
+    assert bruhat_leq(ident, reverse)
+    assert not bruhat_leq(reverse, ident)
+
+
+def _bruhat_by_rows(perms: list[Permutation]) -> np.ndarray:
+    """The prefix-count criterion one row at a time, over the whole n x n
+    tables, border included."""
+    m, n = len(perms), perms[0].n if perms else 0
+    ones = np.array([w.images for w in perms]).reshape(m, n, 1) == np.arange(1, n + 1)
+    tables = ones.cumsum(axis=1).cumsum(axis=2).reshape(m, n * n)
+    leq = np.empty((m, m), dtype=bool)
+    for a in range(m):
+        np.all(tables[a] >= tables, axis=1, out=leq[a])
+    return leq
+
+
+@st.composite
+def permutation_lists(draw):
+    """m permutations of one n = 0..8, repeats allowed, m in {0, 1, 2, many}:
+    involutions only, as the verify suites compare, or any."""
+    n = draw(st.integers(0, 8))
+    m = draw(st.sampled_from([0, 1, 2]) | st.integers(3, 40))
+    if draw(st.booleans()):
+        perms = orthogonal_placements(max_n=n, min_n=n).map(involution_of)
+    else:
+        perms = st.permutations(range(1, n + 1)).map(lambda w: Permutation(tuple(w)))
+    return draw(st.lists(perms, min_size=m, max_size=m))
+
+
+@settings(max_examples=150)
+@given(permutation_lists(), st.sampled_from([None, 1, 96, 416]))
+def test_bruhat_matrix_matches_the_row_loop(perms, block_bytes):
+    # the small budgets split the tiles of rows and the chunks of cells
+    # mid-matrix
+    with pytest.MonkeyPatch.context() as mp:
+        if block_bytes is not None:
+            mp.setattr(rookposet.order, "_BLOCK_BYTES", block_bytes)
+        assert np.array_equal(bruhat_matrix(perms), _bruhat_by_rows(perms))
+
+
+@pytest.mark.parametrize("block_bytes", [1, 96, 416])
+def test_bruhat_matrix_does_not_depend_on_the_budget(monkeypatch, block_bytes):
+    # the 52 kerov images of R(5), on the board of 10: the 45 cells i <= j,
+    # and tiles of one row, one row and eight rows with a short last one
+    perms = [involution_of(kerov_map(d)) for d in enumerate_placements(5)]
+    whole = bruhat_matrix(perms)
+    assert np.array_equal(whole, _bruhat_by_rows(perms))
+    monkeypatch.setattr(rookposet.order, "_BLOCK_BYTES", block_bytes)
+    assert np.array_equal(bruhat_matrix(perms), whole)
+
+
+def _prefix_table(images: tuple[int, ...]) -> list[list[int]]:
+    n = len(images)
+    return [[sum(1 for k in range(i) if images[k] <= j) for j in range(1, n + 1)]
+            for i in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_cells_bruhat_matrix_leaves_out_decide_nothing(n):
+    # the last prefix row and column: #{k <= n : w(k) <= j} is j and
+    # #{k <= i : w(k) <= n} is i, whatever w; and the table of w^-1 is
+    # that of w transposed, so an involution's is symmetric
+    for images in all_perms(range(1, n + 1)):
+        table = _prefix_table(images)
+        assert table[n - 1] == list(range(1, n + 1))
+        assert [row[n - 1] for row in table] == list(range(1, n + 1))
+        inverse = tuple(images.index(v) + 1 for v in range(1, n + 1))
+        assert _prefix_table(inverse) == [list(col) for col in zip(*table)]
+
+
 @pytest.mark.parametrize(
     "relation",
     [counting_entries, lambda items: packed_dominance(items)[0], dominance_matrix],

@@ -193,3 +193,18 @@ def test_run_suite_refuses_bad_input(args, message):
 def test_suites_pass_on_boards_of_nine(suite):
     results = verify_module.run_suite(suite, 9)
     assert results and all(res.ok and res.checked for res in results)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "suite,max_n,line",
+    [
+        # the 2620 involutions of I(9): bruhat_matrix fills 14 tiles of at most 200 rows
+        (verify_module.verify_bruhat, 9, "bruhat: PASS (7508488 checked)"),
+        # the 4140 kerov images of R(8): 33 tiles of at most 126 rows
+        (verify_module.verify_kerov_order, 8, "kerov-order: PASS (17952892 checked)"),
+    ],
+    ids=["bruhat-9", "kerov-order-8"],
+)
+def test_dominance_equals_bruhat_on_boards_of_several_row_tiles(suite, max_n, line):
+    assert suite(max_n).summary() == line
