@@ -31,12 +31,11 @@ Orthogonal placements are involutions in disguise: involution_of turns
 one into the product of its transpositions, and bruhat_matrix compares
 permutations in Bruhat order by prefix counts (Bjorner-Brenti 2.1), with
 no code shared with dominance_matrix, so that each one checks the other;
-the two share only the byte budget _BLOCK_BYTES.  It keeps the prefix
-counts of the (n - 1)^2 inner cells, one contiguous column of all m
-permutations per cell (the last prefix row and column are the same for
-every permutation), or of the n(n - 1)/2 with i <= j when all m are
-involutions, and fills the relation a tile of rows against all m columns
-at a time, ANDed over chunks of cells that fit the budget.
+the two share only the byte budget _BLOCK_BYTES.  _prefix_counts keeps
+the counts of the (n - 1)^2 inner cells, one contiguous row of all m
+permutations per cell, or of the n(n - 1)/2 with i <= j when all m are
+involutions; bruhat_matrix ANDs a tile of rows against all m columns
+once per cell, and bruhat_leq compares the two count columns of a pair.
 """
 
 from __future__ import annotations
@@ -117,8 +116,8 @@ def leq_placement(d1: RookPlacement, d2: RookPlacement) -> bool:
 
 
 # Byte budget of the row blocks that one step of packed_dominance or of
-# the cover scan in poset.Poset works on, and of the tiles and cell
-# chunks of bruhat_matrix: they then fit in a 2 MB L2 cache.
+# the cover scan in poset.Poset works on, and of the row tiles of
+# bruhat_matrix: they then fit in a 2 MB L2 cache.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -271,22 +270,13 @@ def inversion_length(w: Permutation) -> int:
     )
 
 
-def bruhat_matrix(perms: Sequence[Permutation]) -> np.ndarray:
-    """m x m bool array whose entry (a, b) is perms[a] <= perms[b] in Bruhat
-    order, for permutations of one size n: every prefix count
-    #{k <= i : w(k) <= j} of perms[a] is at least that of perms[b].
-
-    Only the (n - 1)^2 inner cells i, j < n are compared, each as one
-    contiguous (m,) column of counts: prefix row n counts j and prefix
-    column n counts i, whatever the permutation.  When all m are
-    involutions, as in the verify suites, only the cells i <= j are: the
-    counts of w^-1 are those of w transposed.  The result is filled a
-    tile at a time, a block of rows against all m columns, and each tile
-    is ANDed over chunks of cells; one chunk's comparisons fill at most
-    _BLOCK_BYTES.  So a board of hundreds of permutations costs about one
-    AND per cell per tile, and a lone pair ceil(cells * 4 / _BLOCK_BYTES)
-    steps.
-    """
+def _prefix_counts(perms: Sequence[Permutation]) -> np.ndarray:
+    """The prefix counts #{k <= i : w(k) <= j} of permutations of one size
+    n (AmbientError otherwise) as a (cells x m) array, one contiguous row
+    of all m per cell.  Only the (n - 1)^2 inner cells i, j < n are kept:
+    prefix row n counts j and prefix column n counts i, whatever w.  When
+    all m are involutions, as in the verify suites, only the n(n - 1)/2
+    cells i <= j are: the counts of w^-1 are those of w transposed."""
     perms = tuple(map(_permutation, _as_tuple(perms, "permutations")))
     for w in perms:
         if w.n != perms[0].n:
@@ -298,36 +288,30 @@ def bruhat_matrix(perms: Sequence[Permutation]) -> np.ndarray:
     # counts[i - 1, j - 1, t] = #{k <= i : perms[t](k) <= j} for i, j < n
     below = images.T[: n - 1, None] <= np.arange(1, n, dtype=small)[:, None]
     counts = below.cumsum(axis=0, dtype=small)
-    # when every perms[t] is an involution, the cells i <= j decide
     if (np.take_along_axis(images, images - 1, axis=1) == np.arange(1, n + 1)).all():
-        counts = counts[np.triu(np.ones((len(below),) * 2, dtype=bool))]
-    else:
-        counts = counts.reshape(len(below) ** 2, m)
+        return counts[np.triu(np.ones((len(below),) * 2, dtype=bool))]
+    return counts.reshape(len(below) ** 2, m)
+
+
+def bruhat_matrix(perms: Sequence[Permutation]) -> np.ndarray:
+    """m x m bool array whose entry (a, b) is perms[a] <= perms[b] in Bruhat
+    order: every prefix count (_prefix_counts) of perms[a] is at least
+    that of perms[b].  A tile of rows, whose comparisons with all m columns
+    fill at most _BLOCK_BYTES, is ANDed once per cell; so a lone pair,
+    bruhat_leq's job, costs a numpy step per cell here."""
+    counts = _prefix_counts(perms)
+    m = counts.shape[1]
     leq = np.ones((m, m), dtype=bool)
-    # a tile has `rows` rows and a chunk `chunk` cells, so that the chunk's
-    # comparisons with the tile take at most _BLOCK_BYTES
     rows = max(1, _BLOCK_BYTES // max(m, 1))
-    chunk = max(1, _BLOCK_BYTES // max(min(rows, m) * m, 1))
-    # the comparisons are laid out cell by cell, or with the cells
-    # innermost for a few columns (a lone pair): numpy's loops stay long
-    few = m <= 8
-    got = np.empty((min(rows, m), m, chunk) if few else (chunk, min(rows, m), m), dtype=bool)
     for a in range(0, m, rows):
         tile = leq[a : a + rows]
-        for c in range(0, len(counts), chunk):
-            cells = counts[c : c + chunk]
-            if few:
-                ge = got[: len(tile), :, : len(cells)]
-                np.greater_equal(cells.T[a : a + rows, None], cells.T, out=ge)
-                tile &= np.logical_and.reduce(ge, axis=2)
-            else:
-                ge = got[: len(cells), : len(tile)]
-                np.greater_equal(cells[:, a : a + rows, None], cells[:, None], out=ge)
-                tile &= ge[0] if len(cells) == 1 else np.logical_and.reduce(ge, axis=0)
+        for cell in counts:
+            tile &= cell[a : a + rows, None] >= cell
     return leq
 
 
 def bruhat_leq(u: Permutation, v: Permutation) -> bool:
-    """Bruhat order by dominance: u <= v iff every prefix count of u
-    is at least the matching prefix count of v."""
-    return bool(bruhat_matrix((u, v))[0, 1])
+    """Bruhat order by dominance: u <= v iff every prefix count of u is at
+    least that of v, the two columns of _prefix_counts compared directly."""
+    counts = _prefix_counts((u, v))
+    return bool((counts[:, 0] >= counts[:, 1]).all())

@@ -304,11 +304,12 @@ def test_bruhat_prefix_counts_do_not_overflow_on_large_boards():
     reverse = Permutation(tuple(range(130, 0, -1)))
     assert bruhat_leq(ident, reverse)
     assert not bruhat_leq(reverse, ident)
+    assert bruhat_matrix([ident, reverse]).tolist() == [[True, True], [False, True]]
 
 
 def test_bruhat_leq_on_a_board_of_two_thousand():
-    # about two million cells i <= j (both are involutions), compared a
-    # chunk of cells per step
+    # about two million cells i <= j (both are involutions), their two
+    # count columns compared in one step
     ident = Permutation(tuple(range(1, 2001)))
     reverse = Permutation(tuple(range(2000, 0, -1)))
     assert bruhat_leq(ident, reverse)
@@ -343,12 +344,16 @@ def permutation_lists(draw):
 @settings(max_examples=150)
 @given(permutation_lists(), st.sampled_from([None, 1, 96, 416]))
 def test_bruhat_matrix_matches_the_row_loop(perms, block_bytes):
-    # the small budgets split the tiles of rows and the chunks of cells
-    # mid-matrix
+    # the small budgets split the tiles of rows mid-matrix; bruhat_leq
+    # compares a pair without the tiles
     with pytest.MonkeyPatch.context() as mp:
         if block_bytes is not None:
             mp.setattr(rookposet.order, "_BLOCK_BYTES", block_bytes)
-        assert np.array_equal(bruhat_matrix(perms), _bruhat_by_rows(perms))
+        ref = _bruhat_by_rows(perms)
+        assert np.array_equal(bruhat_matrix(perms), ref)
+        for a in range(min(5, len(perms))):
+            for b in range(min(5, len(perms))):
+                assert bruhat_leq(perms[a], perms[b]) == ref[a, b]
 
 
 @pytest.mark.parametrize("block_bytes", [1, 96, 416])

@@ -41,6 +41,7 @@ ORACLES = {
     "inversion_length",
     "bruhat_matrix",
     "bruhat_leq",
+    "_prefix_counts",
     "brute_force_covers",
     "subset_filter_placements",
     "rank_general",
