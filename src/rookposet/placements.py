@@ -95,23 +95,21 @@ class RookPlacement(tuple):
             if type(r) is not Root and not isinstance(r, Root):
                 raise RookError(f"{r!r} is not a Root")
         ordered = tuple(sorted(roots))
-        self = tuple.__new__(cls, (n, ordered))
-        if not ordered:
-            return self
         # zip transposes in C: unpacking a Root, a tuple subclass, is slow
-        rows, cols = zip(*ordered)
-        if len(set(rows)) == len(set(cols)) == len(ordered) and rows[-1] <= n:
-            return self  # the last root has the largest row
-        seen_rows: dict[int, Root] = {}
-        seen_cols: dict[int, Root] = {}
-        for r in ordered:  # find the first violation, for the message
-            if r.row > n:
-                raise AmbientError(f"root ({r}) outside board of size {n}")
-            if r.row in seen_rows:
-                raise AttackError(f"rooks ({seen_rows[r.row]}) and ({r}) share row {r.row}")
-            if r.col in seen_cols:
-                raise AttackError(f"rooks ({seen_cols[r.col]}) and ({r}) share column {r.col}")
-            seen_rows[r.row] = seen_cols[r.col] = r
+        rows, cols = zip(*ordered) if ordered else ((), ())
+        # the last root has the largest row
+        if ordered and not (len(set(rows)) == len(set(cols)) == len(ordered) and rows[-1] <= n):
+            seen_rows: dict[int, Root] = {}
+            seen_cols: dict[int, Root] = {}
+            for r in ordered:  # find the first violation, for the message
+                if r.row > n:
+                    raise AmbientError(f"root ({r}) outside board of size {n}")
+                if r.row in seen_rows:
+                    raise AttackError(f"rooks ({seen_rows[r.row]}) and ({r}) share row {r.row}")
+                if r.col in seen_cols:
+                    raise AttackError(f"rooks ({seen_cols[r.col]}) and ({r}) share column {r.col}")
+                seen_rows[r.row] = seen_cols[r.col] = r
+        return tuple.__new__(cls, (n, ordered))
 
     n = property(itemgetter(0))
     roots = property(itemgetter(1))
@@ -150,19 +148,6 @@ class RookPlacement(tuple):
         return self.to_text()
 
 
-def _batch(
-    n: int, found: list[tuple[Root, ...]]
-) -> tuple[tuple[RookPlacement, ...], np.ndarray, np.ndarray]:
-    """The placements of the board of size n with the given root tuples,
-    built in place of `found` without a __new__ each, and their root
-    arrays: one check over all of them (_check_batch) stands in for it."""
-    for i, roots in enumerate(found):
-        found[i] = tuple.__new__(RookPlacement, (n, roots))
-    batch = tuple(found)
-    found.clear()
-    return (batch, *_check_batch(n, batch))
-
-
 def _replaced(
     d: RookPlacement,
     k: int,
@@ -194,17 +179,16 @@ def _replaced(
     return tuple.__new__(RookPlacement, (n, tuple(kept)))
 
 
-def _check_batch(n: int, batch: tuple[RookPlacement, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The root arrays of the batch (root_arrays) if it keeps the rules of
-    RookPlacement.__new__.  Otherwise raise, for its first placement that
-    breaks one, the error the constructor raises on its roots, or
-    RookError if they are valid but not the constructor's sorted tuple of
-    Roots.  The rules, checked over all root arrays at once: the roots a
-    tuple of Roots; 1 <= col < row <= n; rows strictly increasing, i.e.
-    the roots sorted and the rows distinct; the columns distinct."""
-    roots = list(map(attrgetter("roots"), batch))
+def _check_batch(n: int, roots: list[tuple[Root, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """The root arrays (_root_arrays) of a search's root tuples on the board
+    of size n, read before any placement is built, if each tuple keeps the
+    rules of RookPlacement.__new__.  Otherwise raise, for the first that
+    breaks one, the error the constructor raises on it, or RookError if it
+    is valid but not the constructor's sorted tuple of Roots.  The rules,
+    over all root arrays at once: a tuple of Roots; 1 <= col < row <= n;
+    rows strictly increasing (sorted roots, distinct rows); distinct columns."""
     if set(map(type, roots)) <= {tuple} and set(map(type, chain.from_iterable(roots))) <= {Root}:
-        rows, cols = root_arrays(batch)
+        rows, cols = _root_arrays(n, roots)
         live = rows > 0  # padding is row 0, which no Root has
         on_board = (1 <= cols) & (cols < rows) & (rows <= n)
         ordered = np.sort(cols, axis=1)  # the padding columns n + 1 sort last
@@ -215,7 +199,7 @@ def _check_batch(n: int, batch: tuple[RookPlacement, ...]) -> tuple[np.ndarray, 
         )
         if not bad.any():
             return rows, cols
-        del roots[: int(bad.argmax())]  # these break no rule
+        roots = roots[int(bad.argmax()) :]  # the tuples before break no rule
     for r in roots:
         # the constructor raises its own error; what it lets pass is
         # refused here: roots out of order, not a tuple, or not a Root
@@ -387,7 +371,8 @@ def _search(n: int, orthogonal: bool) -> list[tuple[Root, ...]]:
 def _enumerate(
     n: int, kind: Kind, cap: int
 ) -> tuple[tuple[RookPlacement, ...], np.ndarray, np.ndarray]:
-    """enumerate_placements, with the root arrays of its bulk check."""
+    """enumerate_placements, with the root arrays of its bulk check, which
+    checks the search's root tuples before any placement is built."""
     _board(n)
     general = _kind(kind) == "general"
     if n < 1:
@@ -401,7 +386,11 @@ def _enumerate(
     exponent = n - 1 if general else n // 2
     if exponent >= cap.bit_length() or count_placements(n, kind) > cap:
         raise CapError(f"board {n} has more than {cap} placements of kind {kind!r}")
-    return _batch(n, _search(n, not general))
+    found = _search(n, not general)
+    rows, cols = _check_batch(n, found)
+    for i, roots in enumerate(found):
+        found[i] = tuple.__new__(RookPlacement, (n, roots))
+    return tuple(found), rows, cols
 
 
 def enumerate_placements(
@@ -432,7 +421,13 @@ def root_arrays(placements: Sequence[RookPlacement]) -> tuple[np.ndarray, np.nda
     if len(set(map(attrgetter("n"), placements))) > 1:
         other = next(p.n for p in placements if p.n != n)
         raise AmbientError(f"placements on boards of sizes {n} and {other}")
-    roots = list(map(attrgetter("roots"), placements))
+    return _root_arrays(n, list(map(attrgetter("roots"), placements)))
+
+
+def _root_arrays(n: int, roots: list[tuple[Root, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """root_arrays of the placements on the board of size n with the root
+    tuples `roots`, which it does not check: root_arrays guards its own
+    input, and _check_batch checks the arrays this returns."""
     sizes = np.fromiter(map(len, roots), dtype=np.intp, count=len(roots))
     cells = np.fromiter(
         chain.from_iterable(chain.from_iterable(roots)), dtype=np.intp, count=2 * int(sizes.sum())

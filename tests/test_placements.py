@@ -439,7 +439,9 @@ def test_enumerated_placements_are_their_checked_twins(kind, largest):
             assert type(e.roots) is tuple and all(type(r) is Root for r in e.roots)
             # the pair a placement is, and so the hash it always had
             assert e == (n, e.roots) and hash(e) == hash((e.n, e.roots))
+            assert str(e) == e.to_text()
         assert pickle.loads(pickle.dumps(elements)) == elements
+    assert str(RookPlacement(3, ())) == ""
 
 
 # one bad root tuple of a search on the board of size 6, after good ones
@@ -451,9 +453,15 @@ BAD_SEARCH_RESULTS = {
 }
 
 
-@pytest.mark.parametrize("bad", BAD_SEARCH_RESULTS.values(), ids=BAD_SEARCH_RESULTS)
-def test_enumeration_raises_what_the_constructor_raises(monkeypatch, bad):
-    good = placements_module._search(6, False)[:40]
+@pytest.mark.parametrize(
+    "lead,bad",
+    [(40, bad) for bad in BAD_SEARCH_RESULTS.values()]
+    # the first tuple of the search, where the bulk check keeps all it has
+    + [(0, BAD_SEARCH_RESULTS["shared-column"])],
+    ids=[*BAD_SEARCH_RESULTS, "shared-column-first"],
+)
+def test_enumeration_raises_what_the_constructor_raises(monkeypatch, lead, bad):
+    good = placements_module._search(6, False)[:lead]
     later = (Root(5, 1), Root(5, 2))  # a second offence, not the first
     monkeypatch.setattr(placements_module, "_search", lambda n, orthogonal: good + [bad, later])
     with pytest.raises(RookError) as expected:

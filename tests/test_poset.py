@@ -711,17 +711,19 @@ def test_materialized_poset_does_not_touch_the_per_element_routes(monkeypatch, n
 
 
 def _count_root_arrays(monkeypatch) -> list[int]:
-    """Wrap root_arrays in every module that binds it; the list returned
-    grows by one entry a call."""
-    calls, real = [], rookposet.placements.root_arrays
+    """Wrap _root_arrays, the flattening behind root_arrays and the bulk
+    check, in every module that binds it; the list returned grows by one
+    entry a call."""
+    calls, real = [], rookposet.placements._root_arrays
 
-    def counted(placements):
+    def counted(n, roots):
         calls.append(1)
-        return real(placements)
+        return real(n, roots)
 
     for module in list(sys.modules.values()):
-        if module.__name__.startswith("rookposet") and getattr(module, "root_arrays", None) is real:
-            monkeypatch.setattr(module, "root_arrays", counted)
+        bound = getattr(module, "_root_arrays", None)
+        if module.__name__.startswith("rookposet") and bound is real:
+            monkeypatch.setattr(module, "_root_arrays", counted)
     return calls
 
 

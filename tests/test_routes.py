@@ -210,24 +210,36 @@ def _calls(name: str) -> set[str]:
 
 
 def test_placements_skip_their_checks_only_in_the_checked_batch():
-    # Root and RookPlacement build themselves with tuple.__new__ after the
-    # checks of their __new__; enumeration builds placements past those,
-    # and one bulk check over the whole batch stands in for them; a cover
+    # every route checks first and builds last: Root and RookPlacement
+    # build themselves with tuple.__new__ after the checks of their
+    # __new__; enumeration builds placements past those once one bulk
+    # check over the search's root tuples has stood in for them; a cover
     # move builds its result past them, after the checks of the targets
     # that are all a valid placement needs, and falls back to the
     # constructor for its error when one fails
     assert _sites(_tuple_new) == [
         ("placements", "Root"),
         ("placements", "RookPlacement"),
-        ("placements", "_batch"),
         ("placements", "_replaced"),
+        ("placements", "_enumerate"),
     ]
     assert _sites(
         lambda node: _tuple_new(node) and ast.unparse(node.args[0]) == "RookPlacement"
-    ) == [("placements", "_batch"), ("placements", "_replaced")]
-    assert "_check_batch" in _calls("_batch")
-    assert "root_arrays" in reaches("_check_batch")
+    ) == [("placements", "_replaced"), ("placements", "_enumerate")]
+    assert "_check_batch" in _calls("_enumerate")
+    assert "_root_arrays" in reaches("_check_batch") & reaches("root_arrays")
+    # the bulk check reads the root tuples it is given, not placements
+    assert not {"root_arrays", "attrgetter"} & (reaches("_check_batch") | _calls("_check_batch"))
     assert "RookPlacement" in _calls("_replaced")
+    # the enumeration builds nothing before its bulk check returns
+    calls = [n for n in ast.walk(DEFS["_enumerate"][1]) if isinstance(n, ast.Call)]
+    (check,) = [n for n in calls if ast.unparse(n.func) == "_check_batch"]
+    (build,) = filter(_tuple_new, calls)
+    assert check.lineno < build.lineno
+    # and the constructor builds itself once, in its last statement
+    new = next(n for n in DEFS["RookPlacement"][1].body if getattr(n, "name", None) == "__new__")
+    (build,) = filter(_tuple_new, ast.walk(new))
+    assert isinstance(new.body[-1], ast.Return) and new.body[-1].value is build
 
 
 def _sites(match) -> list[tuple[str, str | None]]:
