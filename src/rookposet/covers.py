@@ -39,16 +39,37 @@ a root below (i, j) is below (i, b), which leaves the roots strictly
 between the pair; for an interleaved swap no root is below both (i, j)
 and (a, i), nor below both (a, b) and (b, j); a split is unchanged.
 
-One pass over D's sorted roots runs the families in turn: each proposes
-its candidates, tests them by the rule, and builds the target Roots of a
-move that passes, so the kept roots are D's roots without the one or two
-source indices.  placements._replaced builds the result: it puts the
-targets into the kept roots by bisect and checks only them, in O(1).
-That check is complete, as D is a valid placement and only a target can
-break a rule: a target must lie on the board, its row and its column
-must not be D's unless a source root frees them, and two targets must not
-share a row or a column.  Any failure goes to RookPlacement, the checked
-constructor, which raises its own error.
+The proposal phase, _proposals, works on int bitmasks over D's indices:
+its rows, its columns, the full indices, and the row-only and column-only
+indices a general slide must end on.  The non-full indices strictly
+between j and i, where a slide or a split may go, are the bits of
+((1 << i) - (2 << j)) & ~full; the first of them is the lowest set bit
+and the last the highest, and one walk over the set bits in order, with
+no index in between, proposes the splits.  One pass over D's roots fills one list per family, and the lists
+are joined in family order, so the moves come in family order and then
+in the order of D's roots.  Neither swap tests every pair of roots.  A
+nested swap of (i, j) with a later root (a, b), b < j, can only be
+blocked by a root below (a, b) but below neither (i, b) nor (a, j): one
+whose row lies strictly between i and a and whose column strictly
+between b and j.  So (a, b) passes iff b exceeds every column below j
+among the roots whose rows lie strictly between i and a: a staircase
+scan over the later roots, with no mask, that is exactly the mask rule.
+An interleaved swap's b is a column in the run of full indices just
+below i, above the last free index, so only the roots of those columns
+are tested.
+
+A proposal is (kind, k, x, targets): replace D's roots at indices
+k <= x (k == x for one) by the targets, plain (row, col) int pairs.
+moves_* wrap each proposal in a CoverMove and predecessors_* build only
+its result, both from the one proposal list and through the one builder
+placements._replaced.  It puts the targets into the kept roots by bisect
+and checks only them, in O(1).  That check is complete, as D is a valid
+placement and only a target can break a rule: a target must be a cell of
+the board, 0 < col < row <= n, its row and its column must not be D's
+unless a source root frees them, and two targets must not share a row or
+a column.  Only then does it build the target Roots, past their
+constructor; any failure goes to Root and RookPlacement, the checked
+constructors, which raise their own error.
 
 The anti-transpose phi(i, j) = (n+1-j, n+1-i) is an order automorphism
 that maps the moves of D onto those of phi(D) with the slide directions
@@ -59,6 +80,7 @@ A move never touches the board size.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import accumulate
 from operator import or_
 from typing import Literal, NamedTuple
@@ -94,79 +116,132 @@ class CoverMove(NamedTuple):
         }
 
 
-def _cover_moves(d: RookPlacement, orthogonal: bool) -> list[CoverMove]:
-    """Every cover move of D for one kind, in family order and then in the
-    order of D's roots: each family proposes its candidates, the one rule
-    tests them, and only a move that passes builds its target Roots."""
+Proposal = tuple[MoveKind, int, int, tuple[tuple[int, int], ...]]
+
+
+def _proposals(d: RookPlacement, orthogonal: bool) -> tuple[int, int, list[Proposal]]:
+    """D's rows and columns as bitmasks over the indices, and every cover
+    move of D for one kind as (kind, k, x, targets): it replaces D's roots
+    at indices k <= x (k == x for one) by the (row, col) pairs `targets`.
+    In family order and then in the order of D's roots."""
     n, roots = d
-    rows, cols = d.rows, d.cols
-    full = (rows | cols) if orthogonal else (rows & cols)
+    # zip transposes in C: unpacking a Root, a tuple subclass, is slow
+    row_of, col_of = zip(*roots) if roots else ((), ())
+    # distinct powers of two, so that their sum is their union
+    rows = sum(map((1).__lshift__, row_of))
+    cols = sum(map((1).__lshift__, col_of))
+    used = rows | cols
+    full = used if orthogonal else rows & cols
+    # the free indices a slide may go to: any of an orthogonal placement;
+    # for a general one a row only (rightward) or a column only (upward)
+    rightward = -1 if orthogonal else rows & ~cols
+    upward = -1 if orthogonal else cols & ~rows
     # bit k stands for the root at index k; the roots weakly below a cell
     # (i, j) are row_le[i] & col_ge[j], those with row <= i and col >= j
-    row_le, col_ge = [0] * (n + 1), [0] * (n + 1)
-    for k, (i, j) in enumerate(roots):
-        row_le[i] = col_ge[j] = 1 << k
+    row_le, at_col = [0] * (n + 1), [0] * (n + 1)
+    for k, i in enumerate(row_of):
+        row_le[i] = at_col[col_of[k]] = 1 << k
     row_le = list(accumulate(row_le, or_))
-    col_ge = list(accumulate(reversed(col_ge), or_))[::-1]
-    # each root with its index, its cell, the other roots below it and the
-    # non-full indices strictly between its column and its row
-    rooks = []
-    for k, r in enumerate(roots):
-        i, j = r
-        free = [m for m in range(j + 1, i) if m not in full]
-        rooks.append((k, r, i, j, row_le[i] & col_ge[j] & ~(1 << k), free))
-    moves = []
-
-    def move(kind: MoveKind, source: tuple[Root, ...], k: int, x: int, *added: Root) -> None:
-        moves.append(CoverMove(kind, source, added, _replaced(d, k, x, added, rows, cols)))
-
-    # a move is a cover iff each kept root below a source is below a target
-    for k, r, i, j, below, free in rooks:
-        if not free and not below:
-            move("remove", (r,), k, k)
-    for k, r, i, j, below, free in rooks:
-        if free and (orthogonal or (free[0] in rows and free[0] not in cols)):
-            m = free[0]
-            if not below & ~(row_le[i] & col_ge[m]):
-                move("slide_right", (r,), k, k, Root(i, m))
-    for k, r, i, j, below, free in rooks:
-        if free and (orthogonal or (free[-1] in cols and free[-1] not in rows)):
-            m = free[-1]
-            if not below & ~(row_le[m] & col_ge[j]):
-                move("slide_up", (r,), k, k, Root(m, j))
-    # the roots are sorted by row, so the pairs with i < a are those x > k;
-    # the source (i, j) lies below (a, b), but also below the target (i, b)
-    for k, r, i, j, below, free in rooks:
-        for x, q, a, b, over, _ in rooks[k + 1 :]:
-            if b < j and not (below | over) & ~(row_le[i] & col_ge[b] | row_le[a] & col_ge[j]):
-                move("cross_general", (r, q), k, x, Root(i, b), Root(a, j))
-    if orthogonal:
-        for k, r, i, j, below, free in rooks:
-            for x, q, a, b, over, _ in rooks[k + 1 :]:
-                # b is a column, so full: the indices strictly between b and
-                # i are full iff no free index of (i, j) lies above b; neither
-                # source lies below the other
-                if j < b < i and not (free and free[-1] > b):
-                    if not (below | over) & ~(row_le[b] & col_ge[j] | row_le[a] & col_ge[i]):
-                        move("cross_orthogonal", (r, q), k, x, Root(b, j), Root(a, i))
+    col_ge = list(accumulate(reversed(at_col), or_))[::-1]
+    removals, rights, ups, crosses, swaps, splits = [], [], [], [], [], []
     split = "split_orthogonal" if orthogonal else "split_general"
-    for k, r, i, j, below, free in rooks:
-        for y, a in enumerate(free):
-            if not orthogonal and a not in rows and a not in cols:
-                if not below & ~(row_le[a] & col_ge[j] | row_le[i] & col_ge[a]):
-                    move(split, (r,), k, k, Root(a, j), Root(i, a))
-            if y + 1 < len(free):
-                b = free[y + 1]
-                if orthogonal or (a in cols and a not in rows and b in rows and b not in cols):
+    for k, i in enumerate(row_of):
+        j = col_of[k]
+        # the other roots below (i, j), and the non-full indices strictly
+        # between its column and its row; a move is a cover iff each kept
+        # root below a source is below a target
+        below = row_le[i] & col_ge[j] & ~(1 << k)
+        free = ((1 << i) - (2 << j)) & ~full
+        if not free:
+            if not below:
+                removals.append(("remove", k, k, ()))
+        else:
+            m = (free & -free).bit_length() - 1
+            if rightward >> m & 1 and not below & ~(row_le[i] & col_ge[m]):
+                rights.append(("slide_right", k, k, ((i, m),)))
+            last = free.bit_length() - 1
+            if upward >> last & 1 and not below & ~(row_le[last] & col_ge[j]):
+                ups.append(("slide_up", k, k, ((last, j),)))
+            # a split to (a, j) and (i, b): for orthogonal D, a < b are
+            # consecutive free indices; for general D either a = b is neither
+            # a row nor a column, or a < b are consecutive free indices, a
+            # column only and b a row only (a free general index is never
+            # both).  The walk meets the free indices b in order, each after
+            # a, the one before it (0 before the first, which no index is)
+            a, rest = 0, free
+            while rest:
+                b = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                if a and (orthogonal or (cols >> a & 1 and rows >> b & 1)):
                     if not below & ~(row_le[a] & col_ge[j] | row_le[i] & col_ge[b]):
-                        move(split, (r,), k, k, Root(a, j), Root(i, b))
+                        splits.append((split, k, k, ((a, j), (i, b))))
+                if not (orthogonal or used >> b & 1):
+                    if not below & ~(row_le[b] & col_ge[j] | row_le[i] & col_ge[b]):
+                        splits.append((split, k, k, ((b, j), (i, b))))
+                a = b
+        # the later roots (a, b) with b < j whose nested swap passes: no root
+        # with a row strictly between i and a has a column between b and j,
+        # so b exceeds top, the largest column below j of the roots between
+        top = 0
+        for x in range(k + 1, len(row_of)):
+            b = col_of[x]
+            if top < b < j:
+                top = b
+                crosses.append(("cross_general", k, x, ((i, b), (row_of[x], j))))
+        if orthogonal:
+            # interleaved j < b < i < a: b is a column, so full, and the
+            # indices strictly between b and i are full iff b lies in the run
+            # of full indices just below i, above the last free index; the
+            # bits of their roots, kept past k, come in the order of D's roots
+            low = free.bit_length() - 1 if free else j
+            run = cols & ((1 << i) - (2 << low))
+            later = 0
+            while run:
+                b = (run & -run).bit_length() - 1
+                run &= run - 1
+                later |= at_col[b]
+            later &= -(2 << k)
+            while later:
+                x = (later & -later).bit_length() - 1
+                later &= later - 1
+                a, b = row_of[x], col_of[x]
+                over = row_le[a] & col_ge[b] & ~(1 << x)
+                if not (below | over) & ~(row_le[b] & col_ge[j] | row_le[a] & col_ge[i]):
+                    swaps.append(("cross_orthogonal", k, x, ((b, j), (a, i))))
+    return rows, cols, removals + rights + ups + crosses + swaps + splits
+
+
+def _moves(d: RookPlacement, orthogonal: bool) -> list[CoverMove]:
+    """The proposals of D as CoverMoves: the source Roots are D's, and the
+    target Roots those of the result, found in it by bisect."""
+    rows, cols, proposals = _proposals(d, orthogonal)
+    roots = d.roots
+    moves = []
+    for kind, k, x, targets in proposals:
+        result = _replaced(d, k, x, targets, rows, cols)
+        placed = result.roots
+        target = ()
+        for t in targets:  # at most two, so no list is built
+            target += (placed[bisect_left(placed, t)],)
+        source = (roots[k],) if k == x else (roots[k], roots[x])
+        moves.append(CoverMove(kind, source, target, result))
     return moves
+
+
+def _stays_orthogonal(d: RookPlacement, kind: MoveKind, result: RookPlacement) -> RookPlacement:
+    """result, the outcome of a `kind` move on D, if it is orthogonal; a
+    violation raises, since silently dropping it would hide a real bug."""
+    if not result.is_orthogonal():
+        raise OrthogonalityError(
+            f"{kind} on {d.to_text()!r} left the orthogonal family: {result.to_text()!r}"
+        )
+    return result
 
 
 def moves_general(d: RookPlacement) -> list[CoverMove]:
     """All cover moves of a placement, in family order: removals, right
     slides, up slides, crossing swaps, splits."""
-    return _cover_moves(_placement(d), orthogonal=False)
+    return _moves(_placement(d), orthogonal=False)
 
 
 def moves_orthogonal(d: RookPlacement) -> list[CoverMove]:
@@ -174,24 +249,28 @@ def moves_orthogonal(d: RookPlacement) -> list[CoverMove]:
 
     The nested crossing swap is the general one: on orthogonal input it
     stays inside the orthogonal family because it only re-pairs the four
-    endpoint indices.  Each result is checked and a violation raises,
-    since silently dropping one would hide a real bug.
+    endpoint indices.  Each result is checked (_stays_orthogonal).
     """
-    moves = _cover_moves(_orthogonal(d), orthogonal=True)
+    d = _orthogonal(d)
+    moves = _moves(d, orthogonal=True)
     for m in moves:
-        if not m.result.is_orthogonal():
-            raise OrthogonalityError(
-                f"{m.kind} on {d.to_text()!r} left the orthogonal family: "
-                f"{m.result.to_text()!r}"
-            )
+        _stays_orthogonal(d, m.kind, m.result)
     return moves
 
 
 def predecessors_general(d: RookPlacement) -> set[RookPlacement]:
-    """Distinct results of all general cover moves."""
-    return {m.result for m in moves_general(d)}
+    """Distinct results of all general cover moves, built without the moves."""
+    d = _placement(d)
+    rows, cols, proposals = _proposals(d, orthogonal=False)
+    return {_replaced(d, k, x, targets, rows, cols) for _, k, x, targets in proposals}
 
 
 def predecessors_orthogonal(d: RookPlacement) -> set[RookPlacement]:
-    """Distinct results of all orthogonal cover moves."""
-    return {m.result for m in moves_orthogonal(d)}
+    """Distinct results of all orthogonal cover moves, built without the
+    moves, each checked as in moves_orthogonal."""
+    d = _orthogonal(d)
+    rows, cols, proposals = _proposals(d, orthogonal=True)
+    return {
+        _stays_orthogonal(d, kind, _replaced(d, k, x, targets, rows, cols))
+        for kind, k, x, targets in proposals
+    }

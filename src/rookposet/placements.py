@@ -152,31 +152,39 @@ def _replaced(
     d: RookPlacement,
     k: int,
     x: int,
-    added: tuple[Root, ...],
-    rows: frozenset[int],
-    cols: frozenset[int],
+    targets: tuple[tuple[int, int], ...],
+    rows: int,
+    cols: int,
 ) -> RookPlacement:
-    """D with its roots at indices k <= x (k == x for one) replaced by the
-    Roots `added`, at most two, for D's sets of rows and cols: the targets
-    go into the kept roots by bisect, and the result is built without a
-    __new__.  D keeps every rule, so only a target can break one, and these
-    tests are complete: each target on the board, its row and its column
-    not D's unless a source root frees it, and no row or column shared by
-    two targets.  On a failure RookPlacement raises its own error."""
+    """D with its roots at indices k <= x (k == x for one) replaced by
+    `targets`, at most two (row, col) int pairs, for D's rows and cols as
+    bitmasks over the indices.  D keeps every rule, so only a target can
+    break one, and these O(1) tests are complete: each target is a cell of
+    the board, 0 < col < row <= n, and its row and its column are neither
+    D's, unless a source root frees them, nor the other target's.  Only
+    once every target has passed are their Roots built past Root.__new__
+    and put into the kept roots by bisect, and the result built past
+    RookPlacement.__new__.  On any failure Root and RookPlacement, the
+    checked constructors, raise their own error."""
     n, roots = d
     (i, j), (a, b) = roots[k], roots[x]
     kept = list(roots)
     del kept[x]
     if x != k:
         del kept[k]
-    for p, q in added:
-        if p > n or (p in rows and p != i and p != a) or (q in cols and q != j and q != b):
-            return RookPlacement(n, tuple(kept) + added)
-    if len(added) == 2 and (added[0][0] == added[1][0] or added[0][1] == added[1][1]):
-        return RookPlacement(n, tuple(kept) + added)
-    for t in added:
-        insort(kept, t)
-    return tuple.__new__(RookPlacement, (n, tuple(kept)))
+    for p, q in targets:
+        if (
+            not 0 < q < p <= n
+            or (rows >> p & 1 and p != i and p != a)
+            or (cols >> q & 1 and q != j and q != b)
+        ):
+            break
+    else:
+        if len(targets) < 2 or (targets[0][0] != targets[1][0] and targets[0][1] != targets[1][1]):
+            for t in targets:
+                insort(kept, tuple.__new__(Root, t))
+            return tuple.__new__(RookPlacement, (n, tuple(kept)))
+    return RookPlacement(n, tuple(kept) + tuple([Root(p, q) for p, q in targets]))
 
 
 def _check_batch(n: int, roots: list[tuple[Root, ...]]) -> tuple[np.ndarray, np.ndarray]:

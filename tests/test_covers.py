@@ -308,13 +308,21 @@ def test_orthogonal_moves_stay_orthogonal():
             assert m.kind in general_kinds
 
 
-def test_orthogonal_closure_violation_raises(monkeypatch):
-    d = parse_placement("2,1", 4)
-    skew = parse_placement("3,2;4,3", 4)
-    bad = CoverMove("slide_up", (Root(2, 1),), (Root(3, 2),), skew)
-    monkeypatch.setattr(rookposet.covers, "_cover_moves", lambda d, orthogonal: [bad])
-    with pytest.raises(OrthogonalityError, match="slide_up .* left the orthogonal family"):
-        moves_orthogonal(d)
+@pytest.mark.parametrize("entry", [moves_orthogonal, predecessors_orthogonal])
+def test_orthogonal_closure_violation_raises(monkeypatch, entry):
+    # a forged proposal splits (4,1) into (3,1) and (4,3), so that index 3
+    # is both a row and a column of the result; both entry points check
+    # each result through the one helper and raise the same message
+    proposals = rookposet.covers._proposals
+
+    def forged(d, orthogonal):
+        rows, cols, _ = proposals(d, orthogonal)
+        return rows, cols, [("split_orthogonal", 0, 0, ((3, 1), (4, 3)))]
+
+    monkeypatch.setattr(rookposet.covers, "_proposals", forged)
+    message = "split_orthogonal on '4,1' left the orthogonal family: '3,1;4,3'"
+    with pytest.raises(OrthogonalityError, match=f"^{re.escape(message)}$"):
+        entry(parse_placement("4,1", 4))
 
 
 def test_orthogonal_families_reject_general_placements():
@@ -435,6 +443,40 @@ def test_bitmask_cover_rule_matches_the_pairwise_one_orthogonal(d):
     _assert_matches_pairwise(d, orthogonal=True)
 
 
+def _assert_predecessors_are_the_move_results(d, orthogonal):
+    moves, predecessors = (
+        (moves_orthogonal, predecessors_orthogonal)
+        if orthogonal
+        else (moves_general, predecessors_general)
+    )
+    results = predecessors(d)
+    assert results == {m.result for m in moves(d)}
+    assert all(type(r) is Root for p in results for r in p.roots)
+
+
+def test_predecessors_are_the_move_results_exhaustive():
+    # the two paths share one proposal list; predecessors_* build only
+    # the results, and they must be those of the moves
+    for n in range(1, 8):
+        for d in enumerate_placements(n):
+            _assert_predecessors_are_the_move_results(d, orthogonal=False)
+    for n in range(1, 9):
+        for d in enumerate_placements(n, "orthogonal"):
+            _assert_predecessors_are_the_move_results(d, orthogonal=True)
+
+
+@settings(max_examples=80)
+@given(placements(min_n=8, max_n=40))
+def test_predecessors_are_the_move_results_general(d):
+    _assert_predecessors_are_the_move_results(d, orthogonal=False)
+
+
+@settings(max_examples=80)
+@given(orthogonal_placements(min_n=8, max_n=40))
+def test_predecessors_are_the_move_results_orthogonal(d):
+    _assert_predecessors_are_the_move_results(d, orthogonal=True)
+
+
 @st.composite
 def sparse_placements(draw, orthogonal: bool, max_n: int = 2000, max_rooks: int = 6):
     """At most max_rooks rooks on a board of up to max_n, so that most rows
@@ -473,6 +515,18 @@ def test_bitmask_cover_rule_matches_the_pairwise_one_on_sparse_orthogonal_boards
     _assert_matches_pairwise(d, orthogonal=True)
 
 
+@settings(max_examples=40, deadline=None)
+@given(sparse_placements(orthogonal=False))
+def test_predecessors_are_the_move_results_on_sparse_general_boards(d):
+    _assert_predecessors_are_the_move_results(d, orthogonal=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_placements(orthogonal=True))
+def test_predecessors_are_the_move_results_on_sparse_orthogonal_boards(d):
+    _assert_predecessors_are_the_move_results(d, orthogonal=True)
+
+
 @pytest.mark.parametrize(
     "entry,value",
     [
@@ -496,41 +550,59 @@ def _outcome(build, *args):
         return type(exc), str(exc)
 
 
+def _masks(d):
+    """D's rows and columns as bitmasks over the indices, as _replaced takes them."""
+    return sum(1 << i for i in d.rows), sum(1 << j for j in d.cols)
+
+
+def _constructed(n, kept, added):
+    """The placement of D's kept roots and the int pairs added, through the
+    checked constructors alone."""
+    return RookPlacement(n, kept + tuple([Root(p, q) for p, q in added]))
+
+
 @pytest.mark.parametrize(
     "k,x,added,error,message",
     [
-        (4, 4, (Root(6, 5),), AttackError, "rooks (6,2) and (6,5) share row 6"),
-        (4, 4, (Root(8, 2),), AttackError, "rooks (6,2) and (8,2) share column 2"),
-        (4, 4, (Root(9, 5),), AmbientError, "root (9,5) outside board of size 8"),
-        (0, 1, (Root(4, 1), Root(4, 2)), AttackError, "rooks (4,1) and (4,2) share row 4"),
-        (0, 1, (Root(4, 1), Root(5, 1)), AttackError, "rooks (4,1) and (5,1) share column 1"),
-        (2, 2, (Root(5, 2), Root(6, 4)), AttackError, "rooks (5,2) and (5,4) share row 5"),
+        (4, 4, ((6, 5),), AttackError, "rooks (6,2) and (6,5) share row 6"),
+        (4, 4, ((8, 2),), AttackError, "rooks (6,2) and (8,2) share column 2"),
+        (4, 4, ((9, 5),), AmbientError, "root (9,5) outside board of size 8"),
+        (4, 4, ((8, 8),), RookError, "(8,8) is not a root: need row > col >= 1"),
+        (4, 4, ((8, 0),), RookError, "(8,0) is not a root: need row > col >= 1"),
+        (4, 4, ((4, 6),), RookError, "(4,6) is not a root: need row > col >= 1"),
+        (0, 1, ((4, 1), (4, 2)), AttackError, "rooks (4,1) and (4,2) share row 4"),
+        (0, 1, ((4, 1), (5, 1)), AttackError, "rooks (4,1) and (5,1) share column 1"),
+        (2, 2, ((5, 2), (6, 4)), AttackError, "rooks (5,2) and (5,4) share row 5"),
+        (2, 2, ((6, 6), (9, 3)), RookError, "(6,6) is not a root: need row > col >= 1"),
     ],
-    ids=["row-taken", "column-taken", "off-board", "targets-share-a-row",
-         "targets-share-a-column", "one-freed-one-taken"],
+    ids=["row-taken", "column-taken", "off-board", "on-the-diagonal", "column-0",
+         "above-the-diagonal", "targets-share-a-row", "targets-share-a-column",
+         "one-freed-one-taken", "first-bad-target-first"],
 )
 def test_a_move_result_that_breaks_a_rule_raises_the_constructors_error(
     k, x, added, error, message
 ):
     d = parse_placement(BIG, 8)  # 3,1;5,4;6,2;7,3;8,5
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
-        _replaced(d, k, x, added, d.rows, d.cols)
+        _replaced(d, k, x, added, *_masks(d))
 
 
 def test_a_move_result_is_the_constructors_placement_or_error_exhaustive():
-    # every one of up to two targets, on the board or one row past it, in
-    # place of every one or two roots of each placement of R(4) and I(5)
+    # every one of up to two int-pair targets, cells or not (on or above
+    # the diagonal, in column 0, or one row past the board), in place of
+    # every one or two roots of each placement of R(4) and I(5)
     for n, kind in ((4, "general"), (5, "orthogonal")):
-        cells = [Root(i, j) for i in range(2, n + 2) for j in range(1, i)]
-        targets = [()] + [(t,) for t in cells]
-        targets += [(s, t) for s in cells for t in cells if s < t]
+        pairs = [(p, q) for p in range(1, n + 2) for q in range(0, p + 1)]
+        targets = [()] + [(t,) for t in pairs]
+        targets += [(s, t) for s in pairs for t in pairs if s < t]
         for d in enumerate_placements(n, kind):
-            roots = d.roots
+            roots, masks = d.roots, _masks(d)
             for k in range(len(roots)):
                 for x in range(k, len(roots)):
                     kept = roots[:k] + roots[k + 1 : x] + roots[x + 1 :]
                     for added in targets:
-                        result = _outcome(_replaced, d, k, x, added, d.rows, d.cols)
-                        assert result == _outcome(RookPlacement, n, kept + added)
-                        if type(result) is RookPlacement:
+                        result = _outcome(_replaced, d, k, x, added, *masks)
+                        assert result == _outcome(_constructed, n, kept, added)
+                        if type(result) is not tuple:  # not an error's class and message
+                            assert type(result) is RookPlacement
                             assert all(type(r) is Root for r in result.roots)

@@ -214,23 +214,47 @@ def test_placements_skip_their_checks_only_in_the_checked_batch():
     # build themselves with tuple.__new__ after the checks of their
     # __new__; enumeration builds placements past those once one bulk
     # check over the search's root tuples has stood in for them; a cover
-    # move builds its result past them, after the checks of the targets
-    # that are all a valid placement needs, and falls back to the
-    # constructor for its error when one fails
+    # move builds its target Roots and its result past them, after the
+    # checks of the targets that are all a valid placement needs, and
+    # falls back to the constructors for their error when one fails
     assert _sites(_tuple_new) == [
         ("placements", "Root"),
         ("placements", "RookPlacement"),
+        ("placements", "_replaced"),
         ("placements", "_replaced"),
         ("placements", "_enumerate"),
     ]
     assert _sites(
         lambda node: _tuple_new(node) and ast.unparse(node.args[0]) == "RookPlacement"
     ) == [("placements", "_replaced"), ("placements", "_enumerate")]
+    assert _sites(
+        lambda node: _tuple_new(node) and ast.unparse(node.args[0]) == "Root"
+    ) == [("placements", "_replaced")]
+    # each tuple.__new__ is called where it is written, so no alias (a
+    # name bound to it, a functools.partial) hides a site from these pins
+    assert _sites(
+        lambda node: isinstance(node, ast.Attribute) and ast.unparse(node) == "tuple.__new__"
+    ) == _sites(_tuple_new)
+    # the builds of a move's result run only once every target has passed:
+    # in the else of the loop that a failing target breaks, under the test
+    # that two targets share no row or column
+    replaced = DEFS["_replaced"][1]
+    (loop,) = [
+        node
+        for node in ast.walk(replaced)
+        if isinstance(node, ast.For)
+        and ast.unparse(node.iter) == "targets"
+        and any(isinstance(n, ast.Break) for n in ast.walk(node))
+    ]
+    (pair,) = loop.orelse
+    assert isinstance(pair, ast.If) and "targets[1]" in ast.unparse(pair.test)
+    builds = {id(node) for node in ast.walk(replaced) if _tuple_new(node)}
+    assert builds == {id(node) for stmt in pair.body for node in ast.walk(stmt) if _tuple_new(node)}
+    assert {"Root", "RookPlacement"} <= _calls("_replaced")
     assert "_check_batch" in _calls("_enumerate")
     assert "_root_arrays" in reaches("_check_batch") & reaches("root_arrays")
     # the bulk check reads the root tuples it is given, not placements
     assert not {"root_arrays", "attrgetter"} & (reaches("_check_batch") | _calls("_check_batch"))
-    assert "RookPlacement" in _calls("_replaced")
     # the enumeration builds nothing before its bulk check returns
     calls = [n for n in ast.walk(DEFS["_enumerate"][1]) if isinstance(n, ast.Call)]
     (check,) = [n for n in calls if ast.unparse(n.func) == "_check_batch"]
