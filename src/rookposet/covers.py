@@ -45,29 +45,31 @@ indices a general slide must end on.  The non-full indices strictly
 between j and i, where a slide or a split may go, are the bits of
 ((1 << i) - (2 << j)) & ~full; the first of them is the lowest set bit
 and the last the highest, and one walk over the set bits in order, with
-no index in between, proposes the splits.  One pass over D's roots fills one list per family, and the lists
-are joined in family order, so the moves come in family order and then
-in the order of D's roots.  Neither swap tests every pair of roots.  A
-nested swap of (i, j) with a later root (a, b), b < j, can only be
-blocked by a root below (a, b) but below neither (i, b) nor (a, j): one
-whose row lies strictly between i and a and whose column strictly
-between b and j.  So (a, b) passes iff b exceeds every column below j
-among the roots whose rows lie strictly between i and a: a staircase
-scan over the later roots, with no mask, that is exactly the mask rule.
+no index in between, proposes the splits.  One pass over D's roots
+fills one list per family, and the lists are joined in family order, so
+the moves come in family order and then in the order of D's roots.
+Neither swap tests every pair of roots.  A nested swap of (i, j) with a
+later root (a, b), b < j, can only be blocked by a root below (a, b)
+but below neither (i, b) nor (a, j): one whose row lies strictly
+between i and a and whose column strictly between b and j.  So (a, b)
+passes iff b exceeds every column below j among the roots whose rows
+lie strictly between i and a: a staircase scan over the later roots,
+with no mask, that is exactly the mask rule.
 An interleaved swap's b is a column in the run of full indices just
 below i, above the last free index, so only the roots of those columns
 are tested.
 
 A proposal is (kind, k, x, targets): replace D's roots at indices
 k <= x (k == x for one) by the targets, plain (row, col) int pairs.
-moves_* wrap each proposal in a CoverMove and predecessors_* build only
-its result, both from the one proposal list and through the one builder
-placements._replaced.  It puts the targets into the kept roots by bisect
-and checks only them, in O(1).  That check is complete, as D is a valid
-placement and only a target can break a rule: a target must be a cell of
-the board, 0 < col < row <= n, its row and its column must not be D's
-unless a source root frees them, and two targets must not share a row or
-a column.  Only then does it build the target Roots, past their
+_cover_moves wraps each proposal in a CoverMove, whose target Roots and
+result come from the one builder placements._replaced, and
+predecessors_* are the distinct results of moves_*.  The builder puts
+the targets into the kept roots by bisect and checks only them, in
+O(1).  That check is complete, as D is a valid placement and only a
+target can break a rule: a target must be a cell of the board,
+0 < col < row <= n, its row and its column must not be D's unless a
+source root frees them, and two targets must not share a row or a
+column.  Only then does it build the target Roots, past their
 constructor; any failure goes to Root and RookPlacement, the checked
 constructors, which raise their own error.
 
@@ -80,7 +82,6 @@ A move never touches the board size.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import accumulate
 from operator import or_
 from typing import Literal, NamedTuple
@@ -211,37 +212,23 @@ def _proposals(d: RookPlacement, orthogonal: bool) -> tuple[int, int, list[Propo
     return rows, cols, removals + rights + ups + crosses + swaps + splits
 
 
-def _moves(d: RookPlacement, orthogonal: bool) -> list[CoverMove]:
+def _cover_moves(d: RookPlacement, orthogonal: bool) -> list[CoverMove]:
     """The proposals of D as CoverMoves: the source Roots are D's, and the
-    target Roots those of the result, found in it by bisect."""
+    target Roots and the result come from the builder."""
     rows, cols, proposals = _proposals(d, orthogonal)
     roots = d.roots
     moves = []
     for kind, k, x, targets in proposals:
-        result = _replaced(d, k, x, targets, rows, cols)
-        placed = result.roots
-        target = ()
-        for t in targets:  # at most two, so no list is built
-            target += (placed[bisect_left(placed, t)],)
-        source = (roots[k],) if k == x else (roots[k], roots[x])
+        target, result = _replaced(d, k, x, targets, rows, cols)
+        source = roots[k : k + 1] if k == x else (roots[k], roots[x])
         moves.append(CoverMove(kind, source, target, result))
     return moves
-
-
-def _stays_orthogonal(d: RookPlacement, kind: MoveKind, result: RookPlacement) -> RookPlacement:
-    """result, the outcome of a `kind` move on D, if it is orthogonal; a
-    violation raises, since silently dropping it would hide a real bug."""
-    if not result.is_orthogonal():
-        raise OrthogonalityError(
-            f"{kind} on {d.to_text()!r} left the orthogonal family: {result.to_text()!r}"
-        )
-    return result
 
 
 def moves_general(d: RookPlacement) -> list[CoverMove]:
     """All cover moves of a placement, in family order: removals, right
     slides, up slides, crossing swaps, splits."""
-    return _moves(_placement(d), orthogonal=False)
+    return _cover_moves(_placement(d), orthogonal=False)
 
 
 def moves_orthogonal(d: RookPlacement) -> list[CoverMove]:
@@ -249,28 +236,24 @@ def moves_orthogonal(d: RookPlacement) -> list[CoverMove]:
 
     The nested crossing swap is the general one: on orthogonal input it
     stays inside the orthogonal family because it only re-pairs the four
-    endpoint indices.  Each result is checked (_stays_orthogonal).
+    endpoint indices.  Each result is checked and a violation raises,
+    since silently dropping one would hide a real bug.
     """
-    d = _orthogonal(d)
-    moves = _moves(d, orthogonal=True)
+    moves = _cover_moves(_orthogonal(d), orthogonal=True)
     for m in moves:
-        _stays_orthogonal(d, m.kind, m.result)
+        if not m.result.is_orthogonal():
+            raise OrthogonalityError(
+                f"{m.kind} on {d.to_text()!r} left the orthogonal family: "
+                f"{m.result.to_text()!r}"
+            )
     return moves
 
 
 def predecessors_general(d: RookPlacement) -> set[RookPlacement]:
-    """Distinct results of all general cover moves, built without the moves."""
-    d = _placement(d)
-    rows, cols, proposals = _proposals(d, orthogonal=False)
-    return {_replaced(d, k, x, targets, rows, cols) for _, k, x, targets in proposals}
+    """Distinct results of all general cover moves."""
+    return {m.result for m in moves_general(d)}
 
 
 def predecessors_orthogonal(d: RookPlacement) -> set[RookPlacement]:
-    """Distinct results of all orthogonal cover moves, built without the
-    moves, each checked as in moves_orthogonal."""
-    d = _orthogonal(d)
-    rows, cols, proposals = _proposals(d, orthogonal=True)
-    return {
-        _stays_orthogonal(d, kind, _replaced(d, k, x, targets, rows, cols))
-        for kind, k, x, targets in proposals
-    }
+    """Distinct results of all orthogonal cover moves."""
+    return {m.result for m in moves_orthogonal(d)}

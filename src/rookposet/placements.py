@@ -155,17 +155,18 @@ def _replaced(
     targets: tuple[tuple[int, int], ...],
     rows: int,
     cols: int,
-) -> RookPlacement:
-    """D with its roots at indices k <= x (k == x for one) replaced by
-    `targets`, at most two (row, col) int pairs, for D's rows and cols as
-    bitmasks over the indices.  D keeps every rule, so only a target can
-    break one, and these O(1) tests are complete: each target is a cell of
-    the board, 0 < col < row <= n, and its row and its column are neither
-    D's, unless a source root frees them, nor the other target's.  Only
-    once every target has passed are their Roots built past Root.__new__
-    and put into the kept roots by bisect, and the result built past
-    RookPlacement.__new__.  On any failure Root and RookPlacement, the
-    checked constructors, raise their own error."""
+) -> tuple[tuple[Root, ...], RookPlacement]:
+    """The target Roots and D with its roots at indices k <= x (k == x for
+    one) replaced by them, for `targets`, at most two (row, col) int pairs,
+    and D's rows and cols as bitmasks over the indices.  D keeps every
+    rule, so only a target can break one, and these O(1) tests are
+    complete: each target is a cell of the board, 0 < col < row <= n, and
+    its row and its column are neither D's, unless a source root frees
+    them, nor the other target's.  Only once every target has passed are
+    their Roots built past Root.__new__ and put into the kept roots by
+    bisect, and the result built past RookPlacement.__new__.  On any
+    failure Root and RookPlacement, the checked constructors, raise their
+    own error."""
     n, roots = d
     (i, j), (a, b) = roots[k], roots[x]
     kept = list(roots)
@@ -181,10 +182,14 @@ def _replaced(
             break
     else:
         if len(targets) < 2 or (targets[0][0] != targets[1][0] and targets[0][1] != targets[1][1]):
-            for t in targets:
-                insort(kept, tuple.__new__(Root, t))
-            return tuple.__new__(RookPlacement, (n, tuple(kept)))
-    return RookPlacement(n, tuple(kept) + tuple([Root(p, q) for p, q in targets]))
+            placed = ()
+            for t in targets:  # at most two, so no list is built
+                r = tuple.__new__(Root, t)
+                insort(kept, r)
+                placed += (r,)
+            return placed, tuple.__new__(RookPlacement, (n, tuple(kept)))
+    placed = tuple([Root(p, q) for p, q in targets])
+    return placed, RookPlacement(n, tuple(kept) + placed)
 
 
 def _check_batch(n: int, roots: list[tuple[Root, ...]]) -> tuple[np.ndarray, np.ndarray]:

@@ -308,11 +308,11 @@ def test_orthogonal_moves_stay_orthogonal():
             assert m.kind in general_kinds
 
 
-@pytest.mark.parametrize("entry", [moves_orthogonal, predecessors_orthogonal])
-def test_orthogonal_closure_violation_raises(monkeypatch, entry):
+def test_orthogonal_closure_violation_raises(monkeypatch):
     # a forged proposal splits (4,1) into (3,1) and (4,3), so that index 3
     # is both a row and a column of the result; both entry points check
-    # each result through the one helper and raise the same message
+    # each result, predecessors_orthogonal through moves_orthogonal, and
+    # raise the same message, family kind included
     proposals = rookposet.covers._proposals
 
     def forged(d, orthogonal):
@@ -321,8 +321,9 @@ def test_orthogonal_closure_violation_raises(monkeypatch, entry):
 
     monkeypatch.setattr(rookposet.covers, "_proposals", forged)
     message = "split_orthogonal on '4,1' left the orthogonal family: '3,1;4,3'"
-    with pytest.raises(OrthogonalityError, match=f"^{re.escape(message)}$"):
-        entry(parse_placement("4,1", 4))
+    for entry in (moves_orthogonal, predecessors_orthogonal):
+        with pytest.raises(OrthogonalityError, match=f"^{re.escape(message)}$"):
+            entry(parse_placement("4,1", 4))
 
 
 def test_orthogonal_families_reject_general_placements():
@@ -443,40 +444,6 @@ def test_bitmask_cover_rule_matches_the_pairwise_one_orthogonal(d):
     _assert_matches_pairwise(d, orthogonal=True)
 
 
-def _assert_predecessors_are_the_move_results(d, orthogonal):
-    moves, predecessors = (
-        (moves_orthogonal, predecessors_orthogonal)
-        if orthogonal
-        else (moves_general, predecessors_general)
-    )
-    results = predecessors(d)
-    assert results == {m.result for m in moves(d)}
-    assert all(type(r) is Root for p in results for r in p.roots)
-
-
-def test_predecessors_are_the_move_results_exhaustive():
-    # the two paths share one proposal list; predecessors_* build only
-    # the results, and they must be those of the moves
-    for n in range(1, 8):
-        for d in enumerate_placements(n):
-            _assert_predecessors_are_the_move_results(d, orthogonal=False)
-    for n in range(1, 9):
-        for d in enumerate_placements(n, "orthogonal"):
-            _assert_predecessors_are_the_move_results(d, orthogonal=True)
-
-
-@settings(max_examples=80)
-@given(placements(min_n=8, max_n=40))
-def test_predecessors_are_the_move_results_general(d):
-    _assert_predecessors_are_the_move_results(d, orthogonal=False)
-
-
-@settings(max_examples=80)
-@given(orthogonal_placements(min_n=8, max_n=40))
-def test_predecessors_are_the_move_results_orthogonal(d):
-    _assert_predecessors_are_the_move_results(d, orthogonal=True)
-
-
 @st.composite
 def sparse_placements(draw, orthogonal: bool, max_n: int = 2000, max_rooks: int = 6):
     """At most max_rooks rooks on a board of up to max_n, so that most rows
@@ -515,18 +482,6 @@ def test_bitmask_cover_rule_matches_the_pairwise_one_on_sparse_orthogonal_boards
     _assert_matches_pairwise(d, orthogonal=True)
 
 
-@settings(max_examples=40, deadline=None)
-@given(sparse_placements(orthogonal=False))
-def test_predecessors_are_the_move_results_on_sparse_general_boards(d):
-    _assert_predecessors_are_the_move_results(d, orthogonal=False)
-
-
-@settings(max_examples=40, deadline=None)
-@given(sparse_placements(orthogonal=True))
-def test_predecessors_are_the_move_results_on_sparse_orthogonal_boards(d):
-    _assert_predecessors_are_the_move_results(d, orthogonal=True)
-
-
 @pytest.mark.parametrize(
     "entry,value",
     [
@@ -556,9 +511,10 @@ def _masks(d):
 
 
 def _constructed(n, kept, added):
-    """The placement of D's kept roots and the int pairs added, through the
-    checked constructors alone."""
-    return RookPlacement(n, kept + tuple([Root(p, q) for p, q in added]))
+    """The Roots of the int pairs added and the placement of D's kept roots
+    and those, through the checked constructors alone."""
+    target = tuple([Root(p, q) for p, q in added])
+    return target, RookPlacement(n, kept + target)
 
 
 @pytest.mark.parametrize(
@@ -603,6 +559,7 @@ def test_a_move_result_is_the_constructors_placement_or_error_exhaustive():
                     for added in targets:
                         result = _outcome(_replaced, d, k, x, added, *masks)
                         assert result == _outcome(_constructed, n, kept, added)
-                        if type(result) is not tuple:  # not an error's class and message
-                            assert type(result) is RookPlacement
-                            assert all(type(r) is Root for r in result.roots)
+                        target, placed = result
+                        if type(placed) is not str:  # not an error's class and message
+                            assert type(placed) is RookPlacement
+                            assert all(type(r) is Root for r in target + placed.roots)
