@@ -192,39 +192,6 @@ def _replaced(
     return placed, RookPlacement(n, tuple(kept) + placed)
 
 
-def _check_batch(n: int, roots: list[tuple[Root, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    """The root arrays (_root_arrays) of a search's root tuples on the board
-    of size n, read before any placement is built, if each tuple keeps the
-    rules of RookPlacement.__new__.  Otherwise raise, for the first that
-    breaks one, the error the constructor raises on it, or RookError if it
-    is valid but not the constructor's sorted tuple of Roots.  The rules,
-    over all root arrays at once: a tuple of Roots; 1 <= col < row <= n;
-    rows strictly increasing (sorted roots, distinct rows); distinct columns."""
-    if set(map(type, roots)) <= {tuple} and set(map(type, chain.from_iterable(roots))) <= {Root}:
-        rows, cols = _root_arrays(n, roots)
-        live = rows > 0  # padding is row 0, which no Root has
-        on_board = (1 <= cols) & (cols < rows) & (rows <= n)
-        ordered = np.sort(cols, axis=1)  # the padding columns n + 1 sort last
-        bad = (
-            (live & ~on_board).any(axis=1)
-            | (live[:, 1:] & (rows[:, 1:] <= rows[:, :-1])).any(axis=1)
-            | ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] <= n)).any(axis=1)
-        )
-        if not bad.any():
-            return rows, cols
-        roots = roots[int(bad.argmax()) :]  # the tuples before break no rule
-    for r in roots:
-        # the constructor raises its own error; what it lets pass is
-        # refused here: roots out of order, not a tuple, or not a Root
-        # that its own checks built
-        checked = RookPlacement(n, r)
-        if checked.roots != r or type(r) is not tuple or any(
-            type(x) is not Root or not 0 < x[1] < x[0] for x in r
-        ):
-            break
-    raise RookError(f"roots {r!r} are not a sorted tuple of Roots on the board")
-
-
 def _board(n: object) -> int:
     if not _is_int(n) or n < 0:
         raise AmbientError(f"board size must be a non-negative int, got {n!r}")
@@ -367,7 +334,8 @@ def _search(n: int, orthogonal: bool) -> list[tuple[Root, ...]]:
     # pushed in reverse (row, col) order to pop in that order.  A rook
     # closes its column and, when orthogonal, its row (bits of `closed`):
     # rows only grow past every column, so no other clash can occur.  Each
-    # cell is one Root, shared by every placement that holds it.
+    # cell is one Root of the checked constructor, shared by every placement
+    # that holds it, so each tuple keeps the rules of RookPlacement.__new__.
     cells = [[(1 << col, Root(row, col)) for col in range(row - 1, 0, -1)] for row in range(n + 1)]
     found, stack = [], [((), 1, 0)]
     while stack:
@@ -381,11 +349,16 @@ def _search(n: int, orthogonal: bool) -> list[tuple[Root, ...]]:
     return found
 
 
-def _enumerate(
-    n: int, kind: Kind, cap: int
-) -> tuple[tuple[RookPlacement, ...], np.ndarray, np.ndarray]:
-    """enumerate_placements, with the root arrays of its bulk check, which
-    checks the search's root tuples before any placement is built."""
+def enumerate_placements(
+    n: int, kind: Kind = "general", cap: int = DEFAULT_CAP
+) -> tuple[RookPlacement, ...]:
+    """All placements on the size-n board, sorted by their root sequences:
+    the search extends each placement by its next root in (row, col)
+    order, so it yields them in that order.  Raises CapError up front
+    when the count would exceed `cap`.  The search keeps every rule of
+    RookPlacement.__new__ by construction, so its root tuples become
+    placements past that constructor, once their number is the count.
+    """
     _board(n)
     general = _kind(kind) == "general"
     if n < 1:
@@ -397,24 +370,14 @@ def _enumerate(
     # bit length, so a large board is refused before the exact count, whose
     # big-int work grows as n^2
     exponent = n - 1 if general else n // 2
-    if exponent >= cap.bit_length() or count_placements(n, kind) > cap:
+    if exponent >= cap.bit_length() or (count := count_placements(n, kind)) > cap:
         raise CapError(f"board {n} has more than {cap} placements of kind {kind!r}")
     found = _search(n, not general)
-    rows, cols = _check_batch(n, found)
+    if len(found) != count:
+        raise RookError(f"the search found {len(found)} placements on board {n}, not {count}")
     for i, roots in enumerate(found):
         found[i] = tuple.__new__(RookPlacement, (n, roots))
-    return tuple(found), rows, cols
-
-
-def enumerate_placements(
-    n: int, kind: Kind = "general", cap: int = DEFAULT_CAP
-) -> tuple[RookPlacement, ...]:
-    """All placements on the size-n board, sorted by their root sequences:
-    the search extends each placement by its next root in (row, col)
-    order, so it yields them in that order.  Raises CapError up front
-    when the count would exceed `cap`.
-    """
-    return _enumerate(n, kind, cap)[0]
+    return tuple(found)
 
 
 def root_arrays(placements: Sequence[RookPlacement]) -> tuple[np.ndarray, np.ndarray]:
@@ -434,13 +397,7 @@ def root_arrays(placements: Sequence[RookPlacement]) -> tuple[np.ndarray, np.nda
     if len(set(map(attrgetter("n"), placements))) > 1:
         other = next(p.n for p in placements if p.n != n)
         raise AmbientError(f"placements on boards of sizes {n} and {other}")
-    return _root_arrays(n, list(map(attrgetter("roots"), placements)))
-
-
-def _root_arrays(n: int, roots: list[tuple[Root, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    """root_arrays of the placements on the board of size n with the root
-    tuples `roots`, which it does not check: root_arrays guards its own
-    input, and _check_batch checks the arrays this returns."""
+    roots = list(map(attrgetter("roots"), placements))
     sizes = np.fromiter(map(len, roots), dtype=np.intp, count=len(roots))
     cells = np.fromiter(
         chain.from_iterable(chain.from_iterable(roots)), dtype=np.intp, count=2 * int(sizes.sum())

@@ -40,8 +40,17 @@ from rookposet.kerov import ranks_of
 from rookposet.poset import brute_force_covers
 from rookposet.verify import subset_filter_placements
 
-GENERAL_COUNTS = [1, 2, 5, 15, 52, 203, 877]
-ORTHOGONAL_COUNTS = [1, 2, 4, 10, 26, 76, 232]
+# n = 0..20 of OEIS A000110 (Bell) and A000085 (involutions): the counts
+# that the enumeration checks the length of its search against
+GENERAL_COUNTS = [
+    1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597, 27644437,
+    190899322, 1382958545, 10480142147, 82864869804, 682076806159, 5832742205057,
+    51724158235372,
+]
+ORTHOGONAL_COUNTS = [
+    1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496, 35696, 140152, 568504, 2390480,
+    10349536, 46206736, 211799312, 997313824, 4809701440, 23758664096,
+]
 
 
 class Index(int):
@@ -373,8 +382,14 @@ def test_is_orthogonal_means_no_row_is_a_column(d):
 @pytest.mark.parametrize("kind", ["general", "orthogonal"])
 def test_counts_match_known_sequences(n, kind):
     known = GENERAL_COUNTS if kind == "general" else ORTHOGONAL_COUNTS
-    assert count_placements(n, kind) == known[n - 1]
-    assert len(enumerate_placements(n, kind)) == known[n - 1]
+    assert count_placements(n, kind) == known[n]
+    assert len(enumerate_placements(n, kind)) == known[n]
+
+
+@pytest.mark.parametrize("n", range(21))
+def test_counts_are_the_oeis_values(n):
+    assert count_placements(n) == GENERAL_COUNTS[n]
+    assert count_placements(n, "orthogonal") == ORTHOGONAL_COUNTS[n]
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -444,48 +459,25 @@ def test_enumerated_placements_are_their_checked_twins(kind, largest):
     assert str(RookPlacement(3, ())) == ""
 
 
-# one bad root tuple of a search on the board of size 6, after good ones
-BAD_SEARCH_RESULTS = {
-    "shared-row": (Root(4, 1), Root(4, 3)),
-    "shared-column": (Root(3, 2), Root(5, 2)),
-    "past-row-n": (Root(3, 1), Root(7, 2)),
-    "col-not-below-row": (Root(3, 1), (4, 4)),
+# the real search on the board of size 6, changed so that its length is
+# not B(6) = 203: one tuple short, one tuple twice, or one bad tuple more
+FORGED_SEARCHES = {
+    "last-dropped": lambda found: found[:-1],
+    "one-repeated": lambda found: found + [found[40]],
+    "shared-column-appended": lambda found: found + [(Root(3, 2), Root(5, 2))],
 }
 
 
-@pytest.mark.parametrize(
-    "lead,bad",
-    [(40, bad) for bad in BAD_SEARCH_RESULTS.values()]
-    # the first tuple of the search, where the bulk check keeps all it has
-    + [(0, BAD_SEARCH_RESULTS["shared-column"])],
-    ids=[*BAD_SEARCH_RESULTS, "shared-column-first"],
-)
-def test_enumeration_raises_what_the_constructor_raises(monkeypatch, lead, bad):
-    good = placements_module._search(6, False)[:lead]
-    later = (Root(5, 1), Root(5, 2))  # a second offence, not the first
-    monkeypatch.setattr(placements_module, "_search", lambda n, orthogonal: good + [bad, later])
-    with pytest.raises(RookError) as expected:
-        RookPlacement(6, bad)
-    with pytest.raises(RookError) as got:
-        enumerate_placements(6)
-    assert type(got.value) is type(expected.value)
-    assert str(got.value) == str(expected.value)
-    assert type(expected.value) in (AttackError, AmbientError, RookError)
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [
-        (Root(4, 1), Root(3, 2)),  # valid, but out of order
-        [Root(3, 1)],  # valid, but not a tuple
-        (tuple.__new__(Root, (4, 4)),),  # a Root built past its checks
-    ],
-    ids=["unsorted", "list", "forged-root"],
-)
-def test_enumeration_refuses_roots_the_constructor_would_mend(monkeypatch, bad):
-    monkeypatch.setattr(placements_module, "_search", lambda n, orthogonal: [(), bad])
-    with pytest.raises(RookError, match="are not a sorted tuple of Roots on the board"):
-        enumerate_placements(6)
+@pytest.mark.parametrize("forge", FORGED_SEARCHES.values(), ids=list(FORGED_SEARCHES))
+@pytest.mark.parametrize("build", [enumerate_placements, build_poset])
+def test_a_search_of_the_wrong_length_is_refused(monkeypatch, forge, build):
+    forged = forge(placements_module._search(6, False))
+    assert len(forged) != 203
+    monkeypatch.setattr(placements_module, "_search", lambda n, orthogonal: forged)
+    message = f"^the search found {len(forged)} placements on board 6, not 203$"
+    with pytest.raises(RookError, match=message) as got:
+        build(6)
+    assert type(got.value) is RookError
 
 
 def test_smallest_board_has_only_the_empty_placement():

@@ -711,26 +711,25 @@ def test_materialized_poset_does_not_touch_the_per_element_routes(monkeypatch, n
 
 
 def _count_root_arrays(monkeypatch) -> list[int]:
-    """Wrap _root_arrays, the flattening behind root_arrays and the bulk
-    check, in every module that binds it; the list returned grows by one
-    entry a call."""
-    calls, real = [], rookposet.placements._root_arrays
+    """Wrap root_arrays, the flattening of placements, in every module that
+    binds it; the list returned grows by one entry a call."""
+    calls, real = [], rookposet.placements.root_arrays
 
-    def counted(n, roots):
+    def counted(placements):
         calls.append(1)
-        return real(n, roots)
+        return real(placements)
 
     for module in list(sys.modules.values()):
-        bound = getattr(module, "_root_arrays", None)
+        bound = getattr(module, "root_arrays", None)
         if module.__name__.startswith("rookposet") and bound is real:
-            monkeypatch.setattr(module, "_root_arrays", counted)
+            monkeypatch.setattr(module, "root_arrays", counted)
     return calls
 
 
 @pytest.mark.parametrize("n,kind", [(n, "general") for n in (6, 7, 8)]
                          + [(n, "orthogonal") for n in (7, 8, 9)])
 def test_a_build_and_its_graded_check_take_the_root_arrays_once(monkeypatch, n, kind):
-    # once, in the enumeration's bulk check, whose arrays the Poset keeps:
+    # once, in the Poset constructor, which keeps them: the enumeration,
     # the graded check and the exports take none
     calls = _count_root_arrays(monkeypatch)
     poset = build_poset(n, kind)
@@ -744,8 +743,8 @@ def test_a_build_and_its_graded_check_take_the_root_arrays_once(monkeypatch, n, 
 @pytest.mark.parametrize("n,kind", [(n, "general") for n in (6, 7, 8)]
                          + [(n, "orthogonal") for n in (7, 8, 9)])
 def test_a_build_equals_a_poset_of_the_enumeration_built_by_hand(n, kind):
-    # the root arrays of the enumeration's bulk check stand in for the
-    # ones a Poset builds itself, and change nothing it holds or exports
+    # a build is a Poset of the enumeration, with the same root arrays,
+    # and holds and exports what one built by hand does
     built, by_hand = build_poset(n, kind), Poset(n, kind, enumerate_placements(n, kind))
     assert np.array_equal(built.hasse, by_hand.hasse)
     for ours, theirs in zip(built._roots, by_hand._roots, strict=True):

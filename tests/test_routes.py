@@ -212,8 +212,9 @@ def _calls(name: str) -> set[str]:
 def test_placements_skip_their_checks_only_in_the_checked_batch():
     # every route checks first and builds last: Root and RookPlacement
     # build themselves with tuple.__new__ after the checks of their
-    # __new__; enumeration builds placements past those once one bulk
-    # check over the search's root tuples has stood in for them; a cover
+    # __new__; enumeration builds placements past those from the search's
+    # root tuples, which keep every rule by construction, once their
+    # number has been checked against the count of the board; a cover
     # move builds its target Roots and its result past them, after the
     # checks of the targets that are all a valid placement needs, and
     # falls back to the constructors for their error when one fails
@@ -222,11 +223,11 @@ def test_placements_skip_their_checks_only_in_the_checked_batch():
         ("placements", "RookPlacement"),
         ("placements", "_replaced"),
         ("placements", "_replaced"),
-        ("placements", "_enumerate"),
+        ("placements", "enumerate_placements"),
     ]
     assert _sites(
         lambda node: _tuple_new(node) and ast.unparse(node.args[0]) == "RookPlacement"
-    ) == [("placements", "_replaced"), ("placements", "_enumerate")]
+    ) == [("placements", "_replaced"), ("placements", "enumerate_placements")]
     assert _sites(
         lambda node: _tuple_new(node) and ast.unparse(node.args[0]) == "Root"
     ) == [("placements", "_replaced")]
@@ -251,14 +252,23 @@ def test_placements_skip_their_checks_only_in_the_checked_batch():
     builds = {id(node) for node in ast.walk(replaced) if _tuple_new(node)}
     assert builds == {id(node) for stmt in pair.body for node in ast.walk(stmt) if _tuple_new(node)}
     assert {"Root", "RookPlacement"} <= _calls("_replaced")
-    assert "_check_batch" in _calls("_enumerate")
-    assert "_root_arrays" in reaches("_check_batch") & reaches("root_arrays")
-    # the bulk check reads the root tuples it is given, not placements
-    assert not {"root_arrays", "attrgetter"} & (reaches("_check_batch") | _calls("_check_batch"))
-    # the enumeration builds nothing before its bulk check returns
-    calls = [n for n in ast.walk(DEFS["_enumerate"][1]) if isinstance(n, ast.Call)]
-    (check,) = [n for n in calls if ast.unparse(n.func) == "_check_batch"]
-    (build,) = filter(_tuple_new, calls)
+    # the search builds each cell through the checked Root, and the only
+    # tuple.__new__ it reaches is the one that ends Root.__new__
+    assert "Root" in _calls("_search")
+    assert {
+        name for name in reaches("_search") if any(map(_tuple_new, ast.walk(DEFS[name][1])))
+    } == {"Root"}
+    # the enumeration builds nothing before the length of the search is
+    # compared with the count, and a mismatch raises
+    enumerate_ = DEFS["enumerate_placements"][1]
+    assert {"_search", "count_placements"} <= _calls("enumerate_placements")
+    (check,) = [
+        node
+        for node in ast.walk(enumerate_)
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "len(found) != count"
+    ]
+    assert [type(stmt) for stmt in check.body] == [ast.Raise]
+    (build,) = filter(_tuple_new, ast.walk(enumerate_))
     assert check.lineno < build.lineno
     # and the constructor builds itself once, in its last statement
     new = next(n for n in DEFS["RookPlacement"][1].body if getattr(n, "name", None) == "__new__")
@@ -287,17 +297,19 @@ def test_no_value_is_built_or_changed_past_its_class():
 
 def test_a_poset_builds_its_relation_from_its_own_elements():
     # Poset takes no relation: its one route to one is the dominance order
-    # of its elements, from the root arrays it keeps: built by itself or,
-    # in build_poset alone, by the enumeration's bulk check
+    # of its elements, from the root arrays it keeps, which it always
+    # builds itself from them
     init = next(node for node in DEFS["Poset"][1].body if getattr(node, "name", None) == "__init__")
     assert [arg.arg for arg in init.args.args] == ["self", "n", "kind", "elements"]
-    assert [arg.arg for arg in init.args.kwonlyargs] == ["_roots"]
-    assert not init.args.vararg and not init.args.kwarg
-    assert _sites(
-        lambda node: isinstance(node, ast.keyword) and node.arg == "_roots"
-    ) == [("poset", "build_poset")]
-    assert "_enumerate" in _calls("build_poset")
-    assert "_check_batch" in reaches("_enumerate")
+    assert not init.args.kwonlyargs and not init.args.vararg and not init.args.kwarg
+    assert _sites(lambda node: isinstance(node, ast.keyword) and node.arg == "_roots") == []
+    (store,) = [
+        node
+        for node in ast.walk(init)
+        if isinstance(node, ast.Assign) and list(map(ast.unparse, node.targets)) == ["self._roots"]
+    ]
+    assert ast.unparse(store.value) == "root_arrays(elements)"
+    assert "enumerate_placements" in _calls("build_poset")
     relation = {"root_arrays", "_counting_entries", "_packed_dominance", "_cover_scan"}
     assert relation <= reaches("Poset")
     assert _sites(
