@@ -214,13 +214,25 @@ def _proposals(d: RookPlacement, orthogonal: bool) -> tuple[int, int, list[Propo
 
 def _cover_moves(d: RookPlacement, orthogonal: bool) -> list[CoverMove]:
     """The proposals of D as CoverMoves: the source Roots are D's, and the
-    target Roots and the result come from the builder."""
+    target Roots and the result come from the builder.  For orthogonal D a
+    result whose rows and columns, D's index bitmasks less the sources' bits
+    and plus the targets', share a bit raises: dropping it would hide a bug."""
     rows, cols, proposals = _proposals(d, orthogonal)
     roots = d.roots
+    row_of, col_of = zip(*roots) if roots else ((), ())
     moves = []
     for kind, k, x, targets in proposals:
         target, result = _replaced(d, k, x, targets, rows, cols)
         source = roots[k : k + 1] if k == x else (roots[k], roots[x])
+        if orthogonal:
+            r = rows & ~(1 << row_of[k] | 1 << row_of[x])
+            c = cols & ~(1 << col_of[k] | 1 << col_of[x])
+            for p, q in targets:
+                r, c = r | 1 << p, c | 1 << q
+            if r & c:
+                raise OrthogonalityError(
+                    f"{kind} on {d.to_text()!r} left the orthogonal family: {result.to_text()!r}"
+                )
         moves.append(CoverMove(kind, source, target, result))
     return moves
 
@@ -236,17 +248,9 @@ def moves_orthogonal(d: RookPlacement) -> list[CoverMove]:
 
     The nested crossing swap is the general one: on orthogonal input it
     stays inside the orthogonal family because it only re-pairs the four
-    endpoint indices.  Each result is checked and a violation raises,
-    since silently dropping one would hide a real bug.
+    endpoint indices.  _cover_moves checks each result.
     """
-    moves = _cover_moves(_orthogonal(d), orthogonal=True)
-    for m in moves:
-        if not m.result.is_orthogonal():
-            raise OrthogonalityError(
-                f"{m.kind} on {d.to_text()!r} left the orthogonal family: "
-                f"{m.result.to_text()!r}"
-            )
-    return moves
+    return _cover_moves(_orthogonal(d), orthogonal=True)
 
 
 def predecessors_general(d: RookPlacement) -> set[RookPlacement]:

@@ -14,9 +14,12 @@ Algebraic Combin. 20, 2004), each costs 2(i - j) - 1 inversions, nested
 and disjoint pairs add nothing and each crossing pair takes two back, so
 it is L - X.  The general rank is that of the Kerov image, whose arcs are
 2(i - j) - 1 long and cross exactly when the rooks do (for integers,
-2 j2 - 1 < 2 i1 - 2 iff j2 < i1): 2L - k - X.  A rank costs O(k^2) on any
-board; order.inversion_length of order.involution_of is the dense route
-the tests compare it with.
+2 j2 - 1 < 2 i1 - 2 iff j2 < i1): 2L - k - X.  The roots are sorted by
+row, so a crosses a later b iff j_a < j_b < i_a, and i_a <= j_b implies
+a < b and j_a < j_b: X = #{a < b : j_a < j_b} - #{(a, b) : i_a <= j_b},
+two counts of a bisect per root, so a rank takes O(k log k) comparisons
+on any board; order.inversion_length of order.involution_of is the dense
+route the tests compare it with.
 
 ranks_of takes L and X of a whole list at once from the padded (m, k)
 root arrays (placements.root_arrays; a materialized poset passes to
@@ -30,6 +33,7 @@ placement at a time, are the oracles the tests compare it with.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from typing import Sequence
 
 import numpy as np
@@ -56,22 +60,29 @@ def kerov_map(placement: RookPlacement) -> RookPlacement:
     return RookPlacement(2 * placement.n - 2, image)
 
 
-def _length_and_crossings(roots: tuple[Root, ...]) -> tuple[int, int]:
-    length = sum(i - j for i, j in roots)
-    crossings = sum(1 for i1, j1 in roots for i2, j2 in roots if j1 < j2 < i1 < i2)
-    return length, crossings
+def _length_and_crossings(placement: RookPlacement, orthogonal: bool) -> tuple[int, int]:
+    """L and X of a placement's rooks; they must be orthogonal if `orthogonal` is."""
+    rows, cols = tuple(zip(*_placement(placement).roots)) or ((), ())
+    if orthogonal and not set(rows).isdisjoint(cols):
+        _orthogonal(placement)
+    ascents, aligned, seen = 0, 0, []  # seen: the earlier columns, sorted
+    for j in cols:
+        ascents += bisect_left(seen, j)
+        insort(seen, j)
+        aligned += bisect_right(rows, j)
+    return sum(rows) - sum(cols), ascents - aligned
 
 
 def rank_orthogonal(placement: RookPlacement) -> int:
     """L - X: arc length minus crossings."""
-    length, crossings = _length_and_crossings(_orthogonal(placement).roots)
+    length, crossings = _length_and_crossings(placement, orthogonal=True)
     return length - crossings
 
 
 def rank_general(placement: RookPlacement) -> int:
     """2L - k - X: the orthogonal rank of the Kerov image, on every board
     (n = 1 included)."""
-    length, crossings = _length_and_crossings(_placement(placement).roots)
+    length, crossings = _length_and_crossings(placement, orthogonal=False)
     return 2 * length - placement.size - crossings
 
 

@@ -326,6 +326,32 @@ def test_orthogonal_closure_violation_raises(monkeypatch):
             entry(parse_placement("4,1", 4))
 
 
+@pytest.mark.parametrize(
+    "proposal,text,result",
+    [
+        # a target's column is a kept root's row
+        (("slide_right", 1, 1, ((6, 3),)), "3,1;6,5", "3,1;6,3"),
+        # a target's row is a kept root's column
+        (("slide_up", 1, 1, ((2, 1),)), "4,2;5,1", "2,1;4,2"),
+    ],
+    ids=["target-column-is-a-kept-row", "target-row-is-a-kept-column"],
+)
+def test_orthogonal_collision_with_a_kept_root_raises(monkeypatch, proposal, text, result):
+    # the builder passes both results, as each target only takes the row or
+    # the column its source frees; the index bitmasks of the result do not
+    proposals = rookposet.covers._proposals
+
+    def forged(d, orthogonal):
+        rows, cols, _ = proposals(d, orthogonal)
+        return rows, cols, [proposal]
+
+    monkeypatch.setattr(rookposet.covers, "_proposals", forged)
+    message = f"{proposal[0]} on {text!r} left the orthogonal family: {result!r}"
+    for entry in (moves_orthogonal, predecessors_orthogonal):
+        with pytest.raises(OrthogonalityError, match=f"^{re.escape(message)}$"):
+            entry(parse_placement(text, 6))
+
+
 def test_orthogonal_families_reject_general_placements():
     skew = parse_placement("3,2;4,3", 4)
     for fn in (predecessors_orthogonal, moves_orthogonal):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -157,6 +159,64 @@ def test_rank_general_matches_inversion_count_of_the_image_exhaustive():
 @given(placements(max_n=40, min_n=2))
 def test_rank_general_matches_inversion_count_of_the_image(d):
     assert rank_general(d) == _rank_by_inversions(kerov_map(d))
+
+
+def _staircases(k):
+    """The k rooks (k + j, j), j = 1..k, every pair of which crosses, and
+    the k rooks (2k + 1 - j, j), every pair of which nests."""
+    crossing = validate_placement([(k + j, j) for j in range(1, k + 1)], 2 * k)
+    nested = validate_placement([(2 * k + 1 - j, j) for j in range(1, k + 1)], 2 * k)
+    return crossing, nested
+
+
+def _many_rooks(kind, seed):
+    """Placements of 50 to 150 rooks on boards of 200 to 400, drawn from a
+    seeded generator, and the staircases of 50 and of 150 rooks."""
+    rng = random.Random(seed)
+    found = []
+    for _ in range(6):
+        n = rng.randint(200, 400)
+        k = rng.randint(50, min(150, n // 2))
+        if kind == "orthogonal":
+            ends = rng.sample(range(1, n + 1), 2 * k)
+            roots = [(max(p), min(p)) for p in zip(ends[::2], ends[1::2])]
+        else:
+            # the t-th smallest row is at least t + 1, so a column is left
+            rows, free = sorted(rng.sample(range(2, n + 1), k)), set(range(1, n))
+            roots = []
+            for i in rows:
+                j = rng.choice(sorted(c for c in free if c < i))
+                free.discard(j)
+                roots.append((i, j))
+        found.append(validate_placement(roots, n))
+    return found + [*_staircases(50), *_staircases(150)]
+
+
+@pytest.mark.parametrize("kind", ["general", "orthogonal"])
+def test_ranks_with_many_rooks_match_the_dense_route_and_ranks_of(kind):
+    # past the n=40 of the strategies above: the crossings of a rank are
+    # counted by bisection, those of ranks_of by the pair scan, and those
+    # of the dense route by the inversions of the involution
+    by_size = {}
+    for d in _many_rooks(kind, seed=37):
+        if kind == "orthogonal":
+            rank, dense = rank_orthogonal(d), _rank_by_inversions(d)
+        else:
+            rank, dense = rank_general(d), _rank_by_inversions(kerov_map(d))
+        assert rank == dense
+        by_size.setdefault(d.n, []).append((d, rank))
+    for pairs in by_size.values():
+        assert ranks_of([d for d, _ in pairs], kind) == [rank for _, rank in pairs]
+
+
+def test_staircase_ranks_closed_forms():
+    # both have L = k^2; the crossing one has X = k(k - 1)/2, the nested 0
+    for k in (1, 2, 50, 150):
+        crossing, nested = _staircases(k)
+        assert rank_orthogonal(crossing) == k * k - k * (k - 1) // 2
+        assert rank_general(crossing) == 2 * k * k - k - k * (k - 1) // 2
+        assert rank_orthogonal(nested) == k * k
+        assert rank_general(nested) == 2 * k * k - k
 
 
 def test_rank_orthogonal_rejects_non_orthogonal_placements():

@@ -46,6 +46,7 @@ ORACLES = {
     "subset_filter_placements",
     "rank_general",
     "rank_orthogonal",
+    "_length_and_crossings",
 }
 
 # fast kernel -> what it must not reach; leq_placement is the pairwise
@@ -189,14 +190,18 @@ GUARDS = {
 
 @pytest.mark.parametrize("message", sorted(GUARDS))
 def test_each_input_rule_is_raised_from_one_guard(message):
-    sites = [
-        (module, getattr(top, "name", None))
-        for module, tree in TREES.items()
-        for top in tree.body
-        for node in ast.walk(top)
-        if isinstance(node, ast.Raise) and message in ast.unparse(node)
-    ]
-    assert sites == [GUARDS[message]]
+    assert _raises(message) == [GUARDS[message]]
+
+
+def test_a_move_that_leaves_the_orthogonal_family_is_raised_from_one_site():
+    # the mask test of each result in the move engine, which both
+    # moves_orthogonal and predecessors_orthogonal run
+    assert _raises("left the orthogonal family") == [("covers", "_cover_moves")]
+
+
+def _raises(message: str) -> list[tuple[str, str | None]]:
+    """(module, top-level definition) of each raise whose text holds `message`."""
+    return _sites(lambda node: isinstance(node, ast.Raise) and message in ast.unparse(node))
 
 
 def _tuple_new(node: ast.AST) -> bool:
