@@ -14,8 +14,6 @@ import os
 import sys
 from typing import get_args
 
-import numpy as np
-
 from .covers import moves_general, moves_orthogonal
 from .errors import RookError
 from .kerov import kerov_map, rank_general, rank_orthogonal
@@ -51,13 +49,12 @@ def cmd_enumerate(args) -> int:
 def cmd_compare(args) -> int:
     a, b = args.a, args.b
     if not args.summary:
-        # both counting matrices, zero on and above the diagonal
-        matrices = np.zeros((2, args.n, args.n), dtype=int)
-        below = np.tril_indices(args.n, -1)
-        matrices[:, below[0], below[1]] = counting_entries((a, b)).T
-        for name, matrix in zip(("R(a)", "R(b)"), matrices.tolist()):
+        # both counting matrices: board row i + 1 holds the i entries from
+        # i(i - 1)/2 on, then zeros on and above the diagonal
+        for name, entries in zip(("R(a)", "R(b)"), counting_entries((a, b)).T.tolist()):
             print(name + ":")
-            for row in matrix:
+            for i in range(args.n):
+                row = entries[i * (i - 1) // 2 : i * (i + 1) // 2] + [0] * (args.n - i)
                 print("  " + " ".join(map(str, row)))
     le, ge = leq_placement(a, b), leq_placement(b, a)
     if le and ge:

@@ -21,35 +21,24 @@ two counts of a bisect per root, so a rank takes O(k log k) comparisons
 on any board; order.inversion_length of order.involution_of is the dense
 route the tests compare it with.
 
-ranks_of takes L and X of a whole list at once from the padded (m, k)
-root arrays (placements.root_arrays; a materialized poset passes to
-_ranks those it built its relation from).  The crossings are counted
-over the k(k - 1)/2 index pairs a < b, each an (m,) comparison: the roots
-are sorted by row, so only a root a can cross a later root b.  The
-padding, row 0 and column n + 1, sits last and crosses nothing, and the
-length sum skips it.  rank_general and rank_orthogonal, one
-placement at a time, are the oracles the tests compare it with.
+_ranks takes L and X of a whole list at once from the padded (m, k)
+root arrays (placements.root_arrays) that a materialized poset builds its
+relation from.  The crossings are counted over the k(k - 1)/2 index
+pairs a < b, each an (m,) comparison: the roots are sorted by row, so
+only a root a can cross a later root b.  The padding, row 0 and column
+n + 1, sits last and crosses nothing, and the length sum skips it.
+rank_general and rank_orthogonal, one placement at a time, are the
+oracles the tests compare it with.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from typing import Sequence
 
 import numpy as np
 
 from .errors import RookError
-from .placements import (
-    Kind,
-    Root,
-    RookPlacement,
-    _as_tuple,
-    _check_orthogonal,
-    _kind,
-    _orthogonal,
-    _placement,
-    root_arrays,
-)
+from .placements import Kind, Root, RookPlacement, _orthogonal, _placement
 
 
 def kerov_map(placement: RookPlacement) -> RookPlacement:
@@ -86,23 +75,11 @@ def rank_general(placement: RookPlacement) -> int:
     return 2 * length - placement.size - crossings
 
 
-def ranks_of(placements: Sequence[RookPlacement], kind: Kind) -> list[int]:
-    """rank_orthogonal (kind "orthogonal") or rank_general (kind "general")
-    of each placement, which must all live on one board.  The first element
-    that is not a placement, or not orthogonal for kind "orthogonal",
-    raises what the single-placement rank raises; another kind RookError.
-    A thin wrapper: _ranks reads them from the root arrays."""
-    placements = _as_tuple(placements, "placements")
-    rows, cols = root_arrays(placements)
-    if _kind(kind) == "orthogonal":
-        _check_orthogonal(placements, rows, cols)
-    return _ranks(rows, cols, kind)
-
-
 def _ranks(rows: np.ndarray, cols: np.ndarray, kind: Kind) -> list[int]:
-    """ranks_of the placements whose padded root arrays
-    (placements.root_arrays) are rows and cols, of a known kind; for kind
-    "orthogonal" they must be orthogonal (placements._check_orthogonal)."""
+    """rank_orthogonal (kind "orthogonal") or rank_general (kind "general")
+    of each placement whose padded root arrays (placements.root_arrays)
+    are rows and cols; for kind "orthogonal" they must be orthogonal, as
+    poset.Poset checks them."""
     real = rows > 0
     length = np.where(real, rows - cols, 0).sum(axis=1)
     # the rows of each placement are sorted, so only a root a before a

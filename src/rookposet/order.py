@@ -11,7 +11,7 @@ number of rooks t with col_t <= j and row_t >= i, a prefix sum over the
 columns c <= j of whether the rook in column c has row >= i.
 rank_matrix, one placement at a time in pure Python, is the dense oracle
 for them.
-packed_dominance turns them into the relation as packed bit rows in a
+_packed_dominance turns them into the relation as packed bit rows in a
 linear extension, the one form that the materialized poset keeps and
 dominance_matrix unpacks.
 
@@ -115,7 +115,7 @@ def leq_placement(d1: RookPlacement, d2: RookPlacement) -> bool:
     return True
 
 
-# Byte budget of the row blocks that one step of packed_dominance or of
+# Byte budget of the row blocks that one step of _packed_dominance or of
 # the cover scan in poset.Poset works on, and of the row tiles of
 # bruhat_matrix: they then fit in a 2 MB L2 cache.
 _BLOCK_BYTES = 1 << 19
@@ -125,9 +125,10 @@ def counting_entries(placements: Sequence[RookPlacement]) -> np.ndarray:
     """The below-diagonal counting-matrix entries of each placement as an
     (n(n - 1)/2 x m) array, one row per cell (i, j), i > j, in row-major
     order.  Each entry is at most n // 2, so the array is int8 up to
-    n = 255, every board the materialized poset reaches, and int16 past
-    it.  All placements must live on one board (AmbientError otherwise).
-    A thin wrapper: _counting_entries reads them from the root arrays."""
+    n = 255, every board the materialized poset reaches, int16 up to
+    n = 65535 and int32 past it (CapError if it cannot be allocated).  All
+    placements must live on one board (AmbientError otherwise).  A thin
+    wrapper: _counting_entries reads them from the root arrays."""
     placements = _as_tuple(placements, "placements")
     rows, cols = root_arrays(placements)
     return _counting_entries(placements[0].n if placements else 0, rows, cols)
@@ -141,8 +142,12 @@ def _counting_entries(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     so board row i is one prefix sum down the columns 1..i - 1 of
     at >= i."""
     m = len(rows)
-    dtype = np.int8 if n < 256 else np.int16
-    entries = np.empty((n * (n - 1) // 2, m), dtype=dtype)
+    dtype = np.int8 if n < 256 else np.int16 if n < 65536 else np.int32
+    cells = n * (n - 1) // 2
+    try:
+        entries = np.empty((cells, m), dtype=dtype)
+    except (MemoryError, ValueError):  # ValueError: a size numpy cannot index
+        raise CapError(f"cannot allocate {cells} x {m} {dtype.__name__} counting entries")
     at = np.zeros((n + 2, m), dtype=np.min_scalar_type(n))  # holds rows up to n
     at[cols, np.arange(m)[:, None]] = rows
     e = 0
@@ -166,29 +171,20 @@ def unpack_rows(words: np.ndarray, m: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=-1, count=m, bitorder="little")
 
 
-def packed_dominance(
-    placements: Sequence[RookPlacement],
-) -> tuple[np.ndarray, np.ndarray]:
-    """The dominance order of the placements as (bits, columns): `columns`
-    sorts them stably by the sum of their counting entries E, a linear
+def _packed_dominance(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The dominance order of the placements whose counting entries
+    (counting_entries) are the columns of `entries`, as (bits, columns):
+    `columns` sorts them stably by the sum of their entries E, a linear
     extension (t < d makes each entry of t at most that of d and one
     smaller), and row p of `bits` packs (pack_rows) the up-set of
-    placements[columns[p]], bit q for placements[columns[q]].  All
-    placements must live on one board (AmbientError otherwise).  As in a
+    placement columns[p], bit q for placement columns[q].  As in a
     range-encoded bitmap index (Chan and Ioannidis, SIGMOD 1999), the set
     {b : E[e, b] >= v} is packed once per cell e and value v, and row p is
     the AND over the cells of the set at v = E[e, columns[p]], filled a
     block of rows at a time from the first position of its first row's sum
     on (only a repeat there can come first in an up-set), each seeded
-    first, in a zeroed m^2 / 8 byte array (CapError if refused).  A thin
-    wrapper over _packed_dominance, which takes the counting entries.
+    first, in a zeroed m^2 / 8 byte array (CapError if refused).
     """
-    return _packed_dominance(counting_entries(placements))
-
-
-def _packed_dominance(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """packed_dominance of the placements whose counting entries
-    (counting_entries) are the columns of `entries`."""
     m = entries.shape[1]
     sums = entries.sum(axis=0)
     columns = np.argsort(sums, kind="stable")
@@ -219,8 +215,9 @@ def _packed_dominance(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def dominance_matrix(placements: Sequence[RookPlacement]) -> np.ndarray:
     """m x m bool array whose entry (a, b) is placements[a] <= placements[b]:
-    packed_dominance unpacked, with rows and columns back in index order."""
-    bits, columns = packed_dominance(placements)
+    _packed_dominance unpacked, with rows and columns back in index order.
+    All placements must live on one board (AmbientError otherwise)."""
+    bits, columns = _packed_dominance(counting_entries(placements))
     pos = np.argsort(columns)
     return unpack_rows(bits, len(columns))[np.ix_(pos, pos)].view(bool)
 

@@ -216,16 +216,10 @@ def _orthogonal(d: object) -> RookPlacement:
     return d
 
 
-def _check_orthogonal(
-    placements: Sequence[RookPlacement], rows: np.ndarray, cols: np.ndarray
-) -> None:
-    """Raise what _orthogonal raises for the first of the placements that is
-    not orthogonal, i.e. has a row that is also a column, read off their
-    padded root arrays rows and cols (root_arrays)."""
-    # padding never meets: row 0 is no column and column n + 1 no row
-    clash = (rows[:, :, None] == cols[:, None, :]).any(axis=(1, 2))
-    if clash.any():
-        _orthogonal(placements[int(clash.argmax())])
+def _on_board(d: object, n: int) -> RookPlacement:
+    if _placement(d).n != n:
+        raise AmbientError(f"placement {d.to_text()!r} is on board {d.n}, not {n}")
+    return d
 
 
 def _as_root(r: object) -> Root:
@@ -385,18 +379,21 @@ def root_arrays(placements: Sequence[RookPlacement]) -> tuple[np.ndarray, np.nda
     arrays, k the most rooks of any one, each row in root order.  A
     placement with fewer rooks is padded with row 0 and column n + 1,
     which no cell (i, j) of the board reaches: a count over columns <= j
-    and rows >= i never includes them.  Raises RookError on anything but
-    placements, and AmbientError unless all live on one board.
+    and rows >= i never includes them.  The first element, in index order,
+    that is not a placement raises RookError, and the first that is not on
+    the board of placements[0] AmbientError.
     """
     placements = _as_tuple(placements, "placements")
-    # the checks and the flattening iterate in C, not per placement in Python
-    if not all(issubclass(t, RookPlacement) for t in set(map(type, placements))):
+    # the checks (two sets, of types and of boards) and the flattening
+    # iterate in C; only a failed check runs the loop that names the offender
+    if not (
+        set(map(type, placements)) <= {RookPlacement}
+        and len(set(map(attrgetter("n"), placements))) <= 1
+    ):
+        n = _placement(placements[0]).n
         for p in placements:
-            _placement(p)
+            _on_board(p, n)
     n = placements[0].n if placements else 0
-    if len(set(map(attrgetter("n"), placements))) > 1:
-        other = next(p.n for p in placements if p.n != n)
-        raise AmbientError(f"placements on boards of sizes {n} and {other}")
     roots = list(map(attrgetter("roots"), placements))
     sizes = np.fromiter(map(len, roots), dtype=np.intp, count=len(roots))
     cells = np.fromiter(

@@ -1,7 +1,7 @@
 """Materialized posets of placements: Hasse diagrams, gradedness, export.
 
 A Poset computes the dominance order of its elements, R(n) or I(n) in
-build_poset, from their counting matrices alone (order.packed_dominance),
+build_poset, from their counting matrices alone (order._packed_dominance),
 so everything here is independent of the move generators in covers.py
 and can serve as an oracle for them.
 """
@@ -9,16 +9,15 @@ and can serve as an oracle for them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
 from . import order as order_module
-from .errors import AmbientError, RookError
+from .errors import RookError
 from .kerov import _ranks
 from .order import _counting_entries, _packed_dominance
-from .placements import DEFAULT_CAP, Kind, RookPlacement, _as_tuple, _board, _check_orthogonal
-from .placements import _kind, _placement, enumerate_placements, root_arrays
+from .placements import DEFAULT_CAP, Kind, RookPlacement, _as_tuple, _board, _kind, _on_board
+from .placements import _orthogonal, _placement, enumerate_placements, root_arrays
 
 
 class Poset:
@@ -50,24 +49,23 @@ class Poset:
     def __init__(self, n: int, kind: Kind, elements: tuple[RookPlacement, ...]) -> None:
         self.n, self.kind = _board(n), _kind(kind)
         self.elements = elements = _as_tuple(elements, "elements")
-        # the types and the boards as two sets; only if one fails, the
-        # loop that raises for the first offender
-        if not (
-            set(map(type, elements)) <= {RookPlacement}
-            and set(map(attrgetter("n"), elements)) <= {n}
-        ):
-            for e in elements:
-                if _placement(e).n != n:
-                    raise AmbientError(f"placement {e.to_text()!r} is on board {e.n}, not {n}")
+        # root_arrays checks the rest against the board of the first
+        if elements:
+            _on_board(elements[0], n)
+        self._roots = root_arrays(elements)
         m = len(elements)
         self._index = dict(zip(elements, range(m)))
         # a repeat would give a row a bit before its own, and the scan wrong covers
         if len(self._index) < m:
             twice = next(e for i, e in enumerate(elements) if self._index[e] != i)
             raise RookError(f"placement {twice.to_text()!r} is listed twice")
-        self._roots = root_arrays(elements)
         if kind == "orthogonal":
-            _check_orthogonal(elements, *self._roots)
+            # the first element with a row that is also a column; padding
+            # never meets, as row 0 is no column and column n + 1 no row
+            rows, cols = self._roots
+            clash = (rows[:, :, None] == cols[:, None, :]).any(axis=(1, 2))
+            if clash.any():
+                _orthogonal(elements[int(clash.argmax())])
         bits, columns = _packed_dominance(_counting_entries(n, *self._roots))
         pos = np.argsort(columns)  # row and bit pos[x] stand for element x
         lower, upper = _cover_scan(bits, columns)
@@ -112,7 +110,7 @@ def _poset(p: object) -> Poset:
 
 def _cover_scan(bits: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The cover edges as sorted (lower, upper) index arrays of the partial
-    order packed as (bits, columns) (order.packed_dominance: no row has a
+    order packed as (bits, columns) (order._packed_dominance: no row has a
     bit before its own), by the block scan of the Poset docstring."""
     m, width = bits.shape
     p = np.arange(m)

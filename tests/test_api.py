@@ -8,16 +8,15 @@ import pytest
 
 import rookposet
 from rookposet import RookError
-from rookposet.kerov import ranks_of
 from rookposet.order import (
     bruhat_leq,
     bruhat_matrix,
     counting_entries,
     dominance_matrix,
     inversion_length,
-    packed_dominance,
     rank_matrix,
 )
+from rookposet.placements import root_arrays
 from rookposet.poset import brute_force_covers
 
 PUBLIC_NAMES = {
@@ -100,9 +99,8 @@ LEAKS = {
     "RankMatrix.__le__": lambda other: rank_matrix(_D) <= other,
 }
 for _name, _kernel in {
-    "ranks_of": lambda xs: ranks_of(xs, "general"),
+    "root_arrays": root_arrays,
     "counting_entries": counting_entries,
-    "packed_dominance": packed_dominance,
     "dominance_matrix": dominance_matrix,
     "bruhat_matrix": bruhat_matrix,
 }.items():

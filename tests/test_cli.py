@@ -93,6 +93,12 @@ def test_compare_summary_prints_only_the_verdict_on_a_large_board(
     assert out == verdict + "\n"
 
 
+def test_compare_past_the_memory_exits_2(capsys):
+    code, out, err = run(capsys, "compare", "--n", str(2**32), "--a", "", "--b", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot allocate")
+
+
 def test_compare_incomparable(capsys):
     code, out, _ = run(capsys, "compare", "--n", "3", "--a", "2,1", "--b", "3,2")
     assert code == 0

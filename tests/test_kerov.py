@@ -21,8 +21,9 @@ from rookposet import (
     rank_orthogonal,
     validate_placement,
 )
-from rookposet.kerov import ranks_of
+from rookposet.kerov import _ranks
 from rookposet.order import inversion_length
+from rookposet.placements import root_arrays
 
 
 def test_kerov_image_known_value():
@@ -195,8 +196,9 @@ def _many_rooks(kind, seed):
 @pytest.mark.parametrize("kind", ["general", "orthogonal"])
 def test_ranks_with_many_rooks_match_the_dense_route_and_ranks_of(kind):
     # past the n=40 of the strategies above: the crossings of a rank are
-    # counted by bisection, those of ranks_of by the pair scan, and those
-    # of the dense route by the inversions of the involution
+    # counted by bisection, those of the batch route (_ranks over the root
+    # arrays) by the pair scan, and those of the dense route by the
+    # inversions of the involution
     by_size = {}
     for d in _many_rooks(kind, seed=37):
         if kind == "orthogonal":
@@ -206,7 +208,7 @@ def test_ranks_with_many_rooks_match_the_dense_route_and_ranks_of(kind):
         assert rank == dense
         by_size.setdefault(d.n, []).append((d, rank))
     for pairs in by_size.values():
-        assert ranks_of([d for d, _ in pairs], kind) == [rank for _, rank in pairs]
+        assert _ranks(*root_arrays([d for d, _ in pairs]), kind) == [rank for _, rank in pairs]
 
 
 def test_staircase_ranks_closed_forms():
@@ -243,21 +245,11 @@ def test_kerov_shape_property(d):
 def test_ranks_of_matches_the_single_ranks_exhaustive(n, kind):
     rank = rank_orthogonal if kind == "orthogonal" else rank_general
     elements = enumerate_placements(n, kind)
-    assert ranks_of(elements, kind) == [rank(d) for d in elements]
-
-
-def test_ranks_of_raises_like_rank_orthogonal_on_the_first_bad_placement():
-    items = [parse_placement(t, 4) for t in ("", "4,1", "2,1;3,2", "3,2;4,3")]
-    with pytest.raises(OrthogonalityError) as single:
-        rank_orthogonal(items[2])
-    with pytest.raises(OrthogonalityError) as batch:
-        ranks_of(items, "orthogonal")
-    assert str(batch.value) == str(single.value) == "placement '2,1;3,2' is not orthogonal"
-    # the general rank takes any placement
-    assert ranks_of(items, "general") == [rank_general(d) for d in items]
+    assert _ranks(*root_arrays(elements), kind) == [rank(d) for d in elements]
 
 
 def test_ranks_of_rejects_placements_on_two_boards():
+    # the batch ranks read the root arrays, which check the boards
     with pytest.raises(AmbientError):
-        ranks_of([parse_placement("", 3), parse_placement("", 4)], "general")
-    assert ranks_of([], "orthogonal") == []
+        root_arrays([parse_placement("", 3), parse_placement("", 4)])
+    assert _ranks(*root_arrays([]), "orthogonal") == []

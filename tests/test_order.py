@@ -13,6 +13,7 @@ import rookposet.order
 from conftest import orthogonal_placements, placements
 from rookposet import (
     AmbientError,
+    CapError,
     OrthogonalityError,
     Permutation,
     enumerate_placements,
@@ -26,17 +27,19 @@ from rookposet import (
     rank_orthogonal,
     validate_placement,
 )
-from rookposet.kerov import ranks_of
+from rookposet.kerov import _ranks
 from rookposet.order import (
+    _counting_entries,
+    _packed_dominance,
     bruhat_leq,
     bruhat_matrix,
     counting_entries,
     dominance_matrix,
     inversion_length,
-    packed_dominance,
     rank_matrix,
     unpack_rows,
 )
+from rookposet.placements import root_arrays
 
 
 def test_rank_matrix_known_values():
@@ -388,7 +391,11 @@ def test_the_cells_bruhat_matrix_leaves_out_decide_nothing(n):
 
 @pytest.mark.parametrize(
     "relation",
-    [counting_entries, lambda items: packed_dominance(items)[0], dominance_matrix],
+    [
+        counting_entries,
+        lambda items: _packed_dominance(counting_entries(items))[0],
+        dominance_matrix,
+    ],
     ids=["counting_entries", "packed_dominance", "dominance_matrix"],
 )
 def test_placement_relations_take_a_set_or_a_generator(relation):
@@ -442,8 +449,9 @@ def test_dominance_matrix_matches_pairwise_comparison_off_the_enumeration():
 
 
 def test_dominance_matrix_rejects_placements_on_two_boards():
-    with pytest.raises(AmbientError, match="sizes 3 and 4"):
+    with pytest.raises(AmbientError) as err:
         dominance_matrix([parse_placement("2,1", 3), parse_placement("2,1", 4)])
+    assert str(err.value) == "placement '2,1' is on board 4, not 3"
 
 
 def test_dominance_matrix_of_no_placements_is_empty():
@@ -464,9 +472,9 @@ def test_dominance_matrix_matches_leq_placement_exhaustive(n, kind):
 
 
 def _assert_packed_pair_is_sound(items):
-    """packed_dominance's pair: a permutation of the columns in which every
+    """_packed_dominance's pair: a permutation of the columns in which every
     strict relation goes forward, and zero bits past the last column."""
-    bits, columns = packed_dominance(items)
+    bits, columns = _packed_dominance(counting_entries(items))
     m = len(items)
     assert bits.dtype == np.uint64 and bits.shape == (m, -(-m // 64))
     assert sorted(columns.tolist()) == list(range(m))
@@ -481,7 +489,7 @@ def _assert_packed_pair_is_sound(items):
 )
 def test_packed_rows_have_no_bit_before_their_own(n, kind):
     # row p stands for columns[p]: a linear extension of distinct elements
-    bits, columns = packed_dominance(enumerate_placements(n, kind))
+    bits, columns = _packed_dominance(counting_entries(enumerate_placements(n, kind)))
     m = len(columns)
     assert not np.tril(unpack_rows(bits, m), -1).any()
     assert unpack_rows(bits, m).diagonal().all()
@@ -541,6 +549,20 @@ def test_counting_entries_widen_past_int8_on_large_boards():
     assert entries[cell, 0] == entries.max() == 150
 
 
+def test_counting_entries_widen_past_int16_on_huge_boards():
+    # an entry reaches n // 2 = 35000 on n = 70000, more than int16 holds;
+    # with no placements nothing is allocated
+    empty = np.zeros((0, 0), dtype=np.intp)
+    assert np.iinfo(_counting_entries(70000, empty, empty).dtype).max >= 35000
+
+
+def test_counting_entries_past_the_memory_raise_cap_error():
+    # numpy refuses the n(n - 1)/2 x 2 entries of n = 2^32 before it
+    # allocates anything
+    with pytest.raises(CapError, match="cannot allocate"):
+        counting_entries([parse_placement("", 2**32)] * 2)
+
+
 @pytest.mark.parametrize("n", [127, 128, 255, 256])
 def test_counting_entries_read_a_rook_in_the_last_row(n):
     # the kernel scatters rook rows, up to n, into an array of its own: one
@@ -575,4 +597,4 @@ def test_batch_kernels_match_the_single_element_routes(case):
     kind, items = case
     assert counting_entries(items).T.tolist() == [_dense_entries(d) for d in items]
     rank = rank_orthogonal if kind == "orthogonal" else rank_general
-    assert ranks_of(items, kind) == [rank(d) for d in items]
+    assert _ranks(*root_arrays(items), kind) == [rank(d) for d in items]

@@ -36,7 +36,6 @@ from rookposet import (
     validate_placement,
 )
 import rookposet.placements as placements_module
-from rookposet.kerov import ranks_of
 from rookposet.poset import brute_force_covers
 from rookposet.verify import subset_filter_placements
 
@@ -220,7 +219,6 @@ def test_a_single_placement_is_not_a_collection():
         ("roots", lambda: validate_placement(d, 3)),
         ("elements", lambda: Poset(3, "general", d)),
         ("placements", lambda: placements_module.root_arrays(d)),
-        ("placements", lambda: ranks_of(d, "general")),
     ]:
         with pytest.raises(RookError, match=f"^{what} {got}$"):
             call()

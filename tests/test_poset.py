@@ -384,11 +384,13 @@ def test_check_graded_ranks_a_chain_listed_out_of_order():
 
 
 def test_an_orthogonal_poset_rejects_a_non_orthogonal_element_like_rank_orthogonal():
-    # a chain '' < '2,1;3,2' labelled as orthogonal, though its top is not
-    labels = (parse_placement("", 3), parse_placement("2,1;3,2", 3))
+    # labelled as orthogonal, though the last two are not: the first is named
+    labels = tuple(parse_placement(t, 4) for t in ("", "4,1", "2,1;3,2", "3,2;4,3"))
+    with pytest.raises(OrthogonalityError) as single:
+        rank_orthogonal(labels[2])
     with pytest.raises(OrthogonalityError) as err:
-        Poset(3, "orthogonal", labels)
-    assert str(err.value) == "placement '2,1;3,2' is not orthogonal"
+        Poset(4, "orthogonal", labels)
+    assert str(err.value) == str(single.value) == "placement '2,1;3,2' is not orthogonal"
 
 
 def test_check_graded_reports_missing_extremum():
@@ -411,7 +413,7 @@ def test_check_graded_lists_every_maximal_element():
 
 
 def test_packed_pair_of_a_repeated_placement_is_not_antisymmetric():
-    # packed_dominance orders a repeat and its first copy both ways, so
+    # _packed_dominance orders a repeat and its first copy both ways, so
     # Poset refuses the repeat before it builds the relation
     elements = enumerate_placements(4)
     twice = elements + elements[7:8]
@@ -502,7 +504,7 @@ def test_poset_and_batch_ranks_refuse_an_unknown_kind():
     with pytest.raises(RookError, match="unknown kind 'bogus'"):
         Poset(4, "bogus", elements)
     with pytest.raises(RookError, match="unknown kind 'Orthogonal'"):
-        rookposet.kerov.ranks_of(elements, "Orthogonal")
+        Poset(4, "Orthogonal", elements)
 
 
 def matmul_covers(leq: np.ndarray) -> list[tuple[int, int]]:

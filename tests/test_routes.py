@@ -50,14 +50,12 @@ ORACLES = {
 }
 
 # fast kernel -> what it must not reach; leq_placement is the pairwise
-# oracle of packed_dominance, and a kernel in its own right elsewhere
+# oracle of _packed_dominance, and a kernel in its own right elsewhere
 KERNELS = {
     ("order", "counting_entries"): ORACLES,
     ("order", "_counting_entries"): ORACLES,
-    ("order", "packed_dominance"): ORACLES | {"leq_placement"},
     ("order", "_packed_dominance"): ORACLES | {"leq_placement"},
     ("order", "leq_placement"): ORACLES,
-    ("kerov", "ranks_of"): ORACLES,
     ("kerov", "_ranks"): ORACLES,
     ("poset", "Poset"): ORACLES,
     ("poset", "_cover_scan"): ORACLES,
@@ -74,8 +72,8 @@ KERNELS.update(
 )
 
 # verify suite -> (fast route, oracle route).  graded: check_graded
-# compares the longest Hasse paths of build_poset's diagram with the rank
-# kernel of ranks_of, _ranks, over the root arrays the poset keeps.
+# compares the longest Hasse paths of build_poset's diagram with the batch
+# rank kernel _ranks, over the root arrays the poset keeps.
 PAIRS = {
     "verify_counts": ("enumerate_placements", "subset_filter_placements"),
     "verify_covers_general": ("predecessors_general", "brute_force_covers"),
@@ -183,6 +181,7 @@ GUARDS = {
     "unknown kind": ("placements", "_kind"),
     "is not orthogonal": ("placements", "_orthogonal"),
     "is not a RookPlacement": ("placements", "_placement"),
+    "is on board": ("placements", "_on_board"),
     "is not a Poset": ("poset", "_poset"),
     "is not a Permutation": ("order", "_permutation"),
 }
@@ -191,6 +190,15 @@ GUARDS = {
 @pytest.mark.parametrize("message", sorted(GUARDS))
 def test_each_input_rule_is_raised_from_one_guard(message):
     assert _raises(message) == [GUARDS[message]]
+
+
+def test_a_batch_checks_its_boards_in_root_arrays_and_poset_only():
+    # every batch names its first placement off the board in Poset's words,
+    # through root_arrays, and has no message of its own for it
+    assert sorted(_sites(
+        lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "_on_board"
+    )) == [("placements", "root_arrays"), ("poset", "Poset")]
+    assert _raises("placements on boards of sizes") == []
 
 
 def test_a_move_that_leaves_the_orthogonal_family_is_raised_from_one_site():
